@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Mapping, Optional, Sequence
 
 from . import words as W
@@ -49,9 +51,6 @@ class PoincareSeries:
             raise ValueError(f"degree {degree} beyond truncation {self.truncation}")
         return self.coeffs.get(degree, 0)
 
-    def as_list(self) -> list[int]:
-        return [self.coeffs.get(d, 0) for d in range(self.truncation + 1)]
-
     def convolve(self, other: "PoincareSeries",
                  basis_note: Optional[str] = None,
                  validity: Optional[str] = None) -> "PoincareSeries":
@@ -60,11 +59,6 @@ class PoincareSeries:
         return PoincareSeries(coeffs, n,
                               basis_note or self.basis_note,
                               validity if validity is not None else self.validity)
-
-    def same_coefficients(self, other: "PoincareSeries") -> bool:
-        n = min(self.truncation, other.truncation)
-        return all(self.coeffs.get(d, 0) == other.coeffs.get(d, 0)
-                   for d in range(n + 1))
 
     def text_table(self) -> list[str]:
         width = max(len("deg"), len(str(self.truncation)))
@@ -117,32 +111,65 @@ def _geometric(step: int, truncation: int) -> dict[int, int]:
     return {d: 1 for d in range(0, truncation + 1, step)}
 
 
+def _times(coeffs: list[int], step: int, factor: Sequence[int]) -> None:
+    """Multiply the dense list in place by sum_j factor[j] t^(j step),
+    truncated to its length; factor[0] must be 1."""
+    old, n = coeffs[:], len(coeffs)
+    for j in range(1, min(len(factor), (n - 1) // step + 1)):
+        shift, c = j * step, factor[j]
+        terms = old[:n - shift] if c == 1 else map(mul, old[:n - shift], repeat(c))
+        coeffs[shift:] = map(add, coeffs[shift:], terms)
+
+
+def _height_power(height: int, count: int, length: int) -> list[int]:
+    """(1 + u + ... + u^(height-1))^count, coefficients of u^0 up to
+    u^length or its degree, whichever is lower (so none is zero)."""
+    out = [1] + [0] * min(length, count * (height - 1))
+    for _ in range(count):
+        sums = list(accumulate(out))
+        out = sums[:height] + list(map(sub, sums[height:], sums))
+    return out
+
+
 def family_series(family: W.WordFamily, n: int, p: int,
                   max_degree: int) -> PoincareSeries:
     """Poincare series of the algebra generated by the length-n words.
 
-    Exterior words give 1 + t^d, divided-power words give a height-p
-    truncated factor, the free base letter mu gives 1/(1 - t^d).  The
-    bare base letter x of B'/B'' belongs to the base ring and carries no
-    factor here."""
+    The words are counted, not built: a DP over (leading letter kind,
+    total degree) prepends one letter per level by W.letter_moves and
+    drops degrees past the bound.  A word of degree d leading with eps
+    gives an exterior factor 1 + t^d, one leading with rho^k or phi^k a
+    height-p truncated factor, the bare free base letter mu 1/(1 - t^d).
+    The bare base letter x of B'/B'' belongs to the base ring and carries
+    no factor here.  The c words sharing a class and a degree enter the
+    dense coefficient list at once, as the c-th power of their factor."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    coeffs = {0: 1}
-    for w in W.enumerate_words(n, family, p, max_degree):
-        cls = W.classify(w, family)
-        d = W.total_degree(w, p, family)
-        if len(w) == 1 and w[0][0] == "x":
-            continue  # base ring factor, see basis_note of the callers
-        if cls.kind == "free":
-            factor = _geometric(d, max_degree)
-        elif cls.kind == "exterior":
-            factor = {0: 1, d: 1}
-        else:  # truncated of height p (height m only for the bare x)
-            factor = {j * d: 1 for j in range(p) if j * d <= max_degree}
-        coeffs = _convolve(coeffs, factor, max_degree)
-    series = PoincareSeries(coeffs, max_degree)
-    assert series.coefficient(0) == 1
-    return series
+    moves = W.letter_moves(family, p, max_degree)
+    level = {family.base_letter[0]: {family.base_degree: 1}}
+    for _ in range(n - 1):
+        grown: dict[str, dict[int, int]] = {}
+        for right, counts in level.items():
+            for kind, c, h, ladder in moves[right]:
+                out = grown.setdefault(kind, {})
+                for d, count in counts.items():
+                    for _letter, q, _k in ladder:
+                        t = q * (c + h * d)
+                        if t > max_degree:
+                            break
+                        out[t] = out.get(t, 0) + count
+        level = grown
+    coeffs = [1] + [0] * max_degree
+    for kind, counts in level.items():
+        for d, count in counts.items():
+            if kind == "mu":  # n = 1: the bare free base letter alone
+                return PoincareSeries(_geometric(d, max_degree), max_degree)
+            if kind != "x":  # exterior is the height-2 case
+                height = 2 if kind == "eps" else p
+                _times(coeffs, d, _height_power(height, count, max_degree // d))
+    if coeffs[0] != 1:
+        raise ArithmeticError(f"series has constant term {coeffs[0]}, not 1")
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree)
 
 
 def thh_fp(n: int, p: int, max_degree: int) -> PoincareSeries:

@@ -22,14 +22,21 @@ Bidegrees (homological, internal) follow the recursion
     ||rho^k w|| = p^k (1, |w|),
     ||phi^k w|| = p^k (2, p |w|),   but p^k (2, m |x|) directly on x,
 
-where |w| is total degree.  A separate scalar recursion for |w| is kept
-as an independent cross-check of the bidegree arithmetic.
+where |w| is total degree.  Word lists come from one generator that
+grows words right to left from the base letter, folding the bidegree and
+the exponent sum as each letter is prepended.  Neither ever drops, so a
+bound on either (total degree for enumerate_words, exponent sum for
+diff_candidates) prunes a prefix with all its extensions and no word is
+built only to be thrown away.  A separate scalar recursion for |w|
+(total_degree) is kept as an independent cross-check of the fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional
+from typing import Callable, Literal, Optional
+
+from .fplinear import _is_prime
 
 Letter = tuple
 Word = tuple  # tuple of letters, leftmost first
@@ -174,24 +181,50 @@ def exponent_bound(max_degree: int, p: int) -> int:
     return e
 
 
-def _sum_bounded_tuples(length: int, bound: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _sum_bounded_tuples(length - 1, bound - head):
-            yield (head,) + tail
+def _scales(kind: str, right: str, family: WordFamily, p: int) -> tuple[int, int]:
+    """(c, h) with ||letter w|| = q (c, h |w|), q = p^k (1 for eps), for a
+    letter of this kind left of a letter of kind right."""
+    if kind == "phi":
+        return 2, (family.m if right == "x" else p)
+    return 1, 1
 
 
-def _fill_exponents(shape: Word, exps: tuple[int, ...]) -> Word:
-    out, i = [], 0
-    for letter in shape:
-        if letter[0] in ("rho", "phi"):
-            out.append((letter[0], exps[i]))
-            i += 1
-        else:
-            out.append(letter)
-    return tuple(out)
+def letter_moves(family: WordFamily, p: int, max_degree: int) -> dict:
+    """For each kind of leftmost letter, the letters allowed to its left,
+    as (kind, c, h, [(letter, q, k), ...]) with q = p^k, k <= E for
+    p^E <= max_degree (no word past the bound has a larger exponent).
+    One letter tuple serves every word."""
+    e = exponent_bound(max_degree, p)
+    ladders = {"eps": [(EPS, 1, 0)],
+               "rho": [(rho(k), p ** k, k) for k in range(e + 1)],
+               "phi": [(phi(k), p ** k, k) for k in range(e + 1)]}
+    return {right: [(kind, *_scales(kind, right, family, p), ladders[kind])
+                    for kind, *_ in _left_choices((right,), family)]
+            for right in ("mu", "x", "eps", "rho", "phi")}
+
+
+def _grow(n: int, family: WordFamily, p: int, max_degree: int,
+          within: Callable[[int, int], bool]) -> list[tuple[Word, int, int, int]]:
+    """Every admissible length-n word w with within(|w|, exponent sum)
+    true, as (w, hom, internal, exponent sum).  within must be monotone:
+    false stays false as either argument grows."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    moves = letter_moves(family, p, max_degree)
+    level = []
+    if within(family.base_degree, 0):
+        level.append(((family.base_letter,), 0, family.base_degree, 0))
+    for _ in range(n - 1):
+        grown = []
+        for word, hom, internal, s in level:
+            total = hom + internal
+            for _kind, c, h, ladder in moves[word[0][0]]:
+                for letter, q, k in ladder:
+                    if not within(q * (c + h * total), s + k):
+                        break
+                    grown.append(((letter,) + word, q * c, q * h * total, s + k))
+        level = grown
+    return level
 
 
 def total_degree(word: Word, p: int, family: WordFamily) -> int:
@@ -216,22 +249,10 @@ def bidegree(word: Word, p: int, family: WordFamily) -> Bidegree:
     """(homological, internal) bidegree of an admissible word."""
     _require_admissible(word, family)
     hom, internal = 0, family.base_degree
-    tail_is_base = True
-    for letter in reversed(word[:-1]):
-        kind = letter[0]
-        total = hom + internal
-        if kind == "eps":
-            hom, internal = 1, total
-        elif kind == "rho":
-            q = p ** letter[1]
-            hom, internal = q, q * total
-        elif kind == "phi":
-            q = p ** letter[1]
-            if tail_is_base and family.kind == "B''":
-                hom, internal = 2 * q, q * family.m * family.base_degree
-            else:
-                hom, internal = 2 * q, q * p * total
-        tail_is_base = False
+    for letter, right in zip(word[-2::-1], word[::-1]):
+        c, h = _scales(letter[0], right[0], family, p)
+        q = p ** letter[1] if letter[0] != "eps" else 1
+        hom, internal = q * c, q * h * (hom + internal)
     return Bidegree(hom, internal)
 
 
@@ -239,15 +260,9 @@ def xweight(word: Word, p: int, family: WordFamily) -> int:
     """Exponent count of the base letter x carried by the word (0 for mu)."""
     _require_admissible(word, family)
     wt = 0 if family.kind == "B" else 1
-    tail_is_base = True
-    for letter in reversed(word[:-1]):
-        kind = letter[0]
-        if kind == "rho":
-            wt = p ** letter[1] * wt
-        elif kind == "phi":
-            h = family.m if (tail_is_base and family.kind == "B''") else p
-            wt = p ** letter[1] * h * wt
-        tail_is_base = False
+    for letter, right in zip(word[-2::-1], word[::-1]):
+        if letter[0] != "eps":
+            wt *= p ** letter[1] * _scales(letter[0], right[0], family, p)[1]
     return wt
 
 
@@ -261,20 +276,11 @@ def _require_admissible(word: Word, family: WordFamily) -> None:
 
 def enumerate_words(n: int, family: WordFamily, p: int,
                     max_total_degree: int) -> list[Word]:
-    """Every admissible length-n word of total degree <= the bound, once.
-
-    Exponent tuples run over sums <= E with p^E <= bound; this loses
-    nothing because total degree >= p^(sum of exponents).
-    """
-    bound = exponent_bound(max_total_degree, p)
-    out = []
-    for shape in enumerate_shapes(n, family):
-        slots = sum(1 for l in shape if l[0] in ("rho", "phi"))
-        for exps in _sum_bounded_tuples(slots, bound):
-            w = _fill_exponents(shape, exps)
-            if total_degree(w, p, family) <= max_total_degree:
-                out.append(w)
-    return sorted(out, key=canonical_key)
+    """Every admissible length-n word of total degree <= the bound, once,
+    in canonical order."""
+    grown = _grow(n, family, p, max_total_degree,
+                  lambda total, _s: total <= max_total_degree)
+    return sorted((word for word, *_ in grown), key=canonical_key)
 
 
 def classify(word: Word, family: WordFamily) -> WordClass:
@@ -293,38 +299,21 @@ def classify(word: Word, family: WordFamily) -> WordClass:
     return WordClass("free", False)
 
 
-_KEY_FORMS = {"mu": "u", "x": "x", "eps": "e"}
+_KEY_FORMS = {"mu": "u", "x": "x", "eps": "e", "rho": "r^", "phi": "l^"}
+_HUMAN_FORMS = {"mu": "μ", "x": "x", "eps": "ε", "rho": "ρ^", "phi": "φ^"}
 
 
 def render_key(word: Word) -> str:
     """Compact key syntax: u, e, r^k, l^k (l marks the phi letters)."""
-    parts = []
-    for letter in word:
-        kind = letter[0]
-        if kind in _KEY_FORMS:
-            parts.append(_KEY_FORMS[kind])
-        elif kind == "rho":
-            parts.append(f"r^{letter[1]}")
-        else:
-            parts.append(f"l^{letter[1]}")
-    return "".join(parts)
-
-
-_HUMAN_FORMS = {"mu": "μ", "x": "x", "eps": "ε"}
+    return "".join(_KEY_FORMS[l[0]] + "".join(map(str, l[1:])) for l in word)
 
 
 def render_human(word: Word) -> str:
-    """Unicode math syntax, e.g. rho^1 eps mu as ρ^1εμ."""
-    parts = []
-    for letter in word:
-        kind = letter[0]
-        if kind in _HUMAN_FORMS:
-            parts.append(_HUMAN_FORMS[kind])
-        else:
-            sym = "ρ" if kind == "rho" else "φ"
-            k = letter[1]
-            parts.append(f"{sym}^{'?' if k is None else k}")
-    return "".join(parts)
+    """Unicode math syntax, e.g. rho^1 eps mu as ρ^1εμ; ? marks a blank
+    exponent."""
+    return "".join(_HUMAN_FORMS[l[0]] + "".join("?" if k is None else str(k)
+                                                for k in l[1:])
+                   for l in word)
 
 
 @dataclass(frozen=True)
@@ -375,29 +364,22 @@ def diff_candidates(n: int, p: int, max_degree: int,
         raise ValueError("differential search needs word length >= 2")
     if mode not in ("raw", "refined"):
         raise ValueError(f"unknown mode {mode!r}")
-    fam = family_b()
     bound = exponent_bound(max_degree, p)
-    elements: list[tuple[Word, Bidegree]] = []
-    for shape in enumerate_shapes(n, fam):
-        slots = sum(1 for l in shape if l[0] in ("rho", "phi"))
-        for exps in _sum_bounded_tuples(slots, bound):
-            w = _fill_exponents(shape, exps)
-            elements.append((w, bidegree(w, p, fam)))
-    by_total: dict[int, list[tuple[Word, Bidegree]]] = {}
-    for w, bd in elements:
-        by_total.setdefault(bd.total, []).append((w, bd))
+    elements = _grow(n, family_b(), p, max_degree, lambda _t, s: s <= bound)
+    by_total: dict[int, list[tuple[Word, int, int]]] = {}
+    for v, hv, iv, _s in elements:
+        if mode == "raw" or v[0][0] == "eps":
+            by_total.setdefault(hv + iv, []).append((v, hv, iv))
     found = []
-    for w, bw in elements:
+    for w, hw, iw, _s in elements:
         if mode == "refined":
             first = w[0]
             if first[0] not in ("rho", "phi") or first[1] < 1:
                 continue
-        for v, bv in by_total.get(bw.total - 1, ()):
-            if bw.hom - bv.hom <= 1:
-                continue
-            if mode == "refined" and v[0][0] != "eps":
-                continue
-            found.append(DifferentialCandidate(w, bw, v, bv))
+        for v, hv, iv in by_total.get(hw + iw - 1, ()):
+            if hw - hv > 1:
+                found.append(DifferentialCandidate(
+                    w, Bidegree(hw, iw), v, Bidegree(hv, iv)))
     found.sort(key=lambda c: (canonical_key(c.source), canonical_key(c.target)))
     return found
 
@@ -427,7 +409,7 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
     """Check that rho^k eps mu is the only word of length <= 2p+1 and
     total degree 4p^k, for each k <= k_max.  Raises AssertionError with
     the offending words otherwise."""
-    if p < 3 or not _is_odd_prime(p):
+    if not (p % 2 == 1 and _is_prime(p)):
         raise ValueError("the length-bounded degree count needs an odd prime")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -436,10 +418,10 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
     wanted = {4 * p ** k: k for k in range(k_max + 1)}
     hits: dict[int, list[Word]] = {k: [] for k in range(k_max + 1)}
     for length in range(1, 2 * p + 2):
-        for w in enumerate_words(length, fam, p, cap):
-            d = total_degree(w, p, fam)
-            if d in wanted:
-                hits[wanted[d]].append(w)
+        for w, hom, internal, _s in _grow(length, fam, p, cap,
+                                          lambda total, _s: total <= cap):
+            if hom + internal in wanted:
+                hits[wanted[hom + internal]].append(w)
     found = []
     for k in range(k_max + 1):
         ws = tuple(sorted(hits[k], key=canonical_key))
@@ -451,14 +433,3 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
                 f"exactly rho^{k} eps mu; offending: {extra}")
         found.append((k, ws))
     return PowerwordReport(p, k_max, tuple(found), 2 * p + 1)
-
-
-def _is_odd_prime(p: int) -> bool:
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True

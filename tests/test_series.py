@@ -20,6 +20,7 @@ from hochhom.series import (
     thh_group_algebra,
 )
 from hochhom.words import family_b, family_bdoubleprime, family_bprime
+from word_reference import GRID_FAMILIES, grid_cases, reference_series
 
 
 def convolve_lists(a, b, n):
@@ -73,6 +74,16 @@ def test_family_series_leading_one_and_bare_x():
     assert dict(s1.coeffs) == {0: 1}
     s2 = family_series(family_bdoubleprime(4), 1, 3, 8)
     assert dict(s2.coeffs) == {0: 1}
+
+
+def test_family_series_count_dp_matches_word_by_word_product():
+    families = GRID_FAMILIES + (family_bprime(1), family_bprime(2))
+    for fam, n, p, bound in grid_cases(families):
+        got = family_series(fam, n, p, bound)
+        assert as_list(got, bound) == reference_series(fam, n, p, bound), \
+            (fam, n, p, bound)
+    with pytest.raises(ValueError):
+        family_series(family_b(0), 1, 3, 10)  # a free factor of degree 0
 
 
 def test_family_series_matches_iterated_tor():

@@ -27,6 +27,7 @@ from hochhom.words import (
     verify_powerwords,
     xweight,
 )
+from word_reference import grid_cases, reference_words
 
 
 def fold_bidegree(word, p, family):
@@ -268,9 +269,11 @@ def test_refined_subset_of_raw():
         assert c.target[0][0] == "eps"
 
 
-def brute_force_pairs(n, p, max_degree):
+def brute_force_pairs(n, p, max_degree, refined=False):
     """Independent search: enumerate exponent fillings of every shape with
-    exponent sum at most the cap, no degree filter, then scan all pairs."""
+    exponent sum at most the cap, no degree filter, then scan all pairs.
+    refined keeps sources leading with rho^k or phi^k, k >= 1, and
+    targets leading with eps."""
     fam = family_b()
     cap = 0
     while p ** (cap + 1) <= max_degree:
@@ -291,7 +294,11 @@ def brute_force_pairs(n, p, max_degree):
     graded = [(w,) + fold_bidegree(w, p, fam) for w in words_all]
     found = set()
     for w, hw, iw in graded:
+        if refined and (w[0][0] not in ("rho", "phi") or w[0][1] < 1):
+            continue
         for v, hv, iv in graded:
+            if refined and v[0][0] != "eps":
+                continue
             if hw + iw == hv + iv + 1 and hw - hv > 1:
                 found.add((render_key(w), render_key(v)))
     return found
@@ -302,6 +309,54 @@ def test_diff_candidates_against_brute_force():
         got = {(render_key(c.source), render_key(c.target))
                for c in diff_candidates(n, p, bound, "raw")}
         assert got == brute_force_pairs(n, p, bound), (n, p, bound)
+    for (n, p, bound), count in (((6, 2, 40), 10), ((7, 2, 64), 115),
+                                 ((9, 3, 170), 13)):
+        got = {(render_key(c.source), render_key(c.target))
+               for c in diff_candidates(n, p, bound, "refined")}
+        assert got == brute_force_pairs(n, p, bound, refined=True)
+        assert len(got) == count, (n, p, bound)
+
+
+def test_enumerate_words_matches_reference_enumerator():
+    # the pruned generator against shapes x exponent tuples x degree filter
+    for fam, n, p, bound in grid_cases():
+        assert enumerate_words(n, fam, p, bound) == \
+            list(reference_words(n, fam, p, bound)), (fam, n, p, bound)
+    with pytest.raises(ValueError):
+        enumerate_words(0, family_b(), 3, 10)
+    with pytest.raises(ValueError):
+        enumerate_words(3, family_b(), 3, 0)
+
+
+def exponent_sum(word):
+    return sum(letter[1] for letter in word if letter[0] in ("rho", "phi"))
+
+
+def test_prepending_a_letter_never_lowers_degree_or_exponent_sum():
+    # the invariant the generator's pruning rests on, checked with the
+    # scalar total_degree recursion on seeded random admissible words
+    rng = random.Random(20260418)
+    alphabet = [EPS] + [f(k) for f in (rho, phi) for k in range(4)]
+    fams = [family_b(), family_b(4), family_bprime(), family_bprime(3),
+            family_bdoubleprime(2), family_bdoubleprime(4, 1),
+            family_bdoubleprime(9)]
+    checked = 0
+    for fam in fams:
+        for p in (2, 3, 5):
+            for _ in range(25):
+                word = (fam.base_letter,)
+                for _ in range(rng.randrange(8)):
+                    lefts = [l for l in alphabet
+                             if is_admissible((l,) + word, fam)]
+                    word = (rng.choice(lefts),) + word
+                d = total_degree(word, p, fam)
+                for left in alphabet:
+                    longer = (left,) + word
+                    if is_admissible(longer, fam):
+                        assert total_degree(longer, p, fam) > d
+                        assert exponent_sum(longer) >= exponent_sum(word)
+                        checked += 1
+    assert checked > 1000
 
 
 def test_diff_candidates_sorted_deterministically():

@@ -1,0 +1,102 @@
+"""The first word enumerator and series product, kept as reference oracles.
+
+``reference_words`` lists every admissible shape, fills its rho/phi slots
+with every exponent tuple of sum <= E (p^E <= bound) and keeps the
+candidates whose scalar total degree is within the bound.
+``reference_series`` multiplies one class factor per listed word.  Both
+are slow, and neither shares the pruned generator, the letter-move table
+or the count DP they are compared with.
+"""
+
+from functools import lru_cache
+
+from hochhom.words import (
+    X,
+    canonical_key,
+    classify,
+    enumerate_shapes,
+    exponent_bound,
+    family_b,
+    family_bdoubleprime,
+    family_bprime,
+    total_degree,
+)
+
+# The equivalence grid: families, then (N, longest length n) for each p.
+# The height m of B''(m) enters degrees only through phi^k x, which has
+# degree p^k (2 + m |x|), so some heights also get |x| > 0.  N = 1 lies
+# below the base degree of B and of B' with |x| = 3; the later rows have
+# exponent bounds E = 1, 2 and 4 or more, with n shortened as the
+# reference's candidate count grows.
+GRID_FAMILIES = ((family_b(), family_bprime(), family_bprime(3))
+                 + tuple(family_bdoubleprime(m, x) for m, x in
+                         ((2, 0), (3, 1), (4, 0), (4, 1), (6, 2), (9, 0))))
+GRID = {
+    2: ((1, 11), (3, 11), (7, 8), (40, 5)),
+    3: ((1, 11), (8, 9), (26, 8), (90, 5)),
+    5: ((1, 11), (24, 9), (124, 8), (400, 5)),
+}
+
+
+def grid_cases(families=GRID_FAMILIES):
+    """Every (family, n, p, N) of the equivalence grid."""
+    return [(fam, n, p, N) for p, rows in GRID.items() for N, longest in rows
+            for fam in families for n in range(1, longest + 1)]
+
+
+def sum_bounded_tuples(length, bound):
+    if length == 0:
+        yield ()
+        return
+    for head in range(bound + 1):
+        for tail in sum_bounded_tuples(length - 1, bound - head):
+            yield (head,) + tail
+
+
+def fill_exponents(shape, exps):
+    out, i = [], 0
+    for letter in shape:
+        if letter[0] in ("rho", "phi"):
+            out.append((letter[0], exps[i]))
+            i += 1
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def reference_words(n, family, p, max_degree):
+    """Shapes x sum-bounded exponent tuples x fill, then a degree filter.
+    Cached, so the word and series grids share one enumeration."""
+    bound = exponent_bound(max_degree, p)
+    out = []
+    for shape in enumerate_shapes(n, family):
+        slots = sum(1 for letter in shape if letter[0] in ("rho", "phi"))
+        for exps in sum_bounded_tuples(slots, bound):
+            w = fill_exponents(shape, exps)
+            if total_degree(w, p, family) <= max_degree:
+                out.append(w)
+    return tuple(sorted(out, key=canonical_key))
+
+
+def reference_series(family, n, p, max_degree):
+    """Dense coefficients of the product of one factor per length-n word."""
+    coeffs = [1] + [0] * max_degree
+    for w in reference_words(n, family, p, max_degree):
+        if w == (X,):
+            continue  # the bare x belongs to the base ring
+        d = total_degree(w, p, family)
+        kind = classify(w, family).kind
+        if kind == "free":
+            terms = range(0, max_degree + 1, d)
+        elif kind == "exterior":
+            terms = (0, d)
+        else:
+            terms = range(0, p * d, d)
+        out = [0] * (max_degree + 1)
+        for i, c in enumerate(coeffs):
+            for j in terms:
+                if i + j <= max_degree:
+                    out[i + j] += c
+        coeffs = out
+    return coeffs
