@@ -18,8 +18,6 @@ floating point anywhere in the homological core.
 
 from .fplinear import (
     CompositionError,
-    FpContext,
-    FpScalar,
     SparseFpMatrix,
     homology_dim,
 )
@@ -95,8 +93,6 @@ __all__ = [
     "CompositionError",
     "DifferentialCandidate",
     "EPS",
-    "FpContext",
-    "FpScalar",
     "Generator",
     "GroupSpec",
     "MU",

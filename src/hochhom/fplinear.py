@@ -1,15 +1,15 @@
 """Exact linear algebra over a prime field F_p.
 
-Scalars, immutable sparse matrices, rank by sparse Gaussian elimination
-with a Markowitz-style pivot rule, and homology dimensions for composable
-pairs of differentials.  Everything is integer arithmetic mod p; no
-floating point and no normal-form machinery.
+Immutable sparse matrices with integer entries mod p, rank by column
+echelon form over a pivot table keyed by leading row index (computed once
+per matrix), and homology dimensions for composable pairs of
+differentials.  Everything is integer arithmetic mod p; no floating point
+and no normal-form machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 
 def _is_prime(n: int) -> bool:
@@ -23,98 +23,8 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FpContext:
-    """Carrier of the prime modulus; primality is checked once here."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"modulus {p!r} is not a prime")
-        self.p = p
-
-    def scalar(self, value: int) -> "FpScalar":
-        return FpScalar(value % self.p, self.p)
-
-    def matrix(self, rows: int, cols: int, entries=()) -> "SparseFpMatrix":
-        return SparseFpMatrix(self.p, rows, cols, entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpContext) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("FpContext", self.p))
-
-    def __repr__(self) -> str:
-        return f"FpContext(p={self.p})"
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue mod a prime.  Mixing moduli raises immediately."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if not _is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus!r} is not a prime")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other: Union["FpScalar", int]) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"cannot mix F_{self.modulus} and F_{other.modulus} scalars"
-                )
-            return other
-        if isinstance(other, int):
-            return FpScalar(other, self.modulus)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FpScalar(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.modulus}")
-        return FpScalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus})"
-
-
 EntryMap = Mapping[tuple[int, int], int]
-EntrySeq = Iterable[tuple[int, int, Union[int, FpScalar]]]
+EntrySeq = Iterable[tuple[int, int, int]]
 
 
 class SparseFpMatrix:
@@ -124,7 +34,7 @@ class SparseFpMatrix:
     Matrices act on column vectors: an r x c matrix is a map F_p^c -> F_p^r.
     """
 
-    __slots__ = ("modulus", "rows", "cols", "_entries")
+    __slots__ = ("modulus", "rows", "cols", "_entries", "_rank")
 
     def __init__(self, modulus: int, rows: int, cols: int,
                  entries: Union[EntryMap, EntrySeq] = ()):
@@ -135,25 +45,25 @@ class SparseFpMatrix:
         self.modulus = modulus
         self.rows = rows
         self.cols = cols
-        data: dict[tuple[int, int], int] = {}
-        items: Iterator
         if isinstance(entries, Mapping):
-            items = ((r, c, v) for (r, c), v in entries.items())
+            items = entries
         else:
-            items = iter(entries)
-        for r, c, v in items:
+            items = {}
+            for r, c, v in entries:
+                if (r, c) in items:
+                    raise ValueError(f"duplicate entry at ({r}, {c})")
+                items[(r, c)] = v
+        data: dict[tuple[int, int], int] = {}
+        for (r, c), v in items.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-            if isinstance(v, FpScalar):
-                if v.modulus != modulus:
-                    raise ValueError("entry scalar from a different context")
-                v = v.value
+            if not isinstance(v, int):
+                raise TypeError(f"entry ({r}, {c}) is {v!r}, not an int")
             v %= modulus
-            if (r, c) in data:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
             if v:
                 data[(r, c)] = v
         self._entries = data
+        self._rank: Optional[int] = None
 
     @classmethod
     def zero(cls, modulus: int, rows: int, cols: int) -> "SparseFpMatrix":
@@ -177,8 +87,8 @@ class SparseFpMatrix:
                     entries[(i, j)] = v % modulus
         return cls(modulus, rows, cols, entries)
 
-    def entry(self, r: int, c: int) -> FpScalar:
-        return FpScalar(self._entries.get((r, c), 0), self.modulus)
+    def entry(self, r: int, c: int) -> int:
+        return self._entries.get((r, c), 0)
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(self._entries.items()))
@@ -202,59 +112,46 @@ class SparseFpMatrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} o {other.rows}x{other.cols}")
-        p = self.modulus
         other_rows: dict[int, list[tuple[int, int]]] = {}
         for (r, c), v in other._entries.items():
             other_rows.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], int] = {}
+        acc: dict[tuple[int, int], int] = {}  # reduced mod p by __init__
         for (r, k), v in self._entries.items():
             for c, w in other_rows.get(k, ()):
                 key = (r, c)
-                acc[key] = (acc.get(key, 0) + v * w) % p
-        return SparseFpMatrix(self.modulus, self.rows, other.cols,
-                              {k: v for k, v in acc.items() if v})
+                acc[key] = acc.get(key, 0) + v * w
+        return SparseFpMatrix(self.modulus, self.rows, other.cols, acc)
 
     def rank(self) -> int:
-        """Rank by sparse elimination, pivoting on the scarcest column."""
-        p = self.modulus
-        row_data: dict[int, dict[int, int]] = {}
-        col_rows: dict[int, set[int]] = {}
-        for (r, c), v in self._entries.items():
-            row_data.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
-        rank = 0
-        while col_rows:
-            # Markowitz-flavored: scarcest column, then shortest row in it.
-            c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
-            r = min(col_rows[c], key=lambda i: (len(row_data[i]), i))
-            pivot_row = row_data.pop(r)
-            for j in pivot_row:
-                s = col_rows[j]
-                s.discard(r)
-                if not s:
-                    del col_rows[j]
-            targets = list(col_rows.get(c, ()))
-            if targets:
-                inv = pow(pivot_row[c], -1, p)
-                for r2 in targets:
-                    row2 = row_data[r2]
-                    f = (row2[c] * inv) % p
-                    for j, v in pivot_row.items():
-                        nv = (row2.get(j, 0) - f * v) % p
+        """Rank by column echelon form, computed once per matrix.
+
+        Each column is reduced against a pivot table keyed by leading
+        (largest) row index until it is zero or leads at a new index,
+        where it becomes a pivot.  The number of pivots is the rank.
+        """
+        if self._rank is None:
+            p = self.modulus
+            columns: dict[int, dict[int, int]] = {}
+            for (r, c), v in self._entries.items():
+                columns.setdefault(c, {})[r] = v
+            pivots: dict[int, dict[int, int]] = {}  # lead -> column, lead 1
+            for col in columns.values():
+                while col:
+                    lead = max(col)
+                    pivot = pivots.get(lead)
+                    if pivot is None:
+                        inv = pow(col[lead], -1, p)
+                        pivots[lead] = {r: v * inv % p for r, v in col.items()}
+                        break
+                    f = col[lead]
+                    for r, v in pivot.items():
+                        nv = (col.get(r, 0) - f * v) % p
                         if nv:
-                            if j not in row2:
-                                col_rows.setdefault(j, set()).add(r2)
-                            row2[j] = nv
-                        elif j in row2:
-                            del row2[j]
-                            s = col_rows[j]
-                            s.discard(r2)
-                            if not s:
-                                del col_rows[j]
-                    if not row2:
-                        del row_data[r2]
-            rank += 1
-        return rank
+                            col[r] = nv
+                        else:
+                            del col[r]
+            self._rank = len(pivots)
+        return self._rank
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()

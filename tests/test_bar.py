@@ -26,6 +26,7 @@ from hochhom.bar import (
     truncated,
     verify_quasi_iso,
 )
+from hochhom.fplinear import CompositionError, SparseFpMatrix
 
 
 def poly_algebra(p, degree=2):
@@ -116,6 +117,59 @@ def test_bar_complex_d_squared_checked_at_build():
                    (5, poly_algebra(5, 4))):
         cx = bar_complex(alg, 4, 20)
         assert cx.homology().get(0, 0) == 1
+
+
+def _boundary_matrix(cx, s, internal, weight):
+    """The differential of one stratum built column by column from
+    BarChain.boundary."""
+    P = cx.presentation
+    rows = {t: i for i, t in enumerate(cx.basis(s - 1, internal, weight))}
+    sources = cx.basis(s, internal, weight)
+    entries = {}
+    for col, tensor in enumerate(sources):
+        image = BarChain.from_tensor(P, tensor).boundary()
+        for target, coeff in image.terms.items():
+            entries[(rows[target], col)] = coeff
+    return SparseFpMatrix(P.p, len(rows), len(sources), entries)
+
+
+def test_differentials_match_boundary_column_by_column():
+    for p in (2, 3, 5):
+        cases = [((truncated("x", h, 2),), 5, 18, None) for h in (2, 3, 4, 9)]
+        cases += [((truncated("x", h, 0, weight=1),), 5, 0, 10)
+                  for h in (2, 3, 4, 9)]
+        cases += [
+            ((polynomial("x", 2),), 5, 12, None),
+            ((polynomial("x", 0, weight=1),), 5, 0, 8),
+            ((exterior("x", 3),), 5, 15, None),
+            ((exterior("a", 3), exterior("b", 5)), 4, 16, None),
+            ((truncated("x", 3, 0, weight=1), exterior("y", 1, weight=1)),
+             5, 6, 8),
+        ]
+        for gens, max_s, max_internal, max_weight in cases:
+            cx = bar_complex(AlgebraPresentation(p, gens), max_s,
+                             max_internal, max_weight)
+            for s in range(1, max_s + 2):
+                for t, w in cx.strata(s):
+                    expected = _boundary_matrix(cx, s, t, w)
+                    assert cx.differential(s, t, w) == expected, \
+                        (p, gens, s, t, w)
+
+
+def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
+    # x * x^j picks up a wrong sign, so (x x) x = -x^3 but x (x x) = x^3:
+    # d o d != 0 on x|x|x must stop the build itself
+    honest = AlgebraPresentation.multiply
+
+    def broken(self, m1, m2):
+        res = honest(self, m1, m2)
+        if res is None or m1 != (1,):
+            return res
+        return -res[0], res[1]
+
+    monkeypatch.setattr(AlgebraPresentation, "multiply", broken)
+    with pytest.raises(CompositionError, match="d o d"):
+        BarComplex(poly_algebra(3), 3, 6)
 
 
 def test_bar_complex_strata_and_differential_shapes():

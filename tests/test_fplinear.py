@@ -5,13 +5,19 @@ import random
 import numpy as np
 import pytest
 
+from hochhom.bar import (
+    AlgebraPresentation,
+    BarComplex,
+    exterior,
+    truncated,
+)
 from hochhom.fplinear import (
     CompositionError,
-    FpContext,
-    FpScalar,
     SparseFpMatrix,
     homology_dim,
 )
+
+from fplinear_reference import markowitz_rank
 
 
 def dense_rank_modp(rows, p):
@@ -41,40 +47,7 @@ def dense_rank_modp(rows, p):
     return rank
 
 
-def test_scalar_field_axioms_exhaustive():
-    for p in (2, 3, 5, 7):
-        ctx = FpContext(p)
-        elems = [ctx.scalar(v) for v in range(p)]
-        zero, one = ctx.scalar(0), ctx.scalar(1)
-        for a in elems:
-            assert a + zero == a
-            assert a * one == a
-            assert a + (-a) == zero
-            if a != zero:
-                assert a * a.inverse() == one
-                assert (one / a) * a == one
-            for b in elems:
-                assert a + b == b + a
-                assert a * b == b * a
-                for c in elems:
-                    assert (a + b) + c == a + (b + c)
-                    assert (a * b) * c == a * (b * c)
-                    assert a * (b + c) == a * b + a * c
-
-
-def test_scalar_normalization_and_int():
-    a = FpScalar(7, 5)
-    assert a.value == 2
-    assert int(FpScalar(-1, 5)) == 4
-    assert bool(FpScalar(5, 5)) is False
-    assert FpScalar(3, 5) - FpScalar(4, 5) == FpScalar(4, 5)
-
-
 def test_mixed_moduli_rejected():
-    with pytest.raises(ValueError):
-        FpScalar(1, 3) + FpScalar(1, 5)
-    with pytest.raises(ValueError):
-        FpScalar(2, 3) * FpScalar(2, 7)
     m3 = SparseFpMatrix.identity(3, 2)
     m5 = SparseFpMatrix.identity(5, 2)
     with pytest.raises(ValueError):
@@ -83,29 +56,31 @@ def test_mixed_moduli_rejected():
 
 def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
-        FpContext(6)
-    with pytest.raises(ValueError):
-        FpScalar(1, 4)
-    with pytest.raises(ValueError):
         SparseFpMatrix(9, 2, 2)
+    with pytest.raises(ValueError):
+        SparseFpMatrix(4, 2, 2)
 
 
 def test_matrix_construction():
     m = SparseFpMatrix.from_rows(3, [[1, 2], [2, 1]])
     assert (m.rows, m.cols) == (2, 2)
     assert m.nnz == 4
-    assert int(m.entry(0, 1)) == 2
+    assert m.entry(0, 1) == 2
     z = SparseFpMatrix.zero(5, 3, 4)
     assert z.is_zero() and z.nnz == 0
     eye = SparseFpMatrix.identity(2, 3)
     assert eye.rank() == 3
     # entries reduced mod p, zeros dropped
     m2 = SparseFpMatrix.from_rows(3, [[3, 4], [0, 6]])
-    assert m2.nnz == 1 and int(m2.entry(0, 1)) == 1
+    assert m2.nnz == 1 and m2.entry(0, 1) == 1
     with pytest.raises(ValueError):
         SparseFpMatrix(3, 2, 2, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(IndexError):
         SparseFpMatrix(3, 2, 2, [(2, 0, 1)])
+    # entries are ints; entry() reads one back as an int
+    with pytest.raises(TypeError):
+        SparseFpMatrix(3, 2, 2, {(0, 0): 1.0})
+    assert type(m.entry(1, 1)) is int and m.entry(1, 0) == 2
 
 
 def test_rank_small_examples():
@@ -151,8 +126,8 @@ def test_compose():
     a = SparseFpMatrix.from_rows(5, [[1, 2], [3, 4]])
     b = SparseFpMatrix.from_rows(5, [[0, 1], [1, 0]])
     ab = a.compose(b)
-    assert int(ab.entry(0, 0)) == 2 and int(ab.entry(0, 1)) == 1
-    assert int(ab.entry(1, 0)) == 4 and int(ab.entry(1, 1)) == 3
+    assert ab.entry(0, 0) == 2 and ab.entry(0, 1) == 1
+    assert ab.entry(1, 0) == 4 and ab.entry(1, 1) == 3
     with pytest.raises(ValueError):
         a.compose(SparseFpMatrix.zero(5, 3, 2))
 
@@ -216,3 +191,57 @@ def test_matrix_equality_and_items():
     b = SparseFpMatrix(3, 2, 2, [(1, 1, 2), (0, 0, 4)])
     assert a == b
     assert list(a.items()) == [((0, 0), 1), ((1, 1), 2)]
+
+
+def _assert_rank_matches(m, expected, label):
+    assert m.rank() == expected, label
+    assert m.rank() == expected, label  # the second call reads the memo
+
+
+def test_rank_matches_markowitz_reference_on_bar_blocks():
+    # the C5 complexes (weight-graded height-p algebras in degree 0,
+    # s <= 13), F_5[x]/x^5 and F_3[x]/x^3 (x) Lambda(y) at small s
+    def x(p):
+        return truncated("x", p, 0, weight=1)
+
+    cases = (
+        (AlgebraPresentation(2, (x(2),)), 13, 0, 13),
+        (AlgebraPresentation(3, (x(3),)), 13, 0, 26),
+        (AlgebraPresentation(5, (x(5),)), 5, 0, 20),
+        (AlgebraPresentation(3, (x(3), exterior("y", 1, weight=1))), 5, 9, 8),
+    )
+    for presentation, max_s, max_internal, max_weight in cases:
+        cx = BarComplex(presentation, max_s, max_internal, max_weight)
+        for s in range(1, max_s + 2):
+            for t, w in cx.strata(s):
+                d = cx.differential(s, t, w)
+                label = (presentation.p, s, t, w)
+                _assert_rank_matches(d, markowitz_rank(d), label)
+
+
+def test_rank_matches_markowitz_reference_on_random_shapes():
+    rng = random.Random(4096)
+    shapes = ((0, 0), (0, 6), (6, 0), (1, 15), (15, 1), (4, 13), (13, 4),
+              (9, 9), (20, 20))
+    for p in (2, 3, 5, 7):
+        for nr, nc in shapes:
+            for density in (0.1, 0.3, 0.8):
+                entries = {(r, c): rng.randint(1, p - 1)
+                           for r in range(nr) for c in range(nc)
+                           if rng.random() < density}
+                m = SparseFpMatrix(p, nr, nc, entries)
+                _assert_rank_matches(m, markowitz_rank(m), (p, nr, nc, density))
+        # row-dependent: extra rows are combinations of k base rows
+        for _ in range(12):
+            k, extra, nc = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 10)
+            base = [[rng.randint(0, p - 1) if rng.random() < 0.5 else 0
+                     for _ in range(nc)] for _ in range(k)]
+            coeffs = [[rng.randint(0, p - 1) for _ in base]
+                      for _ in range(extra)]
+            combos = [[sum(a * row[j] for a, row in zip(cs, base)) % p
+                       for j in range(nc)] for cs in coeffs]
+            rows = base + combos
+            rng.shuffle(rows)
+            m = SparseFpMatrix.from_rows(p, rows)
+            _assert_rank_matches(m, markowitz_rank(m), (p, rows))
+            assert m.rank() <= k
