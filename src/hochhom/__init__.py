@@ -55,14 +55,12 @@ from .bar import (
     BigradedDims,
     Generator,
     QuasiIsoReport,
-    bar_complex,
     bar_homology,
     exterior,
     iterated_tor,
     iterated_tor_presentation,
     polynomial,
     presentation_dims,
-    shuffle_product,
     tor_presentation,
     truncated,
     verify_quasi_iso,
@@ -102,7 +100,6 @@ __all__ = [
     "SparseFpMatrix",
     "WordFamily",
     "X",
-    "bar_complex",
     "bar_homology",
     "bidegree",
     "canonical_key",
@@ -133,7 +130,6 @@ __all__ = [
     "render_human",
     "render_key",
     "rho",
-    "shuffle_product",
     "thh_fp",
     "thh_group_algebra",
     "tor_presentation",

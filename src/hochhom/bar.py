@@ -450,10 +450,6 @@ class BarChain:
         return "BarChain(" + " + ".join(bits) + ")"
 
 
-def shuffle_product(a: BarChain, b: BarChain) -> BarChain:
-    return a * b
-
-
 class BarComplex:
     """All bar blocks B_s for s <= max_s + 1 within degree/weight bounds,
     stratified by (internal degree, weight); differentials per stratum.
@@ -569,11 +565,6 @@ class BarComplex:
         return self._homology
 
 
-def bar_complex(presentation: AlgebraPresentation, max_s: int,
-                max_degree: int, max_weight: Optional[int] = None) -> BarComplex:
-    return BarComplex(presentation, max_s, max_degree, max_weight)
-
-
 def bar_homology(presentation: AlgebraPresentation, max_s: int,
                  max_degree: int, max_weight: Optional[int] = None) -> BigradedDims:
     return BarComplex(presentation, max_s, max_degree, max_weight).homology()
@@ -581,35 +572,50 @@ def bar_homology(presentation: AlgebraPresentation, max_s: int,
 
 def presentation_dims(presentation: AlgebraPresentation, max_total: int,
                       max_weight: Optional[int] = None) -> BigradedDims:
-    """Monomial counts of a presented algebra per (hom, internal, weight)."""
-    dims: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    for g in presentation.generators:
+    """Monomial counts of a presented algebra per (hom, internal, weight).
+
+    One exact integer fold over levels[t], a {(hom, weight): count} dict
+    for each total degree t <= max_total.  Generators enter largest total
+    degree first (a stable sort): a generator then reads only monomials
+    in generators at least as large as itself, which are few in the low
+    levels it reads.  A generator of degree d > 0 sweeps t from
+    max_total - d down to 0 and adds every power e >= 1 of itself to
+    each level-t monomial, writing into level t + e d in place, as a
+    0/1 knapsack does.  The descent is exact: a sweep writes only above
+    the level it reads, onto levels it has already read, so each monomial
+    takes at most one power of the generator.  A degree-0 generator
+    writes into the level it reads, so it reads a copy.  Every power is
+    cut at the cap, the degree room and the weight bound before it is
+    added, so no key outside the window is ever made.
+    """
+    levels: list[dict[tuple[int, int], int]] = [
+        {} for _ in range(max_total + 1)]
+    if levels and (max_weight is None or max_weight >= 0):
+        levels[0][(0, 0)] = 1
+    for g in sorted(presentation.generators, key=lambda g: -g.total):
         if g.total == 0 and g.cap is None and max_weight is None:
             raise ValueError(
                 f"generator {g.name} has degree 0: a weight bound is required")
-        powers = []
-        e = 0
-        while True:
-            if g.cap is not None and e > g.cap:
-                break
-            if e * g.total > max_total:
-                break
-            if max_weight is not None and e * g.weight > max_weight:
-                break
-            powers.append((e * g.hom, e * g.internal, e * g.weight))
+        d = g.total
+        powers = []  # (e d, e hom, e weight) for 1 <= e <= cap in the window
+        e = 1
+        while ((g.cap is None or e <= g.cap) and e * d <= max_total
+               and (max_weight is None or e * g.weight <= max_weight)):
+            powers.append((e * d, e * g.hom, e * g.weight))
             e += 1
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (h, i, w), dim in dims.items():
-            for dh, di, dw in powers:
-                h2, i2, w2 = h + dh, i + di, w + dw
-                if h2 + i2 > max_total:
-                    continue
-                if max_weight is not None and w2 > max_weight:
-                    continue
-                key = (h2, i2, w2)
-                nxt[key] = nxt.get(key, 0) + dim
-        dims = nxt
-    return BigradedDims(dims)
+        for t in range(max_total - d, -1, -1):
+            source = levels[t] if d else dict(levels[t])
+            usable = powers[:(max_total - t) // d] if d else powers
+            for (h, w), c in source.items():
+                for dt, dh, dw in usable:
+                    w2 = w + dw
+                    if max_weight is not None and w2 > max_weight:
+                        break
+                    target = levels[t + dt]
+                    key = (h + dh, w2)
+                    target[key] = target.get(key, 0) + c
+    return BigradedDims({(h, t - h, w): c for t, level in enumerate(levels)
+                         for (h, w), c in sorted(level.items())})
 
 
 def tor_presentation(presentation: AlgebraPresentation, max_total: int,

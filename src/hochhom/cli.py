@@ -72,19 +72,16 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
 def _cmd_words(args) -> tuple[list[str], dict, int]:
     family = _family_from_args(args)
     p = args.p
-    listed = words.enumerate_words(args.n, family, p, args.max_degree)
-    records = []
-    for w in listed:
-        bd = words.bidegree(w, p, family)
-        records.append({
-            "key": words.render_key(w),
-            "human": words.render_human(w),
-            "hom": bd.hom,
-            "internal": bd.internal,
-            "total": bd.total,
-            "weight": words.xweight(w, p, family),
-            "class": words.classify(w, family).kind,
-        })
+    records = [{
+        "key": words.render_key(w),
+        "human": words.render_human(w),
+        "hom": bd.hom,
+        "internal": bd.internal,
+        "total": bd.total,
+        "weight": weight,
+        "class": cls.kind,
+    } for w, bd, weight, cls in words.graded_words(args.n, family, p,
+                                                   args.max_degree)]
     config = [("command", "words"), ("p", p), ("n", args.n),
               ("family", str(family)), ("base_degree", family.base_degree),
               ("max_degree", args.max_degree), ("seed", args.seed),

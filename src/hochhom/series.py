@@ -55,7 +55,7 @@ class PoincareSeries:
                  basis_note: Optional[str] = None,
                  validity: Optional[str] = None) -> "PoincareSeries":
         n = min(self.truncation, other.truncation)
-        coeffs = _convolve(self.coeffs, other.coeffs, n)
+        coeffs = dict(enumerate(_convolve(self.coeffs, other.coeffs, n)))
         return PoincareSeries(coeffs, n,
                               basis_note or self.basis_note,
                               validity if validity is not None else self.validity)
@@ -93,15 +93,23 @@ class PoincareSeries:
 
 
 def _convolve(a: Mapping[int, int], b: Mapping[int, int],
-              truncation: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for d1, c1 in a.items():
-        if d1 > truncation:
-            continue
-        for d2, c2 in b.items():
-            d = d1 + d2
-            if d <= truncation:
-                out[d] = out.get(d, 0) + c1 * c2
+              truncation: int) -> list[int]:
+    """Dense coefficients of a * b in degrees 0..truncation: b is laid
+    out densely and each term of a adds one scaled, shifted slice of it,
+    with a the factor with fewer terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    n = truncation + 1
+    dense = [0] * n
+    for d, c in b.items():
+        if d < n:
+            dense[d] = c
+    out = [0] * n
+    for d, c in a.items():
+        if d < n:
+            terms = dense[:n - d] if c == 1 else map(mul, dense[:n - d],
+                                                     repeat(c))
+            out[d:] = map(add, out[d:], terms)
     return out
 
 
@@ -344,7 +352,8 @@ def thh_group_algebra(group: GroupSpec, n: int, p: int,
     thh = thh_fp(n, p, max_degree)
     hh = hh_group_algebra(group, n, p, max_degree)
     coeffs = _convolve(thh.coeffs, hh.coeffs, max_degree)
-    return PoincareSeries(coeffs, max_degree, hh.basis_note, thh.validity)
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree, hh.basis_note,
+                          thh.validity)
 
 
 def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
@@ -358,10 +367,13 @@ def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
         raise ValueError("odd generator degrees need p = 2")
     if any(d < 1 for d in gen_degrees):
         raise ValueError("generator degrees must be >= 1")
-    coeffs = {0: 1}
+    coeffs = [1] + [0] * max_degree
     for d in gen_degrees:
         fam = W.family_bprime(base_degree=d)
         word_part = family_series(fam, n + 1, p, max_degree)
-        coeffs = _convolve(coeffs, word_part.coeffs, max_degree)
-        coeffs = _convolve(coeffs, _geometric(d, max_degree), max_degree)
-    return PoincareSeries(coeffs, max_degree, "F_p-dimensions")
+        coeffs = _convolve({i: c for i, c in enumerate(coeffs) if c},
+                           word_part.coeffs, max_degree)
+        for r in range(d):  # times 1/(1 - t^d): a running sum at stride d
+            coeffs[r::d] = accumulate(coeffs[r::d])
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree,
+                          "F_p-dimensions")

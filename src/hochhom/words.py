@@ -259,6 +259,10 @@ def bidegree(word: Word, p: int, family: WordFamily) -> Bidegree:
 def xweight(word: Word, p: int, family: WordFamily) -> int:
     """Exponent count of the base letter x carried by the word (0 for mu)."""
     _require_admissible(word, family)
+    return _xweight(word, p, family)
+
+
+def _xweight(word: Word, p: int, family: WordFamily) -> int:
     wt = 0 if family.kind == "B" else 1
     for letter, right in zip(word[-2::-1], word[::-1]):
         if letter[0] != "eps":
@@ -283,9 +287,26 @@ def enumerate_words(n: int, family: WordFamily, p: int,
     return sorted((word for word, *_ in grown), key=canonical_key)
 
 
+def graded_words(n: int, family: WordFamily, p: int, max_total_degree: int
+                 ) -> list[tuple[Word, Bidegree, int, WordClass]]:
+    """The words of enumerate_words, in the same order, each with its
+    bidegree, x-weight and class.  The bidegree is the generator's own
+    fold, and the words are admissible by construction, so nothing is
+    checked again."""
+    grown = _grow(n, family, p, max_total_degree,
+                  lambda total, _s: total <= max_total_degree)
+    grown.sort(key=lambda rec: canonical_key(rec[0]))
+    return [(word, Bidegree(hom, internal), _xweight(word, p, family),
+             _classify(word, family)) for word, hom, internal, _s in grown]
+
+
 def classify(word: Word, family: WordFamily) -> WordClass:
     """Multiplicative nature of the generator the word names."""
     _require_admissible(word, family)
+    return _classify(word, family)
+
+
+def _classify(word: Word, family: WordFamily) -> WordClass:
     first = word[0][0]
     if first == "eps":
         return WordClass("exterior", True)

@@ -8,7 +8,7 @@ from hochhom import cli
 from hochhom.bar import (
     AlgebraPresentation,
     BarChain,
-    bar_complex,
+    BarComplex,
     bar_homology,
     iterated_tor,
     polynomial,
@@ -179,7 +179,7 @@ def test_c8_structural_invariants(capsys):
                    (3, AlgebraPresentation(3, (truncated("x", 3, 2),))),
                    (3, AlgebraPresentation(3, (polynomial("u", 2),))),
                    (5, AlgebraPresentation(5, (polynomial("u", 2),)))):
-        bar_complex(alg, 5, 14)
+        BarComplex(alg, 5, 14)
         built += 1
 
     # shuffle product: graded commutativity and Leibniz on sampled pairs

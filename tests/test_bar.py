@@ -14,19 +14,18 @@ from hochhom.bar import (
     _QuasiIsoCase,
     _gamma_coeff,
     _gamma_digits,
-    bar_complex,
     bar_homology,
     exterior,
     iterated_tor,
     iterated_tor_presentation,
     polynomial,
     presentation_dims,
-    shuffle_product,
     tor_presentation,
     truncated,
     verify_quasi_iso,
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
+from tor_reference import reference_presentation_dims
 
 
 def poly_algebra(p, degree=2):
@@ -115,7 +114,7 @@ def test_bar_complex_d_squared_checked_at_build():
     # construction asserts d o d = 0 stratum by stratum; just build a few
     for p, alg in ((2, trunc_algebra(2, 4, 2)), (3, trunc_algebra(3, 9, 2)),
                    (5, poly_algebra(5, 4))):
-        cx = bar_complex(alg, 4, 20)
+        cx = BarComplex(alg, 4, 20)
         assert cx.homology().get(0, 0) == 1
 
 
@@ -147,8 +146,8 @@ def test_differentials_match_boundary_column_by_column():
              5, 6, 8),
         ]
         for gens, max_s, max_internal, max_weight in cases:
-            cx = bar_complex(AlgebraPresentation(p, gens), max_s,
-                             max_internal, max_weight)
+            cx = BarComplex(AlgebraPresentation(p, gens), max_s,
+                            max_internal, max_weight)
             for s in range(1, max_s + 2):
                 for t, w in cx.strata(s):
                     expected = _boundary_matrix(cx, s, t, w)
@@ -173,7 +172,7 @@ def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
 
 
 def test_bar_complex_strata_and_differential_shapes():
-    cx = bar_complex(trunc_algebra(3, 3, 2), 4, 12)
+    cx = BarComplex(trunc_algebra(3, 3, 2), 4, 12)
     for s in range(1, 5):
         for (internal, w) in cx.strata(s):
             d = cx.differential(s, internal, w)
@@ -296,6 +295,71 @@ def test_presentation_dims_matches_enumeration():
         key = (P.mono_hom(mono), P.mono_internal(mono), P.mono_weight(mono))
         count[key] = count.get(key, 0) + 1
     assert dims.as_dict() == count
+
+
+def _dims_or_error(fold, presentation, max_total, max_weight):
+    try:
+        return fold(presentation, max_total, max_weight).as_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_presentation(rng, p):
+    """One to five generators of every kind, with hom > 0 splits, heights
+    2, 3, 4 and 9, and weight-graded degree-0 generators."""
+    gens = []
+    for i in range(rng.randint(1, 5)):
+        kind = rng.choice(("exterior", "polynomial", "truncated"))
+        if kind != "exterior" and rng.random() < 0.25:
+            degree, weight = 0, rng.randint(1, 3)
+        else:
+            degree, weight = rng.randint(1, 12), rng.randint(0, 3)
+            if p != 2 and degree % 2 != (kind == "exterior"):
+                degree += 1
+        height = rng.choice((2, 3, 4, 9)) if kind == "truncated" else None
+        hom = rng.randint(0, degree)
+        gens.append(Generator(f"g{i}", kind, height, hom, degree - hom,
+                              weight))
+    return AlgebraPresentation(p, gens)
+
+
+def test_presentation_dims_matches_reference_fold():
+    rng = random.Random(20261018)
+    for p in (2, 3, 5):
+        cases = []
+        for _ in range(25):
+            P = _random_presentation(rng, p)
+            below = min((g.total for g in P.generators if g.total),
+                        default=1) - 1
+            for max_total in sorted({-1, 0, below, 6, 15}):
+                for max_weight in (None, -1, 0, 2, 6):
+                    cases.append((P, max_total, max_weight))
+        # every rewrite stage of the B, B' and B''(m) starts
+        starts = [polynomial("μ", 2), polynomial("x", 0, weight=1)]
+        starts += [truncated("x", m, 0, weight=1) for m in (2, 3, 4, 9)]
+        for start in starts:
+            stage = AlgebraPresentation(p, (start,))
+            for _ in range(6):
+                for max_weight in (None, 12):
+                    cases.append((stage, 30, max_weight))
+                stage = tor_presentation(stage, 30)
+        for P, max_total, max_weight in cases:
+            got = _dims_or_error(presentation_dims, P, max_total, max_weight)
+            want = _dims_or_error(reference_presentation_dims, P, max_total,
+                                  max_weight)
+            assert got == want, (P, max_total, max_weight)
+
+
+def test_presentation_dims_degree_zero_needs_a_weight_bound():
+    P = AlgebraPresentation(3, (polynomial("a", 4),
+                                polynomial("x", 0, weight=1)))
+    with pytest.raises(ValueError) as new:
+        presentation_dims(P, 10)
+    with pytest.raises(ValueError) as old:
+        reference_presentation_dims(P, 10)
+    assert str(new.value) == str(old.value) == (
+        "generator x has degree 0: a weight bound is required")
+    assert presentation_dims(P, 10, 4) == reference_presentation_dims(P, 10, 4)
 
 
 def test_tor_presentation_rewrites():

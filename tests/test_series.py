@@ -1,12 +1,14 @@
 """Closed-form Poincare series and group-algebra assembly."""
 
 import json
+import random
 
 import pytest
 
 from hochhom.bar import AlgebraPresentation, iterated_tor, polynomial, truncated
 from hochhom.series import (
     GroupSpec,
+    _convolve,
     PoincareSeries,
     etale_finite,
     family_series,
@@ -34,6 +36,20 @@ def convolve_lists(a, b, n):
 
 def as_list(series, n):
     return [series.coefficient(d) for d in range(n + 1)]
+
+
+def dict_convolve(a, b, truncation):
+    """The first series product, every pair of terms in turn, kept as the
+    reference for the dense kernel."""
+    out = {}
+    for d1, c1 in a.items():
+        if d1 > truncation:
+            continue
+        for d2, c2 in b.items():
+            d = d1 + d2
+            if d <= truncation:
+                out[d] = out.get(d, 0) + c1 * c2
+    return {d: c for d, c in out.items() if c}
 
 
 def test_poincare_series_basics():
@@ -87,13 +103,53 @@ def test_family_series_count_dp_matches_word_by_word_product():
 
 
 def test_family_series_matches_iterated_tor():
-    for p in (2, 3):
-        for n in range(1, 5):
-            closed = family_series(family_b(), n, p, 24)
-            start = AlgebraPresentation(p, (polynomial("u", 2),))
-            oracle = iterated_tor(start, n - 1, 24).total_series(24)
-            assert all(closed.coeffs.get(d, 0) == oracle.get(d, 0)
-                       for d in range(25)), (p, n)
+    # the starts of `verify oracle-cross` (|x| = 0), and |x| = 2, where the
+    # height m enters degrees through phi^k x of degree p^k (2 + m |x|),
+    # so heights 4 and 9 separate a non-p-power truncation from a p-power
+    # one
+    starts = [(family_b(), polynomial("u", 2))]
+    for x in (0, 2):
+        starts.append((family_bprime(x), polynomial("x", x, weight=1)))
+        starts += [(family_bdoubleprime(m, x), truncated("x", m, x, weight=1))
+                   for m in (2, 3, 4, 9)]
+    for p in (2, 3, 5):
+        for fam, gen in starts:
+            for n in range(1 if fam.kind == "B" else 2, 7):
+                closed = family_series(fam, n, p, 40)
+                start = AlgebraPresentation(p, (gen,))
+                oracle = iterated_tor(start, n - 1, 40).total_series(40)
+                assert all(closed.coeffs.get(d, 0) == oracle.get(d, 0)
+                           for d in range(41)), (p, fam, n)
+
+
+def test_convolve_matches_dict_convolution():
+    rng = random.Random(7001)
+    for _ in range(300):
+        a, b = ({rng.randrange(30): rng.randint(0, 9)
+                 for _ in range(rng.randint(0, 9))} for _ in range(2))
+        n = rng.randint(0, 24)
+        want = dict_convolve(a, b, n)
+        assert _convolve(a, b, n) == [want.get(d, 0) for d in range(n + 1)]
+    for degrees, n, p, N in (([1], 1, 2, 30), ([1, 3], 2, 2, 40),
+                             ([2], 2, 3, 60), ([2, 4, 6], 2, 3, 60),
+                             ([4, 2, 2], 3, 5, 80)):
+        want = {0: 1}
+        for d in degrees:
+            word_part = family_series(family_bprime(d), n + 1, p, N)
+            want = dict_convolve(want, word_part.coeffs, N)
+            want = dict_convolve(want, dict.fromkeys(range(0, N + 1, d), 1), N)
+        assert hh_poly_gens(degrees, n, p, N).coeffs == want, degrees
+    for text, n, p, N in (("Z", 2, 3, 60), ("Z x Z/6", 2, 3, 40),
+                          ("Z^2 x Z/15", 3, 5, 60), ("Z/4 x Z/9", 2, 2, 40)):
+        group = GroupSpec.parse(text)
+        want = thh_fp(n, p, N).coeffs
+        for _ in range(group.free_rank):
+            want = dict_convolve(want, hh_laurent(n, p, N).coeffs, N)
+        for q, e in group.factored_torsion():
+            factor = (hh_truncated(n, p, e, N).coeffs if q == p
+                      else {0: q ** e})
+            want = dict_convolve(want, factor, N)
+        assert thh_group_algebra(group, n, p, N).coeffs == want, text
 
 
 def test_thh_fp_values_and_validity():

@@ -18,6 +18,7 @@ from hochhom.words import (
     family_b,
     family_bdoubleprime,
     family_bprime,
+    graded_words,
     is_admissible,
     phi,
     render_human,
@@ -124,6 +125,21 @@ def test_bidegree_matches_independent_fold():
                             bidegree(w, p, fam).internal) == \
                         fold_bidegree(w, p, fam), (p, fam, w)
                     assert total_degree(w, p, fam) == bidegree(w, p, fam).total
+
+
+def test_graded_words_match_the_checked_functions():
+    fams = [family_b(), family_bprime(), family_bdoubleprime(3),
+            family_bdoubleprime(4, 1)]
+    for p in (2, 3, 5):
+        for fam in fams:
+            for n in range(1, 7):
+                graded = graded_words(n, fam, p, 400)
+                assert [w for w, *_ in graded] == \
+                    enumerate_words(n, fam, p, 400), (p, fam, n)
+                for w, bd, weight, cls in graded:
+                    assert bd == bidegree(w, p, fam), (p, fam, w)
+                    assert weight == xweight(w, p, fam), (p, fam, w)
+                    assert cls == classify(w, fam), (p, fam, w)
 
 
 def test_known_degree_drop_pair_bidegrees():
