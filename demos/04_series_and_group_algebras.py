@@ -5,7 +5,8 @@ Poincare series: a free class gives a geometric factor, an exterior
 class (1 + t^d), and a height-p class a truncated geometric sum.  For
 a finitely generated abelian group the coefficients split into a free
 part, a p-part, and an etale part, and the series of the group algebra
-is the convolution of the three with the ground-field series.
+is the product of the ground-field series with the factors of all
+three.
 """
 
 from hochhom import (

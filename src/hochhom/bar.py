@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Literal, Mapping, Optional
+from typing import Literal, Mapping, Optional
 
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
@@ -283,18 +283,12 @@ class BigradedDims:
         return out
 
     def restrict(self, max_hom: Optional[int] = None,
-                 max_internal: Optional[int] = None,
-                 max_weight: Optional[int] = None,
-                 max_total: Optional[int] = None) -> "BigradedDims":
+                 max_internal: Optional[int] = None) -> "BigradedDims":
         kept = {}
         for (h, i, w), dim in self._entries.items():
             if max_hom is not None and h > max_hom:
                 continue
             if max_internal is not None and i > max_internal:
-                continue
-            if max_weight is not None and w > max_weight:
-                continue
-            if max_total is not None and h + i > max_total:
                 continue
             kept[(h, i, w)] = dim
         return BigradedDims(kept)
@@ -712,17 +706,6 @@ def _gamma_coeff(n: int, p: int) -> int:
 ModelElement = dict[Monomial, int]
 
 
-def _model_scale(elt: ModelElement, c: int, p: int) -> ModelElement:
-    return {m: v * c % p for m, v in elt.items() if v * c % p}
-
-
-def _model_add(a: ModelElement, b: ModelElement, p: int) -> ModelElement:
-    out = dict(a)
-    for m, v in b.items():
-        out[m] = (out.get(m, 0) + v) % p
-    return {m: v for m, v in out.items() if v}
-
-
 def _model_mul(model: AlgebraPresentation, a: ModelElement,
                b: ModelElement) -> ModelElement:
     p = model.p
@@ -800,13 +783,15 @@ class _QuasiIsoCase:
         return {tuple(exps): coeff}
 
     def pi(self, chain: BarChain) -> ModelElement:
+        p = self.p
         out: ModelElement = {}
         for tensor, coeff in chain.terms.items():
             contrib = self._pi_tensor(tensor)
-            if contrib:
-                out = _model_add(out, _model_scale(contrib, coeff, self.p),
-                                 self.p)
-        return out
+            if contrib is None:
+                continue
+            for m, v in contrib.items():
+                out[m] = (out.get(m, 0) + v * coeff) % p
+        return {m: v for m, v in out.items() if v}
 
     def _pi_tensor(self, tensor: Tensor) -> Optional[ModelElement]:
         s = len(tensor)

@@ -1,12 +1,13 @@
 """Poincare series of higher Hochschild and THH calculations over F_p.
 
-Closed-form series come from the word families: each word contributes a
-factor per its multiplicative class (exterior, height-p truncated, or
-free), and the base letter of the B'/B'' families is bookkept in the
-base ring, not in the word factor (basis_note records which).  Group
-algebras split as a tensor product of a THH factor and per-factor HH
-contributions: Laurent for Z, truncated polynomial for the p-part,
-etale (degree 0) for torsion coprime to p.
+Every closed form is a product of factors, one per generator, taken on
+one dense coefficient list that each factor multiplies in place.  A word
+contributes a factor per its multiplicative class (exterior 1 + t^d,
+height-p truncated, or free 1/(1 - t^d)), and the base letter of the
+B'/B'' families is bookkept in the base ring, not in the word factor
+(basis_note records which).  Group algebras split as a tensor product of
+a THH factor and per-factor HH contributions: Laurent for Z, truncated
+polynomial for the p-part, etale (degree 0) for torsion coprime to p.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import words as W
 
@@ -51,15 +52,6 @@ class PoincareSeries:
             raise ValueError(f"degree {degree} beyond truncation {self.truncation}")
         return self.coeffs.get(degree, 0)
 
-    def convolve(self, other: "PoincareSeries",
-                 basis_note: Optional[str] = None,
-                 validity: Optional[str] = None) -> "PoincareSeries":
-        n = min(self.truncation, other.truncation)
-        coeffs = dict(enumerate(_convolve(self.coeffs, other.coeffs, n)))
-        return PoincareSeries(coeffs, n,
-                              basis_note or self.basis_note,
-                              validity if validity is not None else self.validity)
-
     def text_table(self) -> list[str]:
         width = max(len("deg"), len(str(self.truncation)))
         lines = [f"{'deg':>{width}}  dim"]
@@ -92,33 +84,6 @@ class PoincareSeries:
         return " + ".join(bits)
 
 
-def _convolve(a: Mapping[int, int], b: Mapping[int, int],
-              truncation: int) -> list[int]:
-    """Dense coefficients of a * b in degrees 0..truncation: b is laid
-    out densely and each term of a adds one scaled, shifted slice of it,
-    with a the factor with fewer terms."""
-    if len(a) > len(b):
-        a, b = b, a
-    n = truncation + 1
-    dense = [0] * n
-    for d, c in b.items():
-        if d < n:
-            dense[d] = c
-    out = [0] * n
-    for d, c in a.items():
-        if d < n:
-            terms = dense[:n - d] if c == 1 else map(mul, dense[:n - d],
-                                                     repeat(c))
-            out[d:] = map(add, out[d:], terms)
-    return out
-
-
-def _geometric(step: int, truncation: int) -> dict[int, int]:
-    if step < 1:
-        raise ValueError("free factor needs positive degree")
-    return {d: 1 for d in range(0, truncation + 1, step)}
-
-
 def _times(coeffs: list[int], step: int, factor: Sequence[int]) -> None:
     """Multiply the dense list in place by sum_j factor[j] t^(j step),
     truncated to its length; factor[0] must be 1."""
@@ -139,9 +104,19 @@ def _height_power(height: int, count: int, length: int) -> list[int]:
     return out
 
 
-def family_series(family: W.WordFamily, n: int, p: int,
-                  max_degree: int) -> PoincareSeries:
-    """Poincare series of the algebra generated by the length-n words.
+def _free_times(coeffs: list[int], step: int) -> None:
+    """Multiply the dense list in place by 1/(1 - t^step): a running sum
+    at stride step."""
+    if step < 1:
+        raise ValueError("free factor needs positive degree")
+    for r in range(min(step, len(coeffs))):
+        coeffs[r::step] = accumulate(coeffs[r::step])
+
+
+def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
+                 p: int) -> None:
+    """Multiply the dense list in place by the factor of every length-n
+    word of the family, up to the list's last degree.
 
     The words are counted, not built: a DP over (leading letter kind,
     total degree) prepends one letter per level by W.letter_moves and
@@ -150,9 +125,10 @@ def family_series(family: W.WordFamily, n: int, p: int,
     height-p truncated factor, the bare free base letter mu 1/(1 - t^d).
     The bare base letter x of B'/B'' belongs to the base ring and carries
     no factor here.  The c words sharing a class and a degree enter the
-    dense coefficient list at once, as the c-th power of their factor."""
+    list at once, as the c-th power of their factor."""
     if n < 1:
         raise ValueError("word length must be >= 1")
+    max_degree = len(coeffs) - 1
     moves = W.letter_moves(family, p, max_degree)
     level = {family.base_letter[0]: {family.base_degree: 1}}
     for _ in range(n - 1):
@@ -167,14 +143,21 @@ def family_series(family: W.WordFamily, n: int, p: int,
                             break
                         out[t] = out.get(t, 0) + count
         level = grown
-    coeffs = [1] + [0] * max_degree
     for kind, counts in level.items():
         for d, count in counts.items():
             if kind == "mu":  # n = 1: the bare free base letter alone
-                return PoincareSeries(_geometric(d, max_degree), max_degree)
-            if kind != "x":  # exterior is the height-2 case
+                _free_times(coeffs, d)
+            elif kind != "x":  # exterior is the height-2 case
                 height = 2 if kind == "eps" else p
                 _times(coeffs, d, _height_power(height, count, max_degree // d))
+
+
+def family_series(family: W.WordFamily, n: int, p: int,
+                  max_degree: int) -> PoincareSeries:
+    """Poincare series of the algebra generated by the length-n words:
+    the product of their factors (see _words_times)."""
+    coeffs = [1] + [0] * max_degree
+    _words_times(coeffs, family, n, p)
     if coeffs[0] != 1:
         raise ArithmeticError(f"series has constant term {coeffs[0]}, not 1")
     return PoincareSeries(dict(enumerate(coeffs)), max_degree)
@@ -317,6 +300,26 @@ class GroupSpec:
         return " x ".join(parts) if parts else "trivial"
 
 
+def _group_times(coeffs: list[int], group: GroupSpec, n: int, p: int) -> str:
+    """Multiply the dense list in place by the order-n Hochschild factors
+    of F_p[G] and return the note naming their base rings: each Z gives
+    the Laurent words (B' at length n+1), each p-power torsion factor p^e
+    the truncated words (B''(p^e) at length n+1), torsion q^e coprime to
+    p the etale factor q^e in degree 0."""
+    base_parts: list[str] = []
+    for _ in range(group.free_rank):
+        _words_times(coeffs, W.family_bprime(), n + 1, p)
+        base_parts.append(f"F_{p}[x^±1]")
+    for q, e in group.factored_torsion():
+        if q == p:
+            _words_times(coeffs, W.family_bdoubleprime(p ** e), n + 1, p)
+            base_parts.append(f"F_{p}[x]/x^{p ** e}")
+        else:
+            coeffs[:] = [c * q ** e for c in coeffs]
+            base_parts.append(f"F_{p}[C_{q ** e}]")
+    return "free ranks over " + (" (x) ".join(base_parts) or f"F_{p}")
+
+
 def hh_group_algebra(group: GroupSpec, n: int, p: int,
                      max_degree: int) -> PoincareSeries:
     """Order-n Hochschild homology of F_p[G] for abelian G, as ranks over
@@ -325,34 +328,21 @@ def hh_group_algebra(group: GroupSpec, n: int, p: int,
     etale factor in degree 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    series = PoincareSeries({0: 1}, max_degree)
-    base_parts: list[str] = []
-    for _ in range(group.free_rank):
-        series = series.convolve(hh_laurent(n, p, max_degree))
-        base_parts.append(f"F_{p}[x^±1]")
-    for q, e in group.factored_torsion():
-        if q == p:
-            series = series.convolve(hh_truncated(n, p, e, max_degree))
-            base_parts.append(f"F_{p}[x]/x^{p ** e}")
-        else:
-            # etale factor, re-truncated so the convolution window survives
-            etale = PoincareSeries({0: q ** e}, max_degree,
-                                   etale_finite(q ** e).basis_note)
-            series = series.convolve(etale)
-            base_parts.append(f"F_{p}[C_{q ** e}]")
-    note = "free ranks over " + (" (x) ".join(base_parts) if base_parts
-                                 else f"F_{p}")
-    return PoincareSeries(series.coeffs, max_degree, note)
+    if max_degree < 0:
+        raise ValueError("truncation must be nonnegative")
+    coeffs = [1] + [0] * max_degree
+    note = _group_times(coeffs, group, n, p)
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree, note)
 
 
 def thh_group_algebra(group: GroupSpec, n: int, p: int,
                       max_degree: int) -> PoincareSeries:
-    """Order-n THH of F_p[G]: the THH factor of F_p convolved with the
+    """Order-n THH of F_p[G]: the THH series of F_p times the
     group-algebra Hochschild factors."""
     thh = thh_fp(n, p, max_degree)
-    hh = hh_group_algebra(group, n, p, max_degree)
-    coeffs = _convolve(thh.coeffs, hh.coeffs, max_degree)
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree, hh.basis_note,
+    coeffs = [thh.coeffs.get(d, 0) for d in range(max_degree + 1)]
+    note = _group_times(coeffs, group, n, p)
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree, note,
                           thh.validity)
 
 
@@ -369,11 +359,6 @@ def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
         raise ValueError("generator degrees must be >= 1")
     coeffs = [1] + [0] * max_degree
     for d in gen_degrees:
-        fam = W.family_bprime(base_degree=d)
-        word_part = family_series(fam, n + 1, p, max_degree)
-        coeffs = _convolve({i: c for i, c in enumerate(coeffs) if c},
-                           word_part.coeffs, max_degree)
-        for r in range(d):  # times 1/(1 - t^d): a running sum at stride d
-            coeffs[r::d] = accumulate(coeffs[r::d])
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree,
-                          "F_p-dimensions")
+        _words_times(coeffs, W.family_bprime(base_degree=d), n + 1, p)
+        _free_times(coeffs, d)
+    return PoincareSeries(dict(enumerate(coeffs)), max_degree, "F_p-dimensions")

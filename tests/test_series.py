@@ -1,14 +1,12 @@
 """Closed-form Poincare series and group-algebra assembly."""
 
 import json
-import random
 
 import pytest
 
 from hochhom.bar import AlgebraPresentation, iterated_tor, polynomial, truncated
 from hochhom.series import (
     GroupSpec,
-    _convolve,
     PoincareSeries,
     etale_finite,
     family_series,
@@ -40,7 +38,7 @@ def as_list(series, n):
 
 def dict_convolve(a, b, truncation):
     """The first series product, every pair of terms in turn, kept as the
-    reference for the dense kernel."""
+    reference for the in-place factor products."""
     out = {}
     for d1, c1 in a.items():
         if d1 > truncation:
@@ -61,9 +59,8 @@ def test_poincare_series_basics():
         s.coefficient(11)
     assert str(s) == "1 + t^3"
     t = PoincareSeries({0: 1, 2: 2}, 4)
-    prod = s.convolve(t)
-    assert prod.truncation == 4
-    assert as_list(prod, 4) == [1, 0, 2, 1, 0]
+    prod = convolve_lists(as_list(s, 4), as_list(t, 4), 4)
+    assert prod == [1, 0, 2, 1, 0]
 
 
 def test_poincare_series_drops_beyond_truncation():
@@ -122,34 +119,37 @@ def test_family_series_matches_iterated_tor():
                            for d in range(41)), (p, fam, n)
 
 
-def test_convolve_matches_dict_convolution():
-    rng = random.Random(7001)
-    for _ in range(300):
-        a, b = ({rng.randrange(30): rng.randint(0, 9)
-                 for _ in range(rng.randint(0, 9))} for _ in range(2))
-        n = rng.randint(0, 24)
-        want = dict_convolve(a, b, n)
-        assert _convolve(a, b, n) == [want.get(d, 0) for d in range(n + 1)]
-    for degrees, n, p, N in (([1], 1, 2, 30), ([1, 3], 2, 2, 40),
-                             ([2], 2, 3, 60), ([2, 4, 6], 2, 3, 60),
-                             ([4, 2, 2], 3, 5, 80)):
-        want = {0: 1}
-        for d in degrees:
-            word_part = family_series(family_bprime(d), n + 1, p, N)
-            want = dict_convolve(want, word_part.coeffs, N)
-            want = dict_convolve(want, dict.fromkeys(range(0, N + 1, d), 1), N)
-        assert hh_poly_gens(degrees, n, p, N).coeffs == want, degrees
-    for text, n, p, N in (("Z", 2, 3, 60), ("Z x Z/6", 2, 3, 40),
-                          ("Z^2 x Z/15", 3, 5, 60), ("Z/4 x Z/9", 2, 2, 40)):
-        group = GroupSpec.parse(text)
-        want = thh_fp(n, p, N).coeffs
-        for _ in range(group.free_rank):
-            want = dict_convolve(want, hh_laurent(n, p, N).coeffs, N)
-        for q, e in group.factored_torsion():
-            factor = (hh_truncated(n, p, e, N).coeffs if q == p
-                      else {0: q ** e})
-            want = dict_convolve(want, factor, N)
-        assert thh_group_algebra(group, n, p, N).coeffs == want, text
+def test_products_match_dict_convolution():
+    """Each series product, taken in place factor by factor, against the
+    pairwise dict convolution of the published factors."""
+    for p in (2, 3, 5):
+        poly_cases = [([2], 2, 60), ([2, 4, 6], 2, 60), ([4, 2, 2], 3, 80)]
+        if p == 2:
+            poly_cases += [([1], 1, 30), ([1, 3], 2, 40), ([3, 1, 2], 2, 40)]
+        for degrees, n, N in poly_cases:
+            want = {0: 1}
+            for d in degrees:
+                word_part = family_series(family_bprime(d), n + 1, p, N)
+                want = dict_convolve(want, word_part.coeffs, N)
+                want = dict_convolve(want, dict.fromkeys(range(0, N + 1, d), 1),
+                                     N)
+            assert hh_poly_gens(degrees, n, p, N).coeffs == want, (p, degrees)
+        for text in ("trivial", "Z^2", f"Z/{p * p}", "Z/12", "Z x Z/6",
+                     "Z^2 x Z/15", "Z/25 x Z/5 x Z"):
+            group = GroupSpec.parse(text)
+            for n, N in ((1, 40), (2, 60), (3, 50)):
+                want = {0: 1}
+                for _ in range(group.free_rank):
+                    want = dict_convolve(want, hh_laurent(n, p, N).coeffs, N)
+                for q, e in group.factored_torsion():
+                    factor = (hh_truncated(n, p, e, N).coeffs if q == p
+                              else {0: q ** e})
+                    want = dict_convolve(want, factor, N)
+                assert hh_group_algebra(group, n, p, N).coeffs == want, \
+                    (p, text, n)
+                want = dict_convolve(thh_fp(n, p, N).coeffs, want, N)
+                assert thh_group_algebra(group, n, p, N).coeffs == want, \
+                    (p, text, n)
 
 
 def test_thh_fp_values_and_validity():
@@ -279,9 +279,10 @@ def test_hh_poly_gens_single_even_matches_polynomial():
     # one even generator: series of HH^[n] of F_p[x] shifted by the base ring
     for p in (2, 3):
         a = hh_poly_gens([2], 1, p, 16)
-        geom = PoincareSeries({2 * j: 1 for j in range(9)}, 16)
-        b = family_series(family_bprime(2), 2, p, 16).convolve(geom)
-        assert a.coeffs == b.coeffs
+        geom = {2 * j: 1 for j in range(9)}
+        b = dict_convolve(family_series(family_bprime(2), 2, p, 16).coeffs,
+                          geom, 16)
+        assert a.coeffs == b
 
 
 def test_series_json_and_table():
@@ -292,10 +293,3 @@ def test_series_json_and_table():
     table = s.text_table()
     assert any("3" in line and "1" in line for line in table)
 
-
-def test_convolve_rejects_mixed_validity_silently_keeps_note():
-    a = thh_fp(2, 3, 10)
-    b = hh_polynomial(2, 3, 10)
-    c = a.convolve(b)
-    assert c.truncation == 10
-    assert c.coefficient(0) == 1
