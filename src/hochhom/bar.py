@@ -26,11 +26,13 @@ small models:
     A = Lambda(x)   ->  Gamma(rho^0 x),                     |x| odd or p = 2,
 
 where Gamma(y) decomposes mod p as the tensor product of height-p
-truncated algebras on gamma_{p^i}(y).  verify_quasi_iso checks the
-explicit quasi-isomorphisms in both directions.  Iterating the rewrite
-polynomial -> exterior -> divided-power towers computes iterated Tor
-without building nested bar complexes; bar homology of each presented
-stage is the independent oracle for that rewrite.
+truncated algebras on gamma_{p^i}(y).  These small models are the
+one-step output of tor_presentation, and verify_quasi_iso checks the
+explicit quasi-isomorphisms onto them in both directions, so it checks
+the rewrite rule itself.  Iterating the rewrite polynomial -> exterior
+-> divided-power towers computes iterated Tor without building nested
+bar complexes; bar homology of each presented stage is the independent
+oracle for that rewrite.
 """
 
 from __future__ import annotations
@@ -423,16 +425,6 @@ class BarChain:
                 prefix += totals[i] + 1
         return BarChain(P, acc)
 
-    def total_degree(self) -> Optional[int]:
-        """Common total degree (s + internal) of the terms, None for 0."""
-        degs = {len(t) + sum(self.presentation.mono_total(m) for m in t)
-                for t in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("chain is not homogeneous")
-        return degs.pop()
-
     def __repr__(self) -> str:
         if not self.terms:
             return "BarChain(0)"
@@ -721,14 +713,14 @@ def _model_mul(model: AlgebraPresentation, a: ModelElement,
 
 
 class _QuasiIsoCase:
-    """One-generator input algebra with its small model and the explicit
-    maps pi (bar -> model) and inc (model -> bar)."""
+    """One-generator input algebra with its small model, the one-step
+    tor_presentation of the algebra, and the explicit maps pi (bar ->
+    model) and inc (model -> bar)."""
 
     def __init__(self, case: str, x_degree: int, p: int, m: Optional[int],
                  max_s: int, max_internal: int):
         self.case = case
         self.p = p
-        self.x_degree = x_degree
         self.m = m
         if case == "poly":
             gen = polynomial("x", x_degree)
@@ -741,44 +733,23 @@ class _QuasiIsoCase:
         else:
             raise ValueError(f"unknown case {case!r}")
         self.algebra = AlgebraPresentation(p, (gen,))
-
-        # Small model generators, with room for gamma indices up to the
-        # largest products examined (pairs of chains with s <= max_s each).
-        gamma_room = 2 * (max_s + 2)
-        gens: list[Generator] = []
-        if case == "poly":
-            gens.append(Generator("εx", "exterior", None, 1, x_degree, 0))
-        elif case == "truncated":
-            gens.append(Generator("εx", "exterior", None, 1, x_degree, 0))
-            i = 0
-            while 2 * p ** i <= gamma_room:
-                q = p ** i
-                gens.append(Generator(f"φ^{i}x", "truncated", p,
-                                      2 * q, q * m * x_degree, 0))
-                i += 1
-        else:
-            i = 0
-            while p ** i <= gamma_room:
-                q = p ** i
-                gens.append(Generator(f"ρ^{i}x", "truncated", p,
-                                      q, q * x_degree, 0))
-                i += 1
-        self.model = AlgebraPresentation(p, tuple(gens))
-        self._n_gamma = len(gens) - (1 if case in ("poly", "truncated") else 0)
+        # eps x first (poly, truncated), then the divided-power tower, cut
+        # at the window's total degree: every gamma_n a check meets lies in
+        # the window, and so do the generators of its base-p digits
+        self.model = tor_presentation(self.algebra, max_s + max_internal)
+        self._offset = 0 if case == "exterior" else 1
 
     def _gamma_element(self, n: int, delta: int = 0) -> ModelElement:
         """gamma_n of the divided-power class, times (eps x)^delta."""
         if n == 0 and delta == 0:
             return {self.model.unit: 1}
         digits = _gamma_digits(n, self.p)
-        if len(digits) > self._n_gamma:
-            raise ValueError("gamma index beyond the generators kept")
-        offset = 1 if self.case in ("poly", "truncated") else 0
         exps = [0] * len(self.model.generators)
+        if self._offset + len(digits) > len(exps):
+            raise ValueError("gamma index beyond the generators kept")
         if delta:
             exps[0] = delta
-        for i, d in enumerate(digits):
-            exps[offset + i] = d
+        exps[self._offset:self._offset + len(digits)] = digits
         coeff = pow(_gamma_coeff(n, self.p), -1, self.p) if n else 1
         return {tuple(exps): coeff}
 
@@ -821,32 +792,21 @@ class _QuasiIsoCase:
     def inc(self, monomial: Monomial) -> BarChain:
         """Image of a small-model basis monomial in the bar complex."""
         p = self.p
-        offset = 1 if self.case in ("poly", "truncated") else 0
-        delta = monomial[0] if offset else 0
-        n = sum(e * p ** i for i, e in enumerate(monomial[offset:]))
-        coeff = 1
-        for e in monomial[offset:]:
-            coeff = coeff * factorial(e) % p
+        # the eps x exponent (none in an empty model), then base-p digits
+        delta = sum(monomial[:self._offset])
+        n = sum(e * p ** i for i, e in enumerate(monomial[self._offset:]))
         if self.case == "poly":
             tensor: Tensor = ((1,),) * delta
         elif self.case == "truncated":
             tensor = ((1,),) * delta + ((self.m - 1,), (1,)) * n
         else:
             tensor = ((1,),) * n
-        return BarChain(self.algebra, {tensor: coeff})
+        return BarChain(self.algebra, {tensor: _gamma_coeff(n, p)})
 
 
 @dataclass
 class QuasiIsoReport:
-    case: str
-    p: int
-    x_degree: int
-    m: Optional[int]
-    max_s: int
-    max_internal: int
     checks: tuple[tuple[str, bool, str], ...]
-    bar_dims: BigradedDims
-    model_dims: BigradedDims
 
     @property
     def ok(self) -> bool:
@@ -868,105 +828,68 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
     """Check the explicit maps between the bar complex of a one-generator
     algebra and its small model: both are chain maps, pi o inc = id, the
     homology dimension tables agree on the bounded window, and both maps
-    are multiplicative for the shuffle product."""
+    are multiplicative for the shuffle product.  Each check reports its
+    first failure as the witness."""
     if case in ("poly", "truncated") and x_degree % 2 and p != 2:
         raise ValueError("commutative generator of odd degree needs p = 2")
     if case == "exterior" and x_degree % 2 == 0 and p != 2:
         raise ValueError("exterior generator of even degree needs p = 2")
     qc = _QuasiIsoCase(case, x_degree, p, m, max_s, max_internal)
     complex_ = BarComplex(qc.algebra, max_s, max_internal)
-    checks: list[tuple[str, bool, str]] = []
+    model = qc.model
+    name = model.monomial_str
 
-    # (i) both maps are chain maps (the model differential is zero)
-    ok, witness = True, ""
-    for s in range(1, max_s + 1):
+    def inc_sum(element: ModelElement) -> BarChain:
+        return sum((qc.inc(mono).scale(c) for mono, c in element.items()),
+                   BarChain(qc.algebra))
+
+    # (tensor, s, internal, its chain, pi of it) ordered by s; upto[k]
+    # counts the tensors with s <= k, so a pair loop walks only the
+    # prefix with sa + sb <= max_s
+    bar_tensors = []
+    for s in range(max_s + 1):
         for t, w in complex_.strata(s):
             for tensor in complex_.basis(s, t, w):
-                img = qc.pi(BarChain.from_tensor(qc.algebra, tensor).boundary())
-                if img:
-                    ok, witness = False, f"pi(d{tensor}) != 0"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(("pi is a chain map", ok, witness))
-
-    model_basis = [qc.model.unit] + qc.model.augmentation_monomials(
-        max_s + max_internal)
-    model_basis = [mb for mb in model_basis
-                   if qc.model.mono_hom(mb) <= max_s
-                   and qc.model.mono_internal(mb) <= max_internal]
-    ok, witness = True, ""
-    for mb in model_basis:
-        if not qc.inc(mb).boundary().is_zero():
-            ok, witness = False, f"d(inc({qc.model.monomial_str(mb)})) != 0"
-            break
-    checks.append(("inc is a chain map", ok, witness))
-
-    # (ii) pi o inc = id on the small model
-    ok, witness = True, ""
-    for mb in model_basis:
-        expected = {mb: 1} if any(mb) else {qc.model.unit: 1}
-        got = qc.pi(qc.inc(mb))
-        if got != expected:
-            ok, witness = False, f"pi(inc({qc.model.monomial_str(mb)})) = {got}"
-            break
-    checks.append(("pi o inc = id", ok, witness))
-
-    # (iii) homology dimensions match the small model on the window
+                c = BarChain(qc.algebra, {tensor: 1})
+                bar_tensors.append((tensor, s, t, c, qc.pi(c)))
+    upto = [sum(s <= k for _, s, *_ in bar_tensors) for k in range(max_s + 1)]
+    model_basis = [mb for mb in [model.unit]
+                   + model.augmentation_monomials(max_s + max_internal)
+                   if model.mono_hom(mb) <= max_s
+                   and model.mono_internal(mb) <= max_internal]
     bar_dims = complex_.homology()
-    model_dims = presentation_dims(qc.model, max_s + max_internal).restrict(
+    model_dims = presentation_dims(model, max_s + max_internal).restrict(
         max_hom=max_s, max_internal=max_internal)
-    ok = bar_dims == model_dims
-    witness = "" if ok else (f"bar {bar_dims.as_dict()} vs "
-                             f"model {model_dims.as_dict()}")
-    checks.append(("homology dimensions match the small model", ok, witness))
 
-    # (iv) multiplicativity of pi and inc.  all_tensors is ordered by s,
-    # and upto[k] counts its tensors with s <= k, so the inner loop walks
-    # only the prefix with sa + sb <= max_s.
-    all_tensors: list[tuple[Tensor, int, int]] = [((), 0, 0)]
-    upto = [1]
-    for s in range(1, max_s + 1):
-        for t, w in complex_.strata(s):
-            for tensor in complex_.basis(s, t, w):
-                all_tensors.append((tensor, s, t))
-        upto.append(len(all_tensors))
-    ok, witness = True, ""
-    for (ta, sa, tta) in all_tensors:
-        for (tb, sb, ttb) in all_tensors[:upto[max_s - sa]]:
-            if tta + ttb > max_internal:
-                continue
-            ca = BarChain(qc.algebra, {ta: 1})
-            cb = BarChain(qc.algebra, {tb: 1})
-            lhs = qc.pi(ca * cb)
-            rhs = _model_mul(qc.model, qc.pi(ca), qc.pi(cb))
-            if lhs != rhs:
-                ok, witness = False, f"pi({ta} * {tb})"
-                break
-        if not ok:
-            break
-    checks.append(("pi is multiplicative", ok, witness))
-
-    ok, witness = True, ""
-    for ma in model_basis:
-        for mb in model_basis:
-            if qc.model.mono_hom(ma) + qc.model.mono_hom(mb) > max_s:
-                continue
-            lhs = qc.inc(ma) * qc.inc(mb)
-            prod = _model_mul(qc.model, {ma: 1}, {mb: 1})
-            rhs = BarChain(qc.algebra)
-            for mono, coeff in prod.items():
-                rhs = rhs + qc.inc(mono).scale(coeff)
-            if lhs != rhs:
-                ok, witness = False, (
-                    f"inc({qc.model.monomial_str(ma)} * "
-                    f"{qc.model.monomial_str(mb)})")
-                break
-        if not ok:
-            break
-    checks.append(("inc is multiplicative", ok, witness))
-
-    return QuasiIsoReport(case, p, x_degree, m, max_s, max_internal,
-                          tuple(checks), bar_dims, model_dims)
+    # each check lazily yields a witness per failure; the small model's
+    # differential is zero, so a chain map kills every boundary
+    witnesses = (
+        ("pi is a chain map",
+         (f"pi(d{t}) != 0" for t, s, _, c, _ in bar_tensors
+          if s and qc.pi(c.boundary()))),
+        ("inc is a chain map",
+         (f"d(inc({name(mb)})) != 0" for mb in model_basis
+          if not qc.inc(mb).boundary().is_zero())),
+        ("pi o inc = id",
+         (f"pi(inc({name(mb)})) = {got}" for mb in model_basis
+          if (got := qc.pi(qc.inc(mb))) != {mb: 1})),
+        ("homology dimensions match the small model",
+         iter([] if bar_dims == model_dims else
+              [f"bar {bar_dims.as_dict()} vs model {model_dims.as_dict()}"])),
+        ("pi is multiplicative",
+         (f"pi({ta} * {tb})" for ta, sa, tta, ca, pa in bar_tensors
+          for tb, _, ttb, cb, pb in bar_tensors[:upto[max_s - sa]]
+          if tta + ttb <= max_internal
+          and qc.pi(ca * cb) != _model_mul(model, pa, pb))),
+        ("inc is multiplicative",
+         (f"inc({name(ma)} * {name(mb)})"
+          for ma in model_basis for mb in model_basis
+          if model.mono_hom(ma) + model.mono_hom(mb) <= max_s
+          and qc.inc(ma) * qc.inc(mb)
+          != inc_sum(_model_mul(model, {ma: 1}, {mb: 1})))),
+    )
+    checks = []
+    for check, found in witnesses:
+        witness = next(found, None)
+        checks.append((check, witness is None, witness or ""))
+    return QuasiIsoReport(tuple(checks))

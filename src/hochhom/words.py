@@ -33,7 +33,7 @@ built only to be thrown away.  A separate scalar recursion for |w|
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .fplinear import _is_prime
@@ -412,7 +412,6 @@ class PowerwordReport:
     p: int
     k_max: int
     found: tuple[tuple[int, tuple[Word, ...]], ...]  # (k, words of degree 4p^k)
-    lengths_searched: int = field(default=0)
 
     @property
     def ok(self) -> bool:
@@ -453,4 +452,4 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
                 f"degree {4 * p ** k} words of length <= {2 * p + 1} are not "
                 f"exactly rho^{k} eps mu; offending: {extra}")
         found.append((k, ws))
-    return PowerwordReport(p, k_max, tuple(found), 2 * p + 1)
+    return PowerwordReport(p, k_max, tuple(found))

@@ -244,6 +244,15 @@ def test_quasi_iso_all_cases():
     assert verify_quasi_iso("truncated", 2, 3, m=3, max_s=5,
                             max_internal=16).ok
     assert verify_quasi_iso("exterior", 3, 3, max_s=5, max_internal=18).ok
+    for case, xd, p, m in [("truncated", 2, 5, 4), ("truncated", 2, 5, 5),
+                           ("truncated", 2, 5, 25), ("exterior", 3, 5, None),
+                           ("truncated", 2, 3, 4), ("truncated", 2, 3, 9),
+                           ("exterior", 2, 2, None), ("poly", 1, 2, None),
+                           ("truncated", 1, 2, 3)]:
+        assert verify_quasi_iso(case, xd, p, m, max_s=4, max_internal=12).ok
+    # a window below |eps x| leaves the small model without generators
+    assert verify_quasi_iso("truncated", 2, 3, m=3, max_s=0,
+                            max_internal=1).ok
 
 
 def test_quasi_iso_rejects_bad_parity():

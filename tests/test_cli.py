@@ -1,12 +1,13 @@
 """Command-line interface: output formats, config echo, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
-from hochhom import cli, words
+from hochhom import bar, cli, words
 
 
 def run(argv, capsys):
@@ -137,6 +138,29 @@ def test_verify_bar_pass(capsys):
     assert code == 0
     assert out.count("PASS") == 6
     assert "result: ok" in out
+
+
+def test_verify_bar_catches_a_wrong_tor_rewrite(capsys, monkeypatch):
+    # the small models are tor_presentation's one-step output, so moving
+    # phi^1 x by two internal degrees must fail the homology check
+    rewrite = bar.tor_presentation
+
+    def shifted(presentation, max_total, max_weight=None):
+        model = rewrite(presentation, max_total, max_weight)
+        return bar.AlgebraPresentation(model.p, tuple(
+            dataclasses.replace(g, internal=g.internal + 2)
+            if g.name.startswith("φ^1") else g for g in model.generators))
+
+    monkeypatch.setattr(bar, "tor_presentation", shifted)
+    report = bar.verify_quasi_iso("truncated", 2, 3, 3, max_s=6,
+                                  max_internal=18)
+    failed = [name for name, ok, _ in report.checks if not ok]
+    assert "homology dimensions match the small model" in failed
+    code, out, _ = run(["verify", "bar", "--case", "truncated",
+                        "--x-degree", "2", "--p", "3", "--m", "3",
+                        "--max-s", "6", "--max-degree", "18"], capsys)
+    assert code == 1
+    assert "result: FAILED" in out
 
 
 def test_verify_oracle_cross(capsys):
