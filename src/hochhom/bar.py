@@ -86,17 +86,16 @@ class Generator:
         return None
 
 
-def exterior(name: str, degree: int, weight: int = 0, hom: int = 0) -> Generator:
-    return Generator(name, "exterior", None, hom, degree - hom, weight)
+def exterior(name: str, degree: int, weight: int = 0) -> Generator:
+    return Generator(name, "exterior", None, 0, degree, weight)
 
 
-def truncated(name: str, height: int, degree: int, weight: int = 0,
-              hom: int = 0) -> Generator:
-    return Generator(name, "truncated", height, hom, degree - hom, weight)
+def truncated(name: str, height: int, degree: int, weight: int = 0) -> Generator:
+    return Generator(name, "truncated", height, 0, degree, weight)
 
 
-def polynomial(name: str, degree: int, weight: int = 0, hom: int = 0) -> Generator:
-    return Generator(name, "polynomial", None, hom, degree - hom, weight)
+def polynomial(name: str, degree: int, weight: int = 0) -> Generator:
+    return Generator(name, "polynomial", None, 0, degree, weight)
 
 
 @dataclass(frozen=True)
@@ -223,51 +222,22 @@ class AlgebraPresentation:
         extend([], 0, max_total, max_weight)
         return sorted(out)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "generators": [
-                {"name": g.name, "kind": g.kind, "height": g.height,
-                 "hom": g.hom, "internal": g.internal, "weight": g.weight}
-                for g in self.generators
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "AlgebraPresentation":
-        gens = tuple(
-            Generator(d["name"], d["kind"], d["height"], d["hom"],
-                      d["internal"], d["weight"])
-            for d in data["generators"])
-        return cls(data["p"], gens)
-
 
 class BigradedDims:
     """Sparse (hom, internal, weight) -> dimension table."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[tuple, int] = ()):
-        clean: dict[tuple[int, int, int], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for key, dim in items:
-            if dim < 0:
-                raise ValueError("dimensions must be nonnegative")
-            if dim:
-                key = tuple(key)
-                if len(key) == 2:
-                    key = (key[0], key[1], 0)
-                clean[key] = clean.get(key, 0) + dim
-        self._entries = clean
+    def __init__(self, entries: Mapping[tuple[int, int, int], int]):
+        if any(dim < 0 for dim in entries.values()):
+            raise ValueError("dimensions must be nonnegative")
+        self._entries = {key: dim for key, dim in entries.items() if dim}
 
     def items(self):
         return sorted(self._entries.items())
 
     def as_dict(self) -> dict[tuple[int, int, int], int]:
         return dict(self._entries)
-
-    def get(self, hom: int, internal: int, weight: int = 0) -> int:
-        return self._entries.get((hom, internal, weight), 0)
 
     def total_series(self, max_degree: Optional[int] = None) -> dict[int, int]:
         """Dimensions per total degree hom + internal."""
@@ -337,10 +307,6 @@ class BarChain:
                 if c:
                     clean[tuple(tensor)] = c
         self.terms = clean
-
-    @classmethod
-    def unit(cls, presentation: AlgebraPresentation) -> "BarChain":
-        return cls(presentation, {(): 1})
 
     @classmethod
     def from_tensor(cls, presentation: AlgebraPresentation, tensor: Tensor,
@@ -544,7 +510,7 @@ class BarComplex:
             return self._diff[key]
         cols = len(self._basis.get(key, ()))
         rows = len(self._basis.get((s - 1, internal, weight), ()))
-        return SparseFpMatrix.zero(self.presentation.p, rows, cols)
+        return SparseFpMatrix(self.presentation.p, rows, cols)
 
     def homology(self) -> BigradedDims:
         """Per-stratum homology dimensions for s <= max_s."""
@@ -655,24 +621,21 @@ def tor_presentation(presentation: AlgebraPresentation, max_total: int,
 
 
 def iterated_tor_presentation(presentation: AlgebraPresentation,
-                              iterations: int, max_total: int,
-                              max_weight: Optional[int] = None
+                              iterations: int, max_total: int
                               ) -> AlgebraPresentation:
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     current = presentation
     for _ in range(iterations):
-        current = tor_presentation(current, max_total, max_weight)
+        current = tor_presentation(current, max_total)
     return current
 
 
 def iterated_tor(presentation: AlgebraPresentation, iterations: int,
-                 max_total: int, max_weight: Optional[int] = None
-                 ) -> BigradedDims:
+                 max_total: int) -> BigradedDims:
     """Dimension table of the n-fold iterated Tor within bounds."""
-    final = iterated_tor_presentation(presentation, iterations, max_total,
-                                      max_weight)
-    return presentation_dims(final, max_total, max_weight)
+    final = iterated_tor_presentation(presentation, iterations, max_total)
+    return presentation_dims(final, max_total)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +797,8 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
         raise ValueError("commutative generator of odd degree needs p = 2")
     if case == "exterior" and x_degree % 2 == 0 and p != 2:
         raise ValueError("exterior generator of even degree needs p = 2")
+    if case in ("poly", "exterior") and m is not None:
+        raise ValueError(f"{case} case carries no height")
     qc = _QuasiIsoCase(case, x_degree, p, m, max_s, max_internal)
     complex_ = BarComplex(qc.algebra, max_s, max_internal)
     model = qc.model

@@ -180,6 +180,8 @@ def _hh_trunc(args) -> series.PoincareSeries:
                              " the ring-level series takes --ell")
         return series.hh_truncated_words(args.n, args.p, args.m,
                                          args.max_degree)
+    if args.word_calculus_only:
+        raise ValueError("--word-calculus-only needs a height --m")
     if args.ell is None:
         raise ValueError("hh-trunc needs --ell (or --m with "
                          "--word-calculus-only)")
@@ -187,9 +189,9 @@ def _hh_trunc(args) -> series.PoincareSeries:
 
 
 def _poly_gens(args) -> series.PoincareSeries:
-    if not args.gen_degrees:
-        raise ValueError("poly-gens needs --gen-degrees")
     degrees = [int(tok) for tok in args.gen_degrees.split(",") if tok]
+    if not degrees:
+        raise ValueError("poly-gens needs --gen-degrees")
     return series.hh_poly_gens(degrees, args.n, args.p, args.max_degree)
 
 
@@ -301,10 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     target("thh-fp", lambda a: series.thh_fp(a.n, a.p, a.max_degree))
     target("hh-poly", lambda a: series.hh_polynomial(a.n, a.p, a.max_degree))
     sp = target("hh-trunc", _hh_trunc)
-    sp.add_argument("--ell", type=int, default=None,
-                    help="p-power truncation exponent")
-    sp.add_argument("--m", type=int, default=None,
-                    help="general truncation height (word calculus only)")
+    height = sp.add_mutually_exclusive_group()
+    height.add_argument("--ell", type=int, default=None,
+                        help="p-power truncation exponent")
+    height.add_argument("--m", type=int, default=None,
+                        help="general truncation height (word calculus only)")
     sp.add_argument("--word-calculus-only", action="store_true")
     target("hh-laurent", lambda a: series.hh_laurent(a.n, a.p, a.max_degree))
     sp = target("group", lambda a: series.thh_group_algebra(

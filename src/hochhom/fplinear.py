@@ -9,7 +9,7 @@ and no normal-form machinery.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional
 
 
 def _is_prime(n: int) -> bool:
@@ -24,7 +24,6 @@ def _is_prime(n: int) -> bool:
 
 
 EntryMap = Mapping[tuple[int, int], int]
-EntrySeq = Iterable[tuple[int, int, int]]
 
 
 class SparseFpMatrix:
@@ -37,7 +36,7 @@ class SparseFpMatrix:
     __slots__ = ("modulus", "rows", "cols", "_entries", "_rank")
 
     def __init__(self, modulus: int, rows: int, cols: int,
-                 entries: Union[EntryMap, EntrySeq] = ()):
+                 entries: EntryMap = {}):
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus!r} is not a prime")
         if rows < 0 or cols < 0:
@@ -45,16 +44,8 @@ class SparseFpMatrix:
         self.modulus = modulus
         self.rows = rows
         self.cols = cols
-        if isinstance(entries, Mapping):
-            items = entries
-        else:
-            items = {}
-            for r, c, v in entries:
-                if (r, c) in items:
-                    raise ValueError(f"duplicate entry at ({r}, {c})")
-                items[(r, c)] = v
         data: dict[tuple[int, int], int] = {}
-        for (r, c), v in items.items():
+        for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
             if not isinstance(v, int):
@@ -65,31 +56,6 @@ class SparseFpMatrix:
         self._entries = data
         self._rank: Optional[int] = None
 
-    @classmethod
-    def zero(cls, modulus: int, rows: int, cols: int) -> "SparseFpMatrix":
-        return cls(modulus, rows, cols)
-
-    @classmethod
-    def identity(cls, modulus: int, n: int) -> "SparseFpMatrix":
-        return cls(modulus, n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, modulus: int,
-                  dense: Sequence[Sequence[int]]) -> "SparseFpMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v % modulus:
-                    entries[(i, j)] = v % modulus
-        return cls(modulus, rows, cols, entries)
-
-    def entry(self, r: int, c: int) -> int:
-        return self._entries.get((r, c), 0)
-
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(self._entries.items()))
 
@@ -99,11 +65,6 @@ class SparseFpMatrix:
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    def transpose(self) -> "SparseFpMatrix":
-        return SparseFpMatrix(
-            self.modulus, self.cols, self.rows,
-            {(c, r): v for (r, c), v in self._entries.items()})
 
     def compose(self, other: "SparseFpMatrix") -> "SparseFpMatrix":
         """Matrix product self * other (apply other first)."""

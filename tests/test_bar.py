@@ -115,7 +115,7 @@ def test_bar_complex_d_squared_checked_at_build():
     for p, alg in ((2, trunc_algebra(2, 4, 2)), (3, trunc_algebra(3, 9, 2)),
                    (5, poly_algebra(5, 4))):
         cx = BarComplex(alg, 4, 20)
-        assert cx.homology().get(0, 0) == 1
+        assert cx.homology().as_dict()[(0, 0, 0)] == 1
 
 
 def _boundary_matrix(cx, s, internal, weight):
@@ -182,7 +182,7 @@ def test_bar_complex_strata_and_differential_shapes():
 
 def test_shuffle_unit_and_squares():
     P = AlgebraPresentation(3, (exterior("a", 3), polynomial("u", 2)))
-    one = BarChain.unit(P)
+    one = BarChain(P, {(): 1})
     a = BarChain.from_tensor(P, ((1, 0),))
     u = BarChain.from_tensor(P, ((0, 1),))
     assert one * a == a and a * one == a
@@ -262,6 +262,10 @@ def test_quasi_iso_rejects_bad_parity():
         verify_quasi_iso("exterior", 2, 5)
     with pytest.raises(ValueError):
         verify_quasi_iso("truncated", 2, 3)  # missing m
+    with pytest.raises(ValueError, match="carries no height"):
+        verify_quasi_iso("poly", 2, 3, m=3)
+    with pytest.raises(ValueError, match="carries no height"):
+        verify_quasi_iso("exterior", 3, 3, m=3)
     with pytest.raises(ValueError):
         verify_quasi_iso("bogus", 2, 3)
 
@@ -402,15 +406,26 @@ def test_tor_presentation_height_two():
 
 def test_iterated_tor_against_bar_oracle():
     # each rewrite stage must match the bar homology of the previous stage
-    for p in (2, 3):
-        stage = poly_algebra(p, 2)
-        for _ in range(3):
-            rewritten = tor_presentation(stage, 18)
-            predicted = presentation_dims(rewritten, 18).restrict(
-                max_hom=5, max_internal=14)
-            computed = bar_homology(stage, 5, 14).restrict(max_internal=14)
-            assert predicted.by_bidegree() == computed.by_bidegree(), (p, stage)
-            stage = rewritten
+    # on the whole (hom, internal, weight) table, from the polynomial start
+    # and from B' and B''(m) with |x| in {0, 2}.  A class of hom <= S and
+    # internal <= N has total degree up to N + S, so the rewrite runs there
+    S, N, W = 5, 14, 10
+    for p in (2, 3, 5):
+        starts = [poly_algebra(p, 2)]
+        for x in (0, 2):
+            starts.append(AlgebraPresentation(
+                p, (polynomial("x", x, weight=1),)))
+            starts += [AlgebraPresentation(p, (truncated("x", m, x, weight=1),))
+                       for m in (2, 3, 4, 9)]
+        for start in starts:
+            stage = start
+            for level in range(3):
+                rewritten = tor_presentation(stage, N + S, W)
+                predicted = presentation_dims(rewritten, N + S, W).restrict(
+                    max_hom=S, max_internal=N)
+                assert bar_homology(stage, S, N, W) == predicted, \
+                    (p, start, level)
+                stage = rewritten
 
 
 def test_iterated_tor_total_series():
@@ -426,20 +441,17 @@ def test_iterated_tor_total_series():
 
 def test_bigraded_dims_helpers():
     dims = BigradedDims({(0, 0, 0): 1, (1, 2, 0): 2, (2, 2, 1): 3})
-    assert dims.get(1, 2) == 2
-    assert dims.get(9, 9) == 0
+    assert dims.as_dict()[(1, 2, 0)] == 2
+    assert (9, 9, 0) not in dims.as_dict()
     assert dims.total_series() == {0: 1, 3: 2, 4: 3}
     assert dims.by_bidegree() == {(0, 0): 1, (1, 2): 2, (2, 2): 3}
     cut = dims.restrict(max_hom=1)
     assert cut.as_dict() == {(0, 0, 0): 1, (1, 2, 0): 2}
-    assert BigradedDims({(0, 0): 1}).as_dict() == {(0, 0, 0): 1}
 
 
 def test_json_round_trips():
     P = AlgebraPresentation(3, (exterior("a", 3), truncated("b", 3, 2,
                                                             weight=2)))
-    blob = json.dumps(P.to_json_dict(), sort_keys=True)
-    assert AlgebraPresentation.from_json_dict(json.loads(blob)) == P
     dims = bar_homology(P, 3, 10, 8)
     blob2 = json.dumps(dims.to_json_dict(), sort_keys=True)
     assert BigradedDims.from_json_dict(json.loads(blob2)) == dims

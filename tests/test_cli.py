@@ -125,6 +125,11 @@ USAGE_ERRORS = (
     "verify oracle-cross --family Bprime --n 1 --p 3",
     "series thh-fp --p 2 --n 2 --max-degree -1",
     "series poly-gens --gen-degrees '' --p 2 --n 1",
+    # these four used to exit 0, ignoring an option or echoing an unused one
+    "series poly-gens --gen-degrees , --p 3 --n 2 --max-degree 6",
+    "series hh-trunc --p 3 --n 2 --m 3 --ell 1 --word-calculus-only -N 6",
+    "series hh-trunc --p 3 --n 2 --ell 1 --word-calculus-only -N 6",
+    "verify bar --case poly --m 3 --p 3",
 )
 
 
@@ -348,17 +353,34 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_readme_commands_run(capsys):
-    commands, in_sh = [], False
+def readme_blocks(lang):
+    """The README's fenced blocks in this language, as lists of lines."""
+    blocks, block = [], None
     for line in README.read_text(encoding="utf-8").splitlines():
         if line.startswith("```"):
-            in_sh = line == "```sh"
-        elif in_sh and line.startswith("hochhom "):
-            commands.append(shlex.split(line)[1:])
+            if block is not None:
+                blocks.append(block)
+            block = [] if line == "```" + lang else None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_readme_commands_run(capsys):
+    commands = [shlex.split(line)[1:] for block in readme_blocks("sh")
+                for line in block if line.startswith("hochhom ")]
     assert len(commands) >= 12
     for argv in commands:
         assert cli.main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_python_quick_start_runs(capsys):
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile("\n".join(block), str(README), "exec"), {})
+    assert capsys.readouterr().out.count("\n") >= 3
 
 
 def test_out_file(tmp_path, capsys):

@@ -20,6 +20,13 @@ from hochhom.fplinear import (
 from fplinear_reference import markowitz_rank
 
 
+def dense(p, rows):
+    """The matrix with these dense rows."""
+    entries = {(i, j): v for i, row in enumerate(rows)
+               for j, v in enumerate(row)}
+    return SparseFpMatrix(p, len(rows), len(rows[0]) if rows else 0, entries)
+
+
 def dense_rank_modp(rows, p):
     """Independent oracle: dense Gaussian elimination on numpy int arrays."""
     a = np.array(rows, dtype=np.int64) % p
@@ -48,8 +55,8 @@ def dense_rank_modp(rows, p):
 
 
 def test_mixed_moduli_rejected():
-    m3 = SparseFpMatrix.identity(3, 2)
-    m5 = SparseFpMatrix.identity(5, 2)
+    m3 = dense(3, [[1, 0], [0, 1]])
+    m5 = dense(5, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         m3.compose(m5)
 
@@ -62,35 +69,34 @@ def test_composite_modulus_rejected():
 
 
 def test_matrix_construction():
-    m = SparseFpMatrix.from_rows(3, [[1, 2], [2, 1]])
+    m = dense(3, [[1, 2], [2, 1]])
     assert (m.rows, m.cols) == (2, 2)
     assert m.nnz == 4
-    assert m.entry(0, 1) == 2
-    z = SparseFpMatrix.zero(5, 3, 4)
+    entries = dict(m.items())
+    assert entries[(0, 1)] == 2
+    z = SparseFpMatrix(5, 3, 4)
     assert z.is_zero() and z.nnz == 0
-    eye = SparseFpMatrix.identity(2, 3)
+    eye = SparseFpMatrix(2, 3, 3, {(i, i): 1 for i in range(3)})
     assert eye.rank() == 3
     # entries reduced mod p, zeros dropped
-    m2 = SparseFpMatrix.from_rows(3, [[3, 4], [0, 6]])
-    assert m2.nnz == 1 and m2.entry(0, 1) == 1
-    with pytest.raises(ValueError):
-        SparseFpMatrix(3, 2, 2, [(0, 0, 1), (0, 0, 2)])
+    m2 = dense(3, [[3, 4], [0, 6]])
+    assert list(m2.items()) == [((0, 1), 1)]
     with pytest.raises(IndexError):
-        SparseFpMatrix(3, 2, 2, [(2, 0, 1)])
-    # entries are ints; entry() reads one back as an int
+        SparseFpMatrix(3, 2, 2, {(2, 0): 1})
+    # entries are ints; items() reads them back as ints
     with pytest.raises(TypeError):
         SparseFpMatrix(3, 2, 2, {(0, 0): 1.0})
-    assert type(m.entry(1, 1)) is int and m.entry(1, 0) == 2
+    assert type(entries[(1, 1)]) is int and entries[(1, 0)] == 2
 
 
 def test_rank_small_examples():
     # [[1,2],[2,1]] over F_3: second row is twice the first
-    assert SparseFpMatrix.from_rows(3, [[1, 2], [2, 1]]).rank() == 1
+    assert dense(3, [[1, 2], [2, 1]]).rank() == 1
     # same matrix over F_5 is invertible
-    assert SparseFpMatrix.from_rows(5, [[1, 2], [2, 1]]).rank() == 2
-    assert SparseFpMatrix.from_rows(2, [[1, 1], [1, 1]]).rank() == 1
-    assert SparseFpMatrix.zero(7, 4, 5).rank() == 0
-    m = SparseFpMatrix.from_rows(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    assert dense(5, [[1, 2], [2, 1]]).rank() == 2
+    assert dense(2, [[1, 1], [1, 1]]).rank() == 1
+    assert SparseFpMatrix(7, 4, 5).rank() == 0
+    m = dense(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert m.rank() == 2
     assert m.kernel_dim() == 1
 
@@ -103,7 +109,7 @@ def test_rank_against_dense_oracle():
             nc = rng.randint(1, 7)
             rows = [[rng.randint(0, p - 1) if rng.random() < 0.6 else 0
                      for _ in range(nc)] for _ in range(nr)]
-            m = SparseFpMatrix.from_rows(p, rows)
+            m = dense(p, rows)
             assert m.rank() == dense_rank_modp(rows, p), (p, rows)
 
 
@@ -113,44 +119,43 @@ def test_rank_invariances():
         p = rng.choice((2, 3, 5))
         nr, nc = rng.randint(2, 6), rng.randint(2, 6)
         rows = [[rng.randint(0, p - 1) for _ in range(nc)] for _ in range(nr)]
-        m = SparseFpMatrix.from_rows(p, rows)
+        m = dense(p, rows)
         perm = list(range(nr))
         rng.shuffle(perm)
-        shuffled = SparseFpMatrix.from_rows(p, [rows[i] for i in perm])
+        shuffled = dense(p, [rows[i] for i in perm])
         assert m.rank() == shuffled.rank()
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == dense(p, [list(c) for c in zip(*rows)]).rank()
         assert m.kernel_dim() == nc - m.rank()
 
 
 def test_compose():
-    a = SparseFpMatrix.from_rows(5, [[1, 2], [3, 4]])
-    b = SparseFpMatrix.from_rows(5, [[0, 1], [1, 0]])
+    a = dense(5, [[1, 2], [3, 4]])
+    b = dense(5, [[0, 1], [1, 0]])
     ab = a.compose(b)
-    assert ab.entry(0, 0) == 2 and ab.entry(0, 1) == 1
-    assert ab.entry(1, 0) == 4 and ab.entry(1, 1) == 3
+    assert ab == dense(5, [[2, 1], [4, 3]])
     with pytest.raises(ValueError):
-        a.compose(SparseFpMatrix.zero(5, 3, 2))
+        a.compose(SparseFpMatrix(5, 3, 2))
 
 
 def test_homology_dim_exact_sequence():
     # F_2: d_in = [1 1]^T, d_out = [1 1]; middle dim 2, homology 0
-    d_in = SparseFpMatrix.from_rows(2, [[1], [1]])
-    d_out = SparseFpMatrix.from_rows(2, [[1, 1]])
+    d_in = dense(2, [[1], [1]])
+    d_out = dense(2, [[1, 1]])
     assert homology_dim(d_in, d_out) == 0
     # zero maps: homology = full middle dimension
-    z_in = SparseFpMatrix.zero(3, 4, 2)
-    z_out = SparseFpMatrix.zero(3, 5, 4)
+    z_in = SparseFpMatrix(3, 4, 2)
+    z_out = SparseFpMatrix(3, 5, 4)
     assert homology_dim(z_in, z_out) == 4
 
 
 def test_homology_dim_rejects_noncomplex():
-    d_in = SparseFpMatrix.from_rows(3, [[1], [0]])
-    d_out = SparseFpMatrix.from_rows(3, [[1, 0]])
+    d_in = dense(3, [[1], [0]])
+    d_out = dense(3, [[1, 0]])
     with pytest.raises(CompositionError):
         homology_dim(d_in, d_out)  # d_out o d_in = [1] != 0
     with pytest.raises(ValueError):
-        homology_dim(SparseFpMatrix.zero(3, 4, 2),
-                     SparseFpMatrix.zero(3, 5, 3))
+        homology_dim(SparseFpMatrix(3, 4, 2),
+                     SparseFpMatrix(3, 5, 3))
 
 
 def test_homology_dim_random_complexes():
@@ -162,7 +167,7 @@ def test_homology_dim_random_complexes():
         nc = rng.randint(1, 4)
         d_in_rows = [[rng.randint(0, p - 1) for _ in range(nc)]
                      for _ in range(mid)]
-        d_in = SparseFpMatrix.from_rows(p, d_in_rows)
+        d_in = dense(p, d_in_rows)
         # d_out rows drawn from the left kernel of d_in, brute force over F_p^mid
         kernel_rows = []
         for vec in _all_vectors(p, mid):
@@ -171,7 +176,7 @@ def test_homology_dim_random_complexes():
                 kernel_rows.append(list(vec))
         if not kernel_rows:
             kernel_rows = [[0] * mid]
-        d_out = SparseFpMatrix.from_rows(p, kernel_rows)
+        d_out = dense(p, kernel_rows)
         h = homology_dim(d_in, d_out)
         assert h == d_out.kernel_dim() - d_in.rank()
         assert 0 <= h <= mid
@@ -187,8 +192,8 @@ def _all_vectors(p, n):
 
 
 def test_matrix_equality_and_items():
-    a = SparseFpMatrix.from_rows(3, [[1, 0], [0, 2]])
-    b = SparseFpMatrix(3, 2, 2, [(1, 1, 2), (0, 0, 4)])
+    a = dense(3, [[1, 0], [0, 2]])
+    b = SparseFpMatrix(3, 2, 2, {(1, 1): 2, (0, 0): 4})
     assert a == b
     assert list(a.items()) == [((0, 0), 1), ((1, 1), 2)]
 
@@ -242,6 +247,6 @@ def test_rank_matches_markowitz_reference_on_random_shapes():
                        for j in range(nc)] for cs in coeffs]
             rows = base + combos
             rng.shuffle(rows)
-            m = SparseFpMatrix.from_rows(p, rows)
+            m = dense(p, rows)
             _assert_rank_matches(m, markowitz_rank(m), (p, rows))
             assert m.rank() <= k
