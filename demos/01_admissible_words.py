@@ -34,7 +34,7 @@ for w in enumerate_words(3, fam, p, 108):
     bd = bidegree(w, p, fam)
     cls = classify(w, fam)
     print(f"  {render_key(w):10s} {render_human(w):8s} bidegree {bd} "
-          f"total {total_degree(w, p, fam):4d}  {cls.kind}")
+          f"total {total_degree(w, p, fam):4d}  {cls}")
 
 print()
 print("longer words mix the operations; length 5, degree <= 60:")

@@ -46,7 +46,6 @@ from .words import (
     rho,
     total_degree,
     verify_powerwords,
-    xweight,
 )
 from .bar import (
     AlgebraPresentation,
@@ -137,5 +136,4 @@ __all__ = [
     "truncated",
     "verify_powerwords",
     "verify_quasi_iso",
-    "xweight",
 ]

@@ -7,6 +7,11 @@ hom = 0; presenting a Tor algebra as the input of the next stage uses
 the full bidegree, with total degree hom + internal as the grading the
 bar construction sees.
 
+Monomials, bar tensors and monomial counts live in a window, total
+degree <= N and weight <= W (None: no bound).  A generator g enters with
+its powers e <= cap, e |g| <= N, e weight(g) <= W (_exponents), and a
+monomial or tensor grows one piece at a time within the window (_extend).
+
 The two-sided reduced bar complex B(k, A, k) has B_s = (IA)^{tensor s}
 with only the inner face maps surviving,
 
@@ -188,39 +193,39 @@ class AlgebraPresentation:
 
     def augmentation_monomials(self, max_total: int,
                                max_weight: Optional[int] = None) -> list[Monomial]:
-        """All non-unit monomials within the degree and weight bounds."""
+        """All non-unit monomials within the bounds, in increasing order."""
         if max_total < 0:
             raise ValueError("degree bound must be nonnegative")
+        level: list[tuple[Monomial, int, int]] = [((), 0, 0)]
         for g in self.generators:
-            if g.total == 0 and g.cap is None and max_weight is None:
-                raise ValueError(
-                    f"generator {g.name} has degree 0: a weight bound is "
-                    f"required to keep enumeration finite")
-        out: list[Monomial] = []
+            level = _extend(level, [(e, e * g.total, e * g.weight) for e in
+                                    _exponents(g, max_total, max_weight)],
+                            max_total, max_weight)
+        return [m for m, _t, _w in level if any(m)]
 
-        def extend(prefix: list[int], idx: int, t_left: int,
-                   w_left: Optional[int]) -> None:
-            if idx == len(self.generators):
-                if any(prefix):
-                    out.append(tuple(prefix))
-                return
-            g = self.generators[idx]
-            e = 0
-            while True:
-                if g.cap is not None and e > g.cap:
-                    break
-                cost_t = e * g.total
-                cost_w = e * g.weight
-                if cost_t > t_left:
-                    break
-                if w_left is not None and cost_w > w_left:
-                    break
-                extend(prefix + [e], idx + 1, t_left - cost_t,
-                       None if w_left is None else w_left - cost_w)
-                e += 1
 
-        extend([], 0, max_total, max_weight)
-        return sorted(out)
+def _exponents(g: Generator, max_total: int,
+               max_weight: Optional[int]) -> range:
+    """The powers e >= 0 of g inside the window (None: unbounded); a
+    degree-0 generator with no cap needs a weight bound."""
+    if g.total == 0 and g.cap is None and max_weight is None:
+        raise ValueError(
+            f"generator {g.name} has degree 0: a weight bound is required")
+    e = 0
+    while ((g.cap is None or e <= g.cap) and e * g.total <= max_total
+           and (max_weight is None or e * g.weight <= max_weight)):
+        e += 1
+    return range(e)
+
+
+def _extend(level: list, pieces: list, max_total: int,
+            max_weight: Optional[int]) -> list:
+    """Each (sequence, total, weight) of level with each (piece, total,
+    weight) of pieces appended, kept when the sums stay in the window."""
+    return [(seq + (piece,), t + dt, w + dw)
+            for seq, t, w in level for piece, dt, dw in pieces
+            if t + dt <= max_total
+            and (max_weight is None or w + dw <= max_weight)]
 
 
 class BigradedDims:
@@ -433,21 +438,11 @@ class BarComplex:
         self._basis: dict[tuple[int, int, int], list[Tensor]] = {(0, 0, 0): [()]}
         level: list[tuple[Tensor, int, int]] = [((), 0, 0)]
         for s in range(1, max_s + 2):
-            nxt: list[tuple[Tensor, int, int]] = []
+            level = _extend(level, mono_data, max_internal, max_weight)
             for tensor, t, w in level:
-                for m, mt, mw in mono_data:
-                    t2, w2 = t + mt, w + mw
-                    if t2 > max_internal:
-                        continue
-                    if max_weight is not None and w2 > max_weight:
-                        continue
-                    nxt.append((tensor + (m,), t2, w2))
-            strata: dict[tuple[int, int, int], list[Tensor]] = {}
-            for tensor, t, w in nxt:
-                strata.setdefault((s, t, w), []).append(tensor)
-            for key, tensors in strata.items():
-                self._basis[key] = sorted(tensors)
-            level = nxt
+                self._basis.setdefault((s, t, w), []).append(tensor)
+        for tensors in self._basis.values():
+            tensors.sort()
 
         # Differentials keyed by source stratum (s, t, w), s >= 1, built
         # from the basis tensors with the face signs of BarChain.boundary.
@@ -536,25 +531,17 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
     0/1 knapsack does.  The descent is exact: a sweep writes only above
     the level it reads, onto levels it has already read, so each monomial
     takes at most one power of the generator.  A degree-0 generator
-    writes into the level it reads, so it reads a copy.  Every power is
-    cut at the cap, the degree room and the weight bound before it is
-    added, so no key outside the window is ever made.
+    writes into the level it reads, so it reads a copy.  Powers come from
+    _exponents and are cut at the degree room, so no key leaves the window.
     """
     levels: list[dict[tuple[int, int], int]] = [
         {} for _ in range(max_total + 1)]
     if levels and (max_weight is None or max_weight >= 0):
         levels[0][(0, 0)] = 1
     for g in sorted(presentation.generators, key=lambda g: -g.total):
-        if g.total == 0 and g.cap is None and max_weight is None:
-            raise ValueError(
-                f"generator {g.name} has degree 0: a weight bound is required")
         d = g.total
-        powers = []  # (e d, e hom, e weight) for 1 <= e <= cap in the window
-        e = 1
-        while ((g.cap is None or e <= g.cap) and e * d <= max_total
-               and (max_weight is None or e * g.weight <= max_weight)):
-            powers.append((e * d, e * g.hom, e * g.weight))
-            e += 1
+        powers = [(e * d, e * g.hom, e * g.weight)
+                  for e in _exponents(g, max_total, max_weight)[1:]]
         for t in range(max_total - d, -1, -1):
             source = levels[t] if d else dict(levels[t])
             usable = powers[:(max_total - t) // d] if d else powers
@@ -793,10 +780,6 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
     homology dimension tables agree on the bounded window, and both maps
     are multiplicative for the shuffle product.  Each check reports its
     first failure as the witness."""
-    if case in ("poly", "truncated") and x_degree % 2 and p != 2:
-        raise ValueError("commutative generator of odd degree needs p = 2")
-    if case == "exterior" and x_degree % 2 == 0 and p != 2:
-        raise ValueError("exterior generator of even degree needs p = 2")
     if case in ("poly", "exterior") and m is not None:
         raise ValueError(f"{case} case carries no height")
     qc = _QuasiIsoCase(case, x_degree, p, m, max_s, max_internal)

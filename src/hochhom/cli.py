@@ -51,7 +51,7 @@ def _default_max_degree() -> int:
 def _family_from_args(args) -> words.WordFamily:
     # WordFamily refuses a height on B or B' and a missing one on B''
     return words.WordFamily(_FAMILY_NAMES[args.family], args.m,
-                            getattr(args, "base_degree", -1))
+                            getattr(args, "base_degree", None))
 
 
 def _table(fields: tuple[str, ...], records: list[dict]) -> list:
@@ -67,7 +67,7 @@ def _cmd_words(args) -> Report:
         "internal": bd.internal,
         "total": bd.total,
         "weight": weight,
-        "class": cls.kind,
+        "class": cls,
     } for w, bd, weight, cls in words.graded_words(args.n, family, args.p,
                                                    args.max_degree)]
     config = [("command", "words"), ("p", args.p), ("n", args.n),
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command(sub, "words", _cmd_words,
                  "enumerate an admissible word family")
     family(sp)
-    sp.add_argument("--base-degree", type=int, default=-1,
+    sp.add_argument("--base-degree", type=int, default=None,
                     help="base letter degree (default: 2 for B, else 0)")
 
     sp = command(sub, "diff-search", _cmd_diff_search,

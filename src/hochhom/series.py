@@ -180,19 +180,16 @@ def hh_polynomial(n: int, p: int, max_degree: int) -> PoincareSeries:
     if n < 1:
         raise ValueError("n must be >= 1")
     base = family_series(W.family_bprime(), n + 1, p, max_degree)
-    return PoincareSeries(base.coeffs, max_degree,
-                          f"free ranks over F_{p}[x]")
+    return PoincareSeries(base.coeffs, max_degree, f"free ranks over F_{p}[x]")
 
 
 def hh_laurent(n: int, p: int, max_degree: int) -> PoincareSeries:
-    """Same coefficients as hh_polynomial; the base ring is F_p[x^+-1]."""
-    base = hh_polynomial(n, p, max_degree)
-    return PoincareSeries(base.coeffs, max_degree,
-                          f"free ranks over F_{p}[x^±1]")
+    """Same coefficients as hh_polynomial, over F_p[x^+-1] = F_p[Z]."""
+    return hh_group_algebra(GroupSpec(1), n, p, max_degree)
 
 
 def hh_truncated(n: int, p: int, ell: int, max_degree: int) -> PoincareSeries:
-    """Order-n Hochschild homology of F_p[x]/x^(p^ell), |x| = 0.
+    """Order-n Hochschild homology of F_p[x]/x^(p^ell) = F_p[Z/p^ell].
 
     The ring-level identification holds for p-power truncations; other
     heights are available through hh_truncated_words as a word-calculus
@@ -203,10 +200,7 @@ def hh_truncated(n: int, p: int, ell: int, max_degree: int) -> PoincareSeries:
         raise ValueError(
             "the ring-level series needs a p-power truncation p^ell, ell >= 1; "
             "use hh_truncated_words for other heights (word calculus only)")
-    m = p ** ell
-    base = family_series(W.family_bdoubleprime(m), n + 1, p, max_degree)
-    return PoincareSeries(base.coeffs, max_degree,
-                          f"free ranks over F_{p}[x]/x^{m}")
+    return hh_group_algebra(GroupSpec(0, (p ** ell,)), n, p, max_degree)
 
 
 def hh_truncated_words(n: int, p: int, m: int, max_degree: int) -> PoincareSeries:

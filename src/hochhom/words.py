@@ -13,7 +13,8 @@ read left to right, subject to adjacency rules: left of a base letter
 only eps (families B, B') or eps/phi^k (family B''); left of eps only
 rho^k; left of rho^k or phi^k either eps or phi^j.  Family B ends in mu,
 families B' and B''(m) end in x, with B''(m) carrying the truncation
-height m of the base ring.
+height m of the base ring.  One table of letter kinds (_left_kinds)
+states these rules for the admissibility check, shapes and letter moves.
 
 Bidegrees (homological, internal) follow the recursion
 
@@ -22,9 +23,11 @@ Bidegrees (homological, internal) follow the recursion
     ||rho^k w|| = p^k (1, |w|),
     ||phi^k w|| = p^k (2, p |w|),   but p^k (2, m |x|) directly on x,
 
-where |w| is total degree.  Word lists come from one generator that
-grows words right to left from the base letter, folding the bidegree and
-the exponent sum as each letter is prepended.  Neither ever drops, so a
+where |w| is total degree: a letter acts as q (c, h |w|), q = p^k (1 for
+eps), and the x-weight (1 on x, 0 on mu) scales by the same q h; _fold
+carries all three.  Word lists come from one generator that grows
+words right to left from the base letter, folding the bidegree and the
+exponent sum as each letter is prepended.  Neither ever drops, so a
 bound on either (total degree for enumerate_words, exponent sum for
 diff_candidates) prunes a prefix with all its extensions and no word is
 built only to be thrown away.  A separate scalar recursion for |w|
@@ -60,7 +63,7 @@ class WordFamily:
 
     kind: Literal["B", "B'", "B''"]
     m: Optional[int] = None
-    base_degree: int = -1  # resolved in __post_init__
+    base_degree: Optional[int] = None  # None: 2 for B, else 0
 
     def __post_init__(self):
         if self.kind not in ("B", "B'", "B''"):
@@ -70,7 +73,7 @@ class WordFamily:
                 raise ValueError("family B'' needs a truncation height m >= 2")
         elif self.m is not None:
             raise ValueError(f"family {self.kind} carries no height")
-        if self.base_degree == -1:
+        if self.base_degree is None:
             object.__setattr__(self, "base_degree", 2 if self.kind == "B" else 0)
         if self.base_degree < 0:
             raise ValueError("base degree must be nonnegative")
@@ -110,40 +113,29 @@ class Bidegree:
         return f"({self.hom},{self.internal})"
 
 
-@dataclass(frozen=True)
-class WordClass:
-    kind: str  # "exterior" | "truncated_height_p" | "truncated_height_m" | "free"
-    primitive: bool
+_LEFT_KINDS = {"mu": ("eps",), "x": ("eps",), "eps": ("rho",),
+               "rho": ("eps", "phi"), "phi": ("eps", "phi")}
 
 
-def _left_choices(right: Letter, family: WordFamily) -> list[Letter]:
-    kind = right[0]
-    if kind == "mu":
-        return [EPS]
-    if kind == "x":
-        return [EPS, phi(None)] if family.kind == "B''" else [EPS]
-    if kind == "eps":
-        return [rho(None)]
-    if kind in ("rho", "phi"):
-        return [EPS, phi(None)]
-    raise ValueError(f"unknown letter {right!r}")
+def _left_kinds(right_kind: str, family: WordFamily) -> tuple[str, ...]:
+    """The letter kinds allowed left of a letter of kind right_kind (none
+    left of an unknown kind); phi stands on the base letter x only in B''."""
+    if right_kind == "x" and family.kind == "B''":
+        return ("eps", "phi")
+    return _LEFT_KINDS.get(right_kind, ())
 
 
 def is_admissible(word: Word, family: WordFamily) -> bool:
     """True when the word ends in the family's base letter and every
-    adjacent pair obeys the adjacency rules."""
+    adjacent pair obeys the adjacency rules (no unknown letter does)."""
     if not word or word[-1] != family.base_letter:
         return False
     for left, right in zip(word, word[1:]):
-        if left[0] in ("mu", "x"):
+        if left[0] not in _left_kinds(right[0], family):
             return False
-        allowed = {l[0] for l in _left_choices(right, family)}
-        if left[0] not in allowed:
+        k = left[1] if left[0] != "eps" else None
+        if k is not None and (not isinstance(k, int) or k < 0):
             return False
-        if left[0] in ("rho", "phi"):
-            k = left[1]
-            if k is not None and (not isinstance(k, int) or k < 0):
-                return False
     return True
 
 
@@ -164,9 +156,11 @@ def enumerate_shapes(n: int, family: WordFamily) -> list[Word]:
     """All admissible length-n words with exponents left blank (None)."""
     if n < 1:
         raise ValueError("word length must be >= 1")
+    blank = {"eps": EPS, "rho": rho(None), "phi": phi(None)}
     words: list[Word] = [(family.base_letter,)]
     for _ in range(n - 1):
-        words = [(left,) + w for w in words for left in _left_choices(w[0], family)]
+        words = [(blank[kind],) + w for w in words
+                 for kind in _left_kinds(w[0][0], family)]
     return sorted(words, key=canonical_key)
 
 
@@ -199,7 +193,7 @@ def letter_moves(family: WordFamily, p: int, max_degree: int) -> dict:
                "rho": [(rho(k), p ** k, k) for k in range(e + 1)],
                "phi": [(phi(k), p ** k, k) for k in range(e + 1)]}
     return {right: [(kind, *_scales(kind, right, family, p), ladders[kind])
-                    for kind, *_ in _left_choices((right,), family)]
+                    for kind in _left_kinds(right, family)]
             for right in ("mu", "x", "eps", "rho", "phi")}
 
 
@@ -248,26 +242,19 @@ def total_degree(word: Word, p: int, family: WordFamily) -> int:
 def bidegree(word: Word, p: int, family: WordFamily) -> Bidegree:
     """(homological, internal) bidegree of an admissible word."""
     _require_admissible(word, family)
+    return Bidegree(*_fold(word, p, family)[:2])
+
+
+def _fold(word: Word, p: int, family: WordFamily) -> tuple[int, int, int]:
+    """(hom, internal, x-weight) of an admissible word; right to left, a
+    letter sends them to q (c, h (hom + internal), h weight)."""
     hom, internal = 0, family.base_degree
+    weight = 0 if family.kind == "B" else 1
     for letter, right in zip(word[-2::-1], word[::-1]):
         c, h = _scales(letter[0], right[0], family, p)
         q = p ** letter[1] if letter[0] != "eps" else 1
-        hom, internal = q * c, q * h * (hom + internal)
-    return Bidegree(hom, internal)
-
-
-def xweight(word: Word, p: int, family: WordFamily) -> int:
-    """Exponent count of the base letter x carried by the word (0 for mu)."""
-    _require_admissible(word, family)
-    return _xweight(word, p, family)
-
-
-def _xweight(word: Word, p: int, family: WordFamily) -> int:
-    wt = 0 if family.kind == "B" else 1
-    for letter, right in zip(word[-2::-1], word[::-1]):
-        if letter[0] != "eps":
-            wt *= p ** letter[1] * _scales(letter[0], right[0], family, p)[1]
-    return wt
+        hom, internal, weight = q * c, q * h * (hom + internal), q * h * weight
+    return hom, internal, weight
 
 
 def _require_admissible(word: Word, family: WordFamily) -> None:
@@ -288,36 +275,30 @@ def enumerate_words(n: int, family: WordFamily, p: int,
 
 
 def graded_words(n: int, family: WordFamily, p: int, max_total_degree: int
-                 ) -> list[tuple[Word, Bidegree, int, WordClass]]:
-    """The words of enumerate_words, in the same order, each with its
-    bidegree, x-weight and class.  The bidegree is the generator's own
-    fold, and the words are admissible by construction, so nothing is
-    checked again."""
-    grown = _grow(n, family, p, max_total_degree,
-                  lambda total, _s: total <= max_total_degree)
-    grown.sort(key=lambda rec: canonical_key(rec[0]))
-    return [(word, Bidegree(hom, internal), _xweight(word, p, family),
-             _classify(word, family)) for word, hom, internal, _s in grown]
+                 ) -> list[tuple[Word, Bidegree, int, str]]:
+    """The words of enumerate_words, in order, with bidegree, x-weight and
+    class; they are admissible by construction, so nothing is re-checked."""
+    return [(word, Bidegree(hom, internal), weight, _classify(word, family))
+            for word in enumerate_words(n, family, p, max_total_degree)
+            for hom, internal, weight in (_fold(word, p, family),)]
 
 
-def classify(word: Word, family: WordFamily) -> WordClass:
-    """Multiplicative nature of the generator the word names."""
+def classify(word: Word, family: WordFamily) -> str:
+    """Multiplicative nature of the generator the word names: "exterior"
+    (primitive), "truncated_height_p", "truncated_height_m" or "free"."""
     _require_admissible(word, family)
     return _classify(word, family)
 
 
-def _classify(word: Word, family: WordFamily) -> WordClass:
+def _classify(word: Word, family: WordFamily) -> str:
     first = word[0][0]
     if first == "eps":
-        return WordClass("exterior", True)
+        return "exterior"
     if first in ("rho", "phi"):
-        return WordClass("truncated_height_p", False)
-    if first == "mu":
-        return WordClass("free", False)
-    # bare x
-    if family.kind == "B''":
-        return WordClass("truncated_height_m", False)
-    return WordClass("free", False)
+        return "truncated_height_p"
+    if first == "x" and family.kind == "B''":
+        return "truncated_height_m"
+    return "free"
 
 
 _KEY_FORMS = {"mu": "u", "x": "x", "eps": "e", "rho": "r^", "phi": "l^"}

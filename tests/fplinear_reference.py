@@ -1,11 +1,15 @@
 """The first sparse rank routine, kept as a reference oracle.
 
 ``markowitz_rank`` is sparse Gaussian elimination with a Markowitz-style
-pivot rule: at every step it pivots on the scarcest live column, then on
-the shortest row in it.  The quadratic column choice makes it slow on
-large blocks, and it shares no code with the column-echelon rank of
-``SparseFpMatrix.rank`` that it is compared with.
+pivot rule: at every step it pivots on the scarcest live column (lowest
+index first among equals), then on the shortest row in it.  The columns
+wait in a lazy heap of (count, column): a column is pushed again after
+every step that changes its count, and an entry whose count is no longer
+current is skipped when popped.  It shares no code with the
+column-echelon rank of ``SparseFpMatrix.rank`` that it is compared with.
 """
+
+import heapq
 
 
 def markowitz_rank(matrix) -> int:
@@ -16,11 +20,16 @@ def markowitz_rank(matrix) -> int:
     for (r, c), v in matrix.items():
         row_data.setdefault(r, {})[c] = v
         col_rows.setdefault(c, set()).add(r)
+    heap = [(len(rows), c) for c, rows in col_rows.items()]
+    heapq.heapify(heap)
     rank = 0
     while col_rows:
-        c = min(col_rows, key=lambda j: (len(col_rows[j]), j))
+        count, c = heapq.heappop(heap)
+        if len(col_rows.get(c, ())) != count:
+            continue  # stale: the column changed or left since this push
         r = min(col_rows[c], key=lambda i: (len(row_data[i]), i))
         pivot_row = row_data.pop(r)
+        touched = set(pivot_row)
         for j in pivot_row:
             s = col_rows[j]
             s.discard(r)
@@ -46,5 +55,8 @@ def markowitz_rank(matrix) -> int:
                             del col_rows[j]
                 if not row2:
                     del row_data[r2]
+        for j in touched:
+            if j in col_rows:
+                heapq.heappush(heap, (len(col_rows[j]), j))
         rank += 1
     return rank

@@ -1,5 +1,6 @@
 """Bar construction, shuffle product, small models, iterated Tor."""
 
+import itertools
 import json
 import random
 
@@ -361,6 +362,52 @@ def test_presentation_dims_matches_reference_fold():
             want = _dims_or_error(reference_presentation_dims, P, max_total,
                                   max_weight)
             assert got == want, (P, max_total, max_weight)
+
+
+def _or_error(enumerate_, presentation, max_total, max_weight):
+    try:
+        return enumerate_(presentation, max_total, max_weight)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _product_monomials(P, max_total, max_weight):
+    """Independent enumeration: every exponent vector of a box, filtered by
+    the degree and weight bounds."""
+    if max_total < 0:
+        raise ValueError("degree bound must be nonnegative")
+    tops = []
+    for g in P.generators:
+        top = [max_total // g.total] if g.total else []
+        if g.cap is not None:
+            top.append(g.cap)
+        if max_weight is not None and g.weight:
+            top.append(max_weight // g.weight)
+        if not top:
+            raise ValueError(
+                f"generator {g.name} has degree 0: a weight bound is required")
+        tops.append(min(top))
+    return [m for m in itertools.product(*(range(t + 1) for t in tops))
+            if any(m) and P.mono_total(m) <= max_total
+            and (max_weight is None or P.mono_weight(m) <= max_weight)]
+
+
+def test_augmentation_monomials_match_product_enumeration():
+    rng = random.Random(20261019)
+    checked = 0
+    for p in (2, 3, 5):
+        for _ in range(25):
+            P = _random_presentation(rng, p)
+            for max_total in (-1, 0, 6, 15):
+                for max_weight in (None, -1, 0, 2, 6):
+                    got, want = (_or_error(enumerate_, P, max_total,
+                                           max_weight)
+                                 for enumerate_ in (
+                                     AlgebraPresentation.augmentation_monomials,
+                                     _product_monomials))
+                    assert got == want, (P, max_total, max_weight)
+                    checked += isinstance(got, list) and len(got) > 1
+    assert checked > 100
 
 
 def test_presentation_dims_degree_zero_needs_a_weight_bound():

@@ -130,6 +130,8 @@ USAGE_ERRORS = (
     "series hh-trunc --p 3 --n 2 --m 3 --ell 1 --word-calculus-only -N 6",
     "series hh-trunc --p 3 --n 2 --ell 1 --word-calculus-only -N 6",
     "verify bar --case poly --m 3 --p 3",
+    # -1 used to stand for the default base degree and exit 0
+    "words --p 3 --n 2 --family B --base-degree -1 -N 20",
 )
 
 

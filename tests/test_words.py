@@ -8,6 +8,7 @@ from hochhom.words import (
     EPS,
     MU,
     X,
+    WordFamily,
     bidegree,
     canonical_key,
     classify,
@@ -26,19 +27,20 @@ from hochhom.words import (
     rho,
     total_degree,
     verify_powerwords,
-    xweight,
 )
 from word_reference import grid_cases, reference_words
 
 
 def fold_bidegree(word, p, family):
-    """Independent right-to-left fold computing the bidegree pair."""
-    h, i = 0, 0
+    """Independent right-to-left fold computing the bidegree pair and the
+    x-weight: the exponent of x in the class the word names (0 on mu)."""
+    h, i, wt = 0, 0, 0
     base_seen = False
     for pos in range(len(word) - 1, -1, -1):
         name = word[pos][0]
         if name in ("mu", "x"):
             h, i = 0, family.base_degree
+            wt = 1 if name == "x" else 0
             base_seen = True
         elif name == "eps":
             h, i = 1, h + i
@@ -46,15 +48,18 @@ def fold_bidegree(word, p, family):
         elif name == "rho":
             k = word[pos][1]
             h, i = p ** k * 1, p ** k * (h + i)
+            wt *= p ** k
             base_seen = False
         else:  # phi
             k = word[pos][1]
             if base_seen and family.kind == "B''":
                 h, i = p ** k * 2, p ** k * family.m * i
+                wt *= p ** k * family.m
             else:
                 h, i = p ** k * 2, p ** k * p * (h + i)
+                wt *= p ** k * p
             base_seen = False
-    return (h, i)
+    return (h, i, wt)
 
 
 def test_shape_counts_are_fibonacci():
@@ -123,7 +128,7 @@ def test_bidegree_matches_independent_fold():
                 for w in enumerate_words(n, fam, p, 400):
                     assert (bidegree(w, p, fam).hom,
                             bidegree(w, p, fam).internal) == \
-                        fold_bidegree(w, p, fam), (p, fam, w)
+                        fold_bidegree(w, p, fam)[:2], (p, fam, w)
                     assert total_degree(w, p, fam) == bidegree(w, p, fam).total
 
 
@@ -138,7 +143,7 @@ def test_graded_words_match_the_checked_functions():
                     enumerate_words(n, fam, p, 400), (p, fam, n)
                 for w, bd, weight, cls in graded:
                     assert bd == bidegree(w, p, fam), (p, fam, w)
-                    assert weight == xweight(w, p, fam), (p, fam, w)
+                    assert weight == fold_bidegree(w, p, fam)[2], (p, fam, w)
                     assert cls == classify(w, fam), (p, fam, w)
 
 
@@ -192,13 +197,12 @@ def test_exponent_bound_exact():
 
 def test_classify():
     fam = family_b()
-    assert classify((EPS, MU), fam).kind == "exterior"
-    assert classify((EPS, MU), fam).primitive
-    assert classify((rho(1), EPS, MU), fam).kind == "truncated_height_p"
-    assert classify((MU,), fam).kind == "free"
+    assert classify((EPS, MU), fam) == "exterior"
+    assert classify((rho(1), EPS, MU), fam) == "truncated_height_p"
+    assert classify((MU,), fam) == "free"
     fam2 = family_bdoubleprime(4)
-    assert classify((X,), fam2).kind == "truncated_height_m"
-    assert classify((phi(0), X), fam2).kind == "truncated_height_p"
+    assert classify((X,), fam2) == "truncated_height_m"
+    assert classify((phi(0), X), fam2) == "truncated_height_p"
 
 
 def test_render_round_trip_and_canonical_order():
@@ -224,16 +228,37 @@ def test_inadmissible_rejected():
     # phi directly on the base letter is only admissible in B''
     assert not is_admissible((phi(0), MU), fam)
     assert is_admissible((phi(0), X), family_bdoubleprime(3))
+    # an unknown letter is refused wherever it stands
+    for bad in (("nu",), ("nu", 1)):
+        for word in ((bad,), (bad, MU), (EPS, bad, MU), (bad, EPS, MU),
+                     (rho(0), bad, EPS, MU), (EPS, MU, bad)):
+            assert not is_admissible(word, fam), word
+        assert not is_admissible((bad, X), family_bdoubleprime(3))
 
 
 def test_xweight():
-    famp = family_bprime()
-    assert xweight((X,), 3, famp) == 1
-    assert xweight((EPS, X), 3, famp) == 1
-    assert xweight((rho(1), EPS, X), 3, famp) == 3
-    famm = family_bdoubleprime(4)
-    assert xweight((phi(0), X), 3, famm) == 4
-    assert xweight((EPS, MU), 3, family_b()) == 0
+    # the weight graded_words reports, and the independent fold
+    famp, famm = family_bprime(), family_bdoubleprime(4)
+    for fam, word, weight in ((famp, (X,), 1), (famp, (EPS, X), 1),
+                              (famp, (rho(1), EPS, X), 3),
+                              (famm, (phi(0), X), 4),
+                              (family_b(), (EPS, MU), 0)):
+        assert fold_bidegree(word, 3, fam)[2] == weight
+        graded = graded_words(len(word), fam, 3,
+                              max(1, total_degree(word, 3, fam)))
+        assert (word, weight) in [(w, wt) for w, _, wt, _ in graded]
+
+
+def test_word_family_base_degree():
+    # None marks an unset base degree; -1 is refused like any negative
+    assert WordFamily("B").base_degree == family_b().base_degree == 2
+    assert WordFamily("B'", None, None).base_degree == 0
+    assert family_bdoubleprime(3).base_degree == 0
+    assert WordFamily("B", None, 0).base_degree == 0
+    for make in (lambda: WordFamily("B", None, -1), lambda: family_b(-1),
+                 lambda: family_bprime(-1), lambda: family_bdoubleprime(3, -2)):
+        with pytest.raises(ValueError, match="base degree must be nonnegative"):
+            make()
 
 
 def test_powerwords_pass():
@@ -307,7 +332,7 @@ def brute_force_pairs(n, p, max_degree, refined=False):
                 nxt[slots[idx]] = (current[slots[idx]][0], e)
                 fill(idx + 1, budget - e, nxt)
         fill(0, cap, list(shape))
-    graded = [(w,) + fold_bidegree(w, p, fam) for w in words_all]
+    graded = [(w,) + fold_bidegree(w, p, fam)[:2] for w in words_all]
     found = set()
     for w, hw, iw in graded:
         if refined and (w[0][0] not in ("rho", "phi") or w[0][1] < 1):

@@ -86,7 +86,7 @@ def reference_series(family, n, p, max_degree):
         if w == (X,):
             continue  # the bare x belongs to the base ring
         d = total_degree(w, p, family)
-        kind = classify(w, family).kind
+        kind = classify(w, family)
         if kind == "free":
             terms = range(0, max_degree + 1, d)
         elif kind == "exterior":
