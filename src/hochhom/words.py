@@ -25,18 +25,25 @@ Bidegrees (homological, internal) follow the recursion
 
 where |w| is total degree: a letter acts as q (c, h |w|), q = p^k (1 for
 eps), and the x-weight (1 on x, 0 on mu) scales by the same q h; _fold
-carries all three.  Word lists come from one generator that grows
-words right to left from the base letter, folding the bidegree and the
-exponent sum as each letter is prepended.  Neither ever drops, so a
-bound on either (total degree for enumerate_words, exponent sum for
-diff_candidates) prunes a prefix with all its extensions and no word is
-built only to be thrown away.  A separate scalar recursion for |w|
-(total_degree) is kept as an independent cross-check of the fold.
+carries all three.  Word lists come from one generator, _grow, that
+grows words right to left from the base letter, folding the bidegree
+and the exponent sum as each letter is prepended.  Neither ever drops,
+so a bound on either stops a word together with every longer word that
+ends in it, and no word is built only to be thrown away.
+enumerate_words bounds the total degree.  diff_candidates bounds the
+exponent sum but never lists its length-n words: it grows them only to
+a split length whose level fits a fixed budget, walks the sources past
+it depth-first and solves for each source's targets back down to it.
+A DP over (leading kind, exponent sum) counts the words of every length
+without building them; it picks the split length and refuses a search
+too large to walk.  A separate scalar recursion for |w| (total_degree)
+is kept as an independent cross-check of the fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Literal, Optional
 
 from .fplinear import _is_prime
@@ -133,9 +140,12 @@ def is_admissible(word: Word, family: WordFamily) -> bool:
     for left, right in zip(word, word[1:]):
         if left[0] not in _left_kinds(right[0], family):
             return False
-        k = left[1] if left[0] != "eps" else None
-        if k is not None and (not isinstance(k, int) or k < 0):
-            return False
+        if left[0] != "eps":
+            if len(left) != 2:
+                return False
+            k = left[1]
+            if k is not None and (not isinstance(k, int) or k < 0):
+                return False
     return True
 
 
@@ -259,7 +269,7 @@ def _fold(word: Word, p: int, family: WordFamily) -> tuple[int, int, int]:
 
 def _require_admissible(word: Word, family: WordFamily) -> None:
     if not is_admissible(word, family):
-        raise ValueError(f"word {render_human(word)!r} is not admissible in {family}")
+        raise ValueError(f"word {word!r} is not admissible in {family}")
     for letter in word:
         if letter[0] in ("rho", "phi") and letter[1] is None:
             raise ValueError("word still has unassigned exponents")
@@ -350,6 +360,36 @@ class DifferentialCandidate:
                 f"{render_human(self.target)} {t}")
 
 
+_SPLIT_WORDS = 50_000  # most words the split level of diff_candidates holds
+_WALK_WORDS = 20_000_000  # most length-n words diff_candidates walks
+
+
+def _word_counts(n: int, family: WordFamily, bound: int) -> list[int]:
+    """The number of admissible words of each length 1..n with exponent
+    sum <= bound, i.e. the level sizes of _grow under that bound: a DP
+    over (leading kind, exponent sum) that builds no word."""
+    level = {family.base_letter[0]: [1] + [0] * bound}
+    counts = [1]
+    for _ in range(n - 1):
+        grown: dict[str, list[int]] = {}
+        for right, by_sum in level.items():
+            for kind in _left_kinds(right, family):
+                row = grown.setdefault(kind, [0] * (bound + 1))
+                for s, count in enumerate(by_sum):
+                    for t in range(s, s + 1 if kind == "eps" else bound + 1):
+                        row[t] += count
+        level = grown
+        counts.append(sum(map(sum, level.values())))
+    return counts
+
+
+def _split_length(counts: list[int]) -> int:
+    """The largest length d < n whose level holds at most _SPLIT_WORDS
+    words (1 when none does), for the level sizes counts[0..n-1]."""
+    return max((d for d in range(1, len(counts))
+                if counts[d - 1] <= _SPLIT_WORDS), default=1)
+
+
 def diff_candidates(n: int, p: int, max_degree: int,
                     mode: Literal["raw", "refined"] = "refined"
                     ) -> list[DifferentialCandidate]:
@@ -361,27 +401,102 @@ def diff_candidates(n: int, p: int, max_degree: int,
     phi^k, k >= 1 (a gamma_{p^k} class with k >= 1; the k = 0 columns
     support no differential for degree reasons) and the target to start
     with eps (only primitives can be hit).
+
+    The length-n words are never listed.  _grow builds the words of a
+    split length d < n, the longest level of at most _SPLIT_WORDS words
+    (counted beforehand by _word_counts), and indexes them by total
+    degree.  Each is extended depth-first to length n, and each word so
+    reached is a source w.  The targets of w have total T = |w| - 1 and
+    are solved for, not listed: a letter with |l u| = q (c + h |u|),
+    q = p^k, heads a word of total T only when q | T and h | (T/q - c),
+    and then u has total (T/q - c)/h.  Letters are peeled so down to
+    length d, where the index gives the rest, filtered by leading kind
+    and by the exponent budget still free.  A target's homological
+    degree is q c, set by its leading letter alone, so the drop check
+    reads only that letter.  Memory is the level-d words plus O(n) and
+    the pairs found.  A search whose length-n level, as _word_counts
+    predicts it, holds more than _WALK_WORDS words raises ValueError
+    with that count before any word is built.
     """
     if n < 2:
         raise ValueError("differential search needs word length >= 2")
     if mode not in ("raw", "refined"):
         raise ValueError(f"unknown mode {mode!r}")
+    family = family_b()
     bound = exponent_bound(max_degree, p)
-    elements = _grow(n, family_b(), p, max_degree, lambda _t, s: s <= bound)
-    by_total: dict[int, list[tuple[Word, int, int]]] = {}
-    for v, hv, iv, _s in elements:
-        if mode == "raw" or v[0][0] == "eps":
-            by_total.setdefault(hv + iv, []).append((v, hv, iv))
-    found = []
-    for w, hw, iw, _s in elements:
-        if mode == "refined":
-            first = w[0]
-            if first[0] not in ("rho", "phi") or first[1] < 1:
+    counts = _word_counts(n, family, bound)
+    if counts[-1] > _WALK_WORDS:
+        raise ValueError(
+            f"the search would walk {counts[-1]:,} words of length {n} "
+            f"(limit {_WALK_WORDS:,}); lower the length or the degree bound")
+    split = _split_length(counts)
+    moves = letter_moves(family, p, max_degree)
+    # (c, h, ladder) of each letter kind away from the base letter, and
+    # the kinds that may stand right of each kind
+    letters = {kind: (c, h, ladder) for right in ("eps", "rho", "phi")
+               for kind, c, h, ladder in moves[right]}
+    rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
+                     if kind in _left_kinds(r, family)] for kind in letters}
+    level = _grow(split, family, p, max_degree, lambda _t, s: s <= bound)
+    index: dict[int, list[tuple[Word, str, int]]] = {}
+    for u, hom, internal, s in level:
+        index.setdefault(hom + internal, []).append((u, u[0][0], s))
+    floor = min(index)
+
+    def solve(total: int, leads, budget: int, length: int,
+              cap: float) -> list[Word]:
+        """The words of this length >= split, total degree total,
+        exponent sum <= budget and leading kind in leads whose
+        homological degree is at most cap.  Only a target's head gets a
+        finite cap, and it stands above the split (split < n)."""
+        if length == split:
+            return [u for u, kind, s in index.get(total, ())
+                    if kind in leads and s <= budget]
+        found = []
+        for kind in leads:
+            if kind not in letters:  # the base letter only at length 1
                 continue
-        for v, hv, iv in by_total.get(hw + iw - 1, ()):
-            if hw - hv > 1:
-                found.append(DifferentialCandidate(
-                    w, Bidegree(hw, iw), v, Bidegree(hv, iv)))
+            c, h, ladder = letters[kind]
+            for letter, q, k in ladder:
+                if k > budget or q * c > cap or total % q:
+                    break
+                rest, off = divmod(total // q - c, h)
+                # each letter raises the total by at least one
+                if rest < floor + length - 1 - split:
+                    break
+                if not off:
+                    found += [(letter,) + tail for tail in
+                              solve(rest, rights[kind], budget - k,
+                                    length - 1, inf)]
+        return found
+
+    heads = ("eps",) if mode == "refined" else tuple(letters)
+    # refined sources lead with rho^k or phi^k, k >= 1
+    last = moves if mode == "raw" else {
+        right: [(kind, c, h, ladder[1:]) for kind, c, h, ladder in entries
+                if kind != "eps"] for right, entries in moves.items()}
+    found = []
+
+    def walk(word: Word, total: int, s: int, depth: int) -> None:
+        for kind, c, h, ladder in (moves if depth > 1 else last)[word[0][0]]:
+            for letter, q, k in ladder:
+                if s + k > bound:
+                    break
+                t = q * (c + h * total)
+                if depth > 1:
+                    walk((letter,) + word, t, s + k, depth - 1)
+                    continue
+                hw = q * c
+                if hw < 3:  # every target has homological degree >= 1
+                    continue
+                for v in solve(t - 1, heads, bound, n, hw - 2):
+                    hv = _fold(v, p, family)[0]
+                    found.append(DifferentialCandidate(
+                        (letter,) + word, Bidegree(hw, t - hw),
+                        v, Bidegree(hv, t - 1 - hv)))
+
+    for u, hom, internal, s in level:
+        walk(u, hom + internal, s, n - split)
     found.sort(key=lambda c: (canonical_key(c.source), canonical_key(c.target)))
     return found
 

@@ -132,6 +132,8 @@ USAGE_ERRORS = (
     "verify bar --case poly --m 3 --p 3",
     # -1 used to stand for the default base degree and exit 0
     "words --p 3 --n 2 --family B --base-degree -1 -N 20",
+    # refused on its predicted size, 28,947,240 words, before any is built
+    "diff-search --p 7 --n 18 --max-degree 117649",
 )
 
 

@@ -201,6 +201,20 @@ def test_hh_truncated_p_power_heights_agree_with_words():
     assert s.coeffs == t.coeffs
 
 
+def test_series_entry_points_refuse_non_prime_p():
+    # 4 = 2^2 would otherwise pass as torsion coprime to p = 4
+    for call in (lambda: hh_truncated(2, 4, 1, 6),
+                 lambda: hh_truncated_words(2, 4, 3, 6),
+                 lambda: thh_fp(2, 1, 6), lambda: hh_polynomial(2, 6, 6),
+                 lambda: hh_laurent(2, 9, 6),
+                 lambda: family_series(family_b(), 2, 0, 6),
+                 lambda: hh_group_algebra(GroupSpec(0, (6,)), 2, 4, 6),
+                 lambda: thh_group_algebra(GroupSpec(1), 2, 4, 6),
+                 lambda: hh_poly_gens([], 2, 4, 6)):
+        with pytest.raises(ValueError, match="p must be prime"):
+            call()
+
+
 def test_etale_finite():
     s = etale_finite(4)
     assert s.coeffs == {0: 4}

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hochhom import words
 from hochhom.words import (
     EPS,
     MU,
@@ -28,6 +29,7 @@ from hochhom.words import (
     total_degree,
     verify_powerwords,
 )
+from diff_reference import diff_candidates as listing_candidates
 from word_reference import grid_cases, reference_words
 
 
@@ -236,6 +238,25 @@ def test_inadmissible_rejected():
         assert not is_admissible((bad, X), family_bdoubleprime(3))
 
 
+def test_letter_without_exponent_slot_is_inadmissible():
+    fam = family_b()
+    for word in ((("rho",), EPS, MU), (("phi",), rho(0), EPS, MU),
+                 (EPS, ("rho",), EPS, MU)):
+        assert not is_admissible(word, fam), word
+        with pytest.raises(ValueError, match="not admissible"):
+            bidegree(word, 3, fam)
+
+
+def test_unknown_letter_raises_not_admissible():
+    fam = family_b()
+    for word in ((("nu",), MU), (rho(0), ("nu", 1), MU)):
+        for check in (lambda w: bidegree(w, 3, fam),
+                      lambda w: total_degree(w, 3, fam),
+                      lambda w: classify(w, fam)):
+            with pytest.raises(ValueError, match="not admissible"):
+                check(word)
+
+
 def test_xweight():
     # the weight graded_words reports, and the independent fold
     famp, famm = family_bprime(), family_bdoubleprime(4)
@@ -398,6 +419,65 @@ def test_prepending_a_letter_never_lowers_degree_or_exponent_sum():
                         assert exponent_sum(longer) >= exponent_sum(word)
                         checked += 1
     assert checked > 1000
+
+
+# (p, N, longest n), run in both modes: exponent bounds E = 2..6.  p = 3
+# has its first pairs at n = 9; p = 5 has none this short.
+DIFF_GRID = ((2, 8, 7), (2, 64, 6), (3, 26, 9), (3, 170, 7), (5, 124, 8),
+             (5, 3125, 7))
+
+
+def test_diff_candidates_match_listing_reference_at_every_split(monkeypatch):
+    # every split length d = 1..n-1, forced through the level budget
+    cases = [(p, N, n, mode) for p, N, longest in DIFF_GRID
+             for n in range(2, longest + 1) for mode in ("raw", "refined")]
+    # p = 2 refined: 105 of these 115 targets are eps phi^k ..., which a
+    # solver that only tries rho right of eps (enough for odd p) misses
+    cases.append((2, 64, 7, "refined"))
+    for p, N, n, mode in cases:
+        want = listing_candidates(n, p, N, mode)
+        counts = words._word_counts(n, family_b(), exponent_bound(N, p))
+        splits = set()
+        for budget in {0, *counts[:n - 1]}:
+            monkeypatch.setattr(words, "_SPLIT_WORDS", budget)
+            splits.add(words._split_length(counts))
+            assert diff_candidates(n, p, N, mode) == want, (p, N, n, mode,
+                                                            budget)
+        assert splits == set(range(1, n)), (p, N, n)
+    assert len(want) == 115
+    assert sum(c.target[1][0] == "phi" for c in want) == 105
+
+
+def test_word_counts_match_grown_level_sizes():
+    fam = family_b()
+    for p, N, n in ((2, 64, 9), (3, 170, 11), (5, 3125, 9)):
+        e = exponent_bound(N, p)
+        assert words._word_counts(n, fam, e) == [
+            len(words._grow(length, fam, p, N, lambda _t, s: s <= e))
+            for length in range(1, n + 1)], (p, N)
+    assert words._word_counts(13, fam, 4)[10:] == [16435, 36122, 77645]
+    assert words._word_counts(13, fam, 5)[-1] == 209034
+    assert words._word_counts(17, fam, 6)[-1] == 13343820
+
+
+def test_diff_candidates_refuses_an_oversized_walk_before_walking(
+        monkeypatch):
+    def no_words(*_args):
+        raise AssertionError("the search started building words")
+
+    monkeypatch.setattr(words, "_grow", no_words)
+    with pytest.raises(ValueError, match="28,947,240 words of length 18"):
+        diff_candidates(18, 7, 117649, "refined")
+
+
+def test_refined_search_record_at_p5():
+    # E = 5: empty through length 12, the first pairs at length 2p + 3
+    for n in range(2, 13):
+        assert diff_candidates(n, 5, 3125, "refined") == [], n
+    cands = diff_candidates(13, 5, 3125, "refined")
+    assert len(cands) == 16
+    assert cands[0].key_line() == ("l^1r^0er^0er^0er^0el^0r^0eu(10,750) ---> "
+                                   "er^0er^0er^0el^0r^2er^0eu(1,758): 9")
 
 
 def test_diff_candidates_sorted_deterministically():
