@@ -16,6 +16,8 @@ Everything is computed with exact integer arithmetic; there is no
 floating point anywhere in the homological core.
 """
 
+from types import ModuleType as _ModuleType
+
 from .fplinear import (
     CompositionError,
     SparseFpMatrix,
@@ -81,59 +83,7 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraPresentation",
-    "BarChain",
-    "BarComplex",
-    "Bidegree",
-    "BigradedDims",
-    "CompositionError",
-    "DifferentialCandidate",
-    "EPS",
-    "Generator",
-    "GroupSpec",
-    "MU",
-    "PoincareSeries",
-    "PowerwordReport",
-    "QuasiIsoReport",
-    "SparseFpMatrix",
-    "WordFamily",
-    "X",
-    "bar_homology",
-    "bidegree",
-    "canonical_key",
-    "classify",
-    "diff_candidates",
-    "enumerate_shapes",
-    "enumerate_words",
-    "etale_finite",
-    "exponent_bound",
-    "exterior",
-    "family_b",
-    "family_bdoubleprime",
-    "family_bprime",
-    "family_series",
-    "hh_group_algebra",
-    "hh_laurent",
-    "hh_poly_gens",
-    "hh_polynomial",
-    "hh_truncated",
-    "hh_truncated_words",
-    "homology_dim",
-    "is_admissible",
-    "iterated_tor",
-    "iterated_tor_presentation",
-    "phi",
-    "polynomial",
-    "presentation_dims",
-    "render_human",
-    "render_key",
-    "rho",
-    "thh_fp",
-    "thh_group_algebra",
-    "tor_presentation",
-    "total_degree",
-    "truncated",
-    "verify_powerwords",
-    "verify_quasi_iso",
-]
+# every public name imported above, so the list cannot go stale
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

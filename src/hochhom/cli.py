@@ -93,15 +93,18 @@ def _cmd_diff_search(args) -> Report:
               ("max_degree", args.max_degree), ("mode", args.mode),
               ("exponent_bound", words.exponent_bound(args.max_degree, args.p)),
               ("seed", args.seed), ("candidates", len(cands))]
+    # each word is rendered once, however many pairs it stands in
+    key = functools.cache(words.render_key)
+    human = functools.cache(words.render_human)
     lines = [line for c in cands
-             for line in (c.key_line(), f"#   {c.human_line()}")]
+             for line in (c.key_line(key), f"#   {c.human_line(human)}")]
     records = [{
-        "source_key": words.render_key(c.source),
-        "source_human": words.render_human(c.source),
+        "source_key": key(c.source),
+        "source_human": human(c.source),
         "source_hom": c.source_bidegree.hom,
         "source_internal": c.source_bidegree.internal,
-        "target_key": words.render_key(c.target),
-        "target_human": words.render_human(c.target),
+        "target_key": key(c.target),
+        "target_human": human(c.target),
         "target_hom": c.target_bidegree.hom,
         "target_internal": c.target_bidegree.internal,
         "drop": c.drop,

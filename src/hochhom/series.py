@@ -13,6 +13,7 @@ polynomial for the p-part, etale (degree 0) for torsion coprime to p.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mul, sub
@@ -119,9 +120,9 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
     """Multiply the dense list in place by the factor of every length-n
     word of the family, up to the list's last degree.
 
-    The words are counted, not built: a DP over (leading letter kind,
-    total degree) prepends one letter per level by W.letter_moves and
-    drops degrees past the bound.  A word of degree d leading with eps
+    The words are counted, not built: counts by (leading letter kind,
+    total degree) grow a letter per level through W._levels, dropping
+    degrees past the bound.  A word of degree d leading with eps
     gives an exterior factor 1 + t^d, one leading with rho^k or phi^k a
     height-p truncated factor, the bare free base letter mu 1/(1 - t^d).
     The bare base letter x of B'/B'' belongs to the base ring and carries
@@ -130,20 +131,20 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
     if n < 1:
         raise ValueError("word length must be >= 1")
     max_degree = len(coeffs) - 1
-    moves = W.letter_moves(family, p, max_degree)
-    level = {family.base_letter[0]: {family.base_degree: 1}}
-    for _ in range(n - 1):
-        grown: dict[str, dict[int, int]] = {}
-        for right, counts in level.items():
-            for kind, c, h, ladder in moves[right]:
-                out = grown.setdefault(kind, {})
-                for d, count in counts.items():
-                    for _letter, q, _k in ladder:
-                        t = q * (c + h * d)
-                        if t > max_degree:
-                            break
-                        out[t] = out.get(t, 0) + count
-        level = grown
+
+    def images(c, h, ladder, counts):
+        out: dict[int, int] = {}
+        for d, count in counts.items():
+            for _letter, q, _k in ladder:
+                t = q * (c + h * d)
+                if t > max_degree:
+                    break
+                out[t] = out.get(t, 0) + count
+        return [out]
+
+    level = W._levels(n, family, W.letter_moves(family, p, max_degree),
+                      {family.base_degree: 1}, images,
+                      lambda parts: sum(map(Counter, parts), Counter()))[-1]
     for kind, counts in level.items():
         for d, count in counts.items():
             if kind == "mu":  # n = 1: the bare free base letter alone

@@ -31,19 +31,22 @@ and the exponent sum as each letter is prepended.  Neither ever drops,
 so a bound on either stops a word together with every longer word that
 ends in it, and no word is built only to be thrown away.
 enumerate_words bounds the total degree.  diff_candidates bounds the
-exponent sum but never lists its length-n words: it grows them only to
-a split length whose level fits a fixed budget, walks the sources past
-it depth-first and solves for each source's targets back down to it.
-A DP over (leading kind, exponent sum) counts the words of every length
-without building them; it picks the split length and refuses a search
-too large to walk.  A separate scalar recursion for |w| (total_degree)
-is kept as an independent cross-check of the fold.
+exponent sum but builds no word of length n: one level step (_levels)
+counts the words of each length by (leading kind, exponent sum), to
+refuse a search too large, and tables the sorted totals by leading kind
+below length n; the search intersects streams of length-n totals and
+solves only the hits back into words.  A separate scalar recursion for
+|w| (total_degree) is kept as an independent cross-check of the fold.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import inf
+from functools import cache
+from heapq import merge
+from operator import itemgetter
 from typing import Callable, Literal, Optional
 
 from .fplinear import _is_prime
@@ -349,45 +352,94 @@ class DifferentialCandidate:
     def drop(self) -> int:
         return self.source_bidegree.hom - self.target_bidegree.hom
 
-    def key_line(self) -> str:
+    def key_line(self, render: Callable[[Word], str] = render_key) -> str:
         s, t = self.source_bidegree, self.target_bidegree
-        return (f"{render_key(self.source)}({s.hom},{s.internal}) ---> "
-                f"{render_key(self.target)}({t.hom},{t.internal}): {self.drop}")
+        return (f"{render(self.source)}({s.hom},{s.internal}) ---> "
+                f"{render(self.target)}({t.hom},{t.internal}): {self.drop}")
 
-    def human_line(self) -> str:
+    def human_line(self, render: Callable[[Word], str] = render_human) -> str:
         s, t = self.source_bidegree, self.target_bidegree
-        return (f"{render_human(self.source)} {s} ---> "
-                f"{render_human(self.target)} {t}")
+        return f"{render(self.source)} {s} ---> {render(self.target)} {t}"
 
 
-_SPLIT_WORDS = 50_000  # most words the split level of diff_candidates holds
-_WALK_WORDS = 20_000_000  # most length-n words diff_candidates walks
+_MAX_WORDS = 20_000_000  # most length-n words diff_candidates searches
 
 
-def _word_counts(n: int, family: WordFamily, bound: int) -> list[int]:
-    """The number of admissible words of each length 1..n with exponent
-    sum <= bound, i.e. the level sizes of _grow under that bound: a DP
-    over (leading kind, exponent sum) that builds no word."""
-    level = {family.base_letter[0]: [1] + [0] * bound}
-    counts = [1]
+def _levels(n: int, family: WordFamily, moves: dict, first, images, join):
+    """A list of tables by leading kind for word lengths 1..n: the base
+    letter's is first, and a longer kind's table joins the parts
+    images(c, h, ladder, table) of every table one shorter that moves
+    lets a letter of that kind stand left of."""
+    levels = [{family.base_letter[0]: first}]
     for _ in range(n - 1):
-        grown: dict[str, list[int]] = {}
-        for right, by_sum in level.items():
-            for kind in _left_kinds(right, family):
-                row = grown.setdefault(kind, [0] * (bound + 1))
-                for s, count in enumerate(by_sum):
-                    for t in range(s, s + 1 if kind == "eps" else bound + 1):
-                        row[t] += count
-        level = grown
-        counts.append(sum(map(sum, level.values())))
-    return counts
+        parts: dict[str, list] = {}
+        for right, table in levels[-1].items():
+            for kind, c, h, ladder in moves[right]:
+                parts.setdefault(kind, []).extend(images(c, h, ladder, table))
+        levels.append({kind: join(ps) for kind, ps in parts.items()})
+    return levels
 
 
-def _split_length(counts: list[int]) -> int:
-    """The largest length d < n whose level holds at most _SPLIT_WORDS
-    words (1 when none does), for the level sizes counts[0..n-1]."""
-    return max((d for d in range(1, len(counts))
-                if counts[d - 1] <= _SPLIT_WORDS), default=1)
+def _word_counts(n: int, family: WordFamily, p: int,
+                 max_degree: int) -> list[int]:
+    """The number of admissible words of each length 1..n with exponent
+    sum <= E, p^E <= max_degree (the level sizes of _grow under that
+    bound), from counts by (leading kind, exponent sum): no word is built."""
+    def images(_c, _h, ladder, by_sum):  # a letter adds its exponent k
+        return [[0] * k + by_sum[:len(by_sum) - k] for _l, _q, k in ladder]
+
+    levels = _levels(n, family, letter_moves(family, p, max_degree),
+                     [1] + [0] * exponent_bound(max_degree, p), images,
+                     lambda parts: [sum(col) for col in zip(*parts)])
+    return [sum(map(sum, level.values())) for level in levels]
+
+
+def _image(table, a: int, b: int, k: int, bound: int):
+    """The entries (t, s) of a sorted table with s + k <= bound, sent to
+    (a + b t, s + k): increasing, since b > 0."""
+    budget = bound - k
+    return ((a + b * t, s + k) for t, s in zip(*table) if s <= budget)
+
+
+def _total_tables(n: int, family: WordFamily, moves: dict,
+                  bound: int) -> list[dict]:
+    """For each length 1..n and leading kind, the sorted totals of the
+    words with exponent sum <= bound, each with its least such sum, as
+    (totals, sums): a merge of every letter's image of the tables one
+    shorter.  Totals sit in a 64-bit array until one passes 2^64 - 1, the
+    rest in a list; sums in bytes while the bound fits in one."""
+    def join(parts):
+        totals, last = array("Q"), None
+        sums = array("B") if bound < 256 else []
+        for t, s in merge(*parts):
+            if t != last:
+                try:
+                    totals.append(t)
+                except OverflowError:
+                    totals = [*totals, t]
+                sums.append(s)
+                last = t
+        return totals, sums
+
+    return _levels(n, family, moves, ([family.base_degree], [0]),
+                   lambda c, h, ladder, table: [
+                       _image(table, q * c, q * h, k, bound)
+                       for _l, q, k in ladder], join)
+
+
+def _hits(sources, targets) -> list[int]:
+    """The totals t of the increasing stream sources with t - 1 in the
+    increasing stream targets, once each, by two pointers."""
+    found, targets = [], iter(targets)
+    v = next(targets, None)
+    for t in sources:
+        while v is not None and v < t - 1:
+            v = next(targets, None)
+        if v is None:
+            break
+        if v == t - 1 and (not found or found[-1] != t):
+            found.append(t)
+    return found
 
 
 def diff_candidates(n: int, p: int, max_degree: int,
@@ -402,102 +454,96 @@ def diff_candidates(n: int, p: int, max_degree: int,
     support no differential for degree reasons) and the target to start
     with eps (only primitives can be hit).
 
-    The length-n words are never listed.  _grow builds the words of a
-    split length d < n, the longest level of at most _SPLIT_WORDS words
-    (counted beforehand by _word_counts), and indexes them by total
-    degree.  Each is extended depth-first to length n, and each word so
-    reached is a source w.  The targets of w have total T = |w| - 1 and
-    are solved for, not listed: a letter with |l u| = q (c + h |u|),
-    q = p^k, heads a word of total T only when q | T and h | (T/q - c),
-    and then u has total (T/q - c)/h.  Letters are peeled so down to
-    length d, where the index gives the rest, filtered by leading kind
-    and by the exponent budget still free.  A target's homological
-    degree is q c, set by its leading letter alone, so the drop check
-    reads only that letter.  Memory is the level-d words plus O(n) and
-    the pairs found.  A search whose length-n level, as _word_counts
-    predicts it, holds more than _WALK_WORDS words raises ValueError
-    with that count before any word is built.
+    The length-n words are never listed.  A letter l (q = p^k, 1 for
+    eps) gives l u homological degree q c and total q (c + h |u|), so a
+    head letter fixes the homological degree of the length-n words it
+    leads, and their totals are the increasing image of the length n - 1
+    tables of _total_tables.  A source has homological degree >= 3, so
+    q = p^k with k >= 1 and p divides its total; only a head with q = 1
+    (refined: eps; raw: eps, rho^0, phi^0, two degrees lower) reaches a
+    total one lower.  Two pointers meet the merged stream of the source
+    heads that aim at the same targets with the targets' stream.  Each
+    side of a hit is solved back to length 1: a letter heads a word of
+    total T only when q | T and h | (T/q - c), the rest having total
+    (T/q - c)/h, and a peel is taken only when the tables hold that total
+    with a least sum inside the budget left, so every branch yields a
+    word.  Memory is the tables below length n and the pairs.  A search
+    whose length-n level (_word_counts) holds more than _MAX_WORDS words
+    raises ValueError with that count before any table is built.
     """
     if n < 2:
         raise ValueError("differential search needs word length >= 2")
     if mode not in ("raw", "refined"):
         raise ValueError(f"unknown mode {mode!r}")
     family = family_b()
-    bound = exponent_bound(max_degree, p)
-    counts = _word_counts(n, family, bound)
-    if counts[-1] > _WALK_WORDS:
+    size = _word_counts(n, family, p, max_degree)[-1]
+    if size > _MAX_WORDS:
         raise ValueError(
-            f"the search would walk {counts[-1]:,} words of length {n} "
-            f"(limit {_WALK_WORDS:,}); lower the length or the degree bound")
-    split = _split_length(counts)
+            f"the search would span {size:,} words of length {n} "
+            f"(limit {_MAX_WORDS:,}); lower the length or the degree bound")
+    bound = exponent_bound(max_degree, p)
     moves = letter_moves(family, p, max_degree)
-    # (c, h, ladder) of each letter kind away from the base letter, and
-    # the kinds that may stand right of each kind
+    tables = _total_tables(n - 1, family, moves, bound)
+    # (c, h, ladder) of each non-base letter kind; the kinds right of it
     letters = {kind: (c, h, ladder) for right in ("eps", "rho", "phi")
                for kind, c, h, ladder in moves[right]}
     rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
                      if kind in _left_kinds(r, family)] for kind in letters}
-    level = _grow(split, family, p, max_degree, lambda _t, s: s <= bound)
-    index: dict[int, list[tuple[Word, str, int]]] = {}
-    for u, hom, internal, s in level:
-        index.setdefault(hom + internal, []).append((u, u[0][0], s))
-    floor = min(index)
 
-    def solve(total: int, leads, budget: int, length: int,
-              cap: float) -> list[Word]:
-        """The words of this length >= split, total degree total,
-        exponent sum <= budget and leading kind in leads whose
-        homological degree is at most cap.  Only a target's head gets a
-        finite cap, and it stands above the split (split < n)."""
-        if length == split:
-            return [u for u, kind, s in index.get(total, ())
-                    if kind in leads and s <= budget]
+    @cache
+    def solve(total: int, kind: str, budget: int, length: int,
+              ladder: Optional[tuple] = None) -> list[Word]:
+        """The words of this length, total degree total and exponent sum
+        <= budget that lead with a letter of this kind (of ladder, if
+        given)."""
+        if length == 1:
+            return [(family.base_letter,)]
+        c, h, full = letters[kind]
         found = []
-        for kind in leads:
-            if kind not in letters:  # the base letter only at length 1
-                continue
-            c, h, ladder = letters[kind]
-            for letter, q, k in ladder:
-                if k > budget or q * c > cap or total % q:
-                    break
-                rest, off = divmod(total // q - c, h)
-                # each letter raises the total by at least one
-                if rest < floor + length - 1 - split:
-                    break
-                if not off:
-                    found += [(letter,) + tail for tail in
-                              solve(rest, rights[kind], budget - k,
-                                    length - 1, inf)]
+        for letter, q, k in ladder or full:
+            if k > budget or total % q:
+                break
+            rest, off = divmod(total // q - c, h)
+            for right in rights[kind]:
+                totals, sums = tables[length - 2].get(right, ((), ()))
+                i = bisect_left(totals, rest)
+                if (not off and i < len(totals) and totals[i] == rest
+                        and sums[i] <= budget - k):
+                    found += [(letter,) + u for u in
+                              solve(rest, right, budget - k, length - 1)]
         return found
 
-    heads = ("eps",) if mode == "refined" else tuple(letters)
-    # refined sources lead with rho^k or phi^k, k >= 1
-    last = moves if mode == "raw" else {
-        right: [(kind, c, h, ladder[1:]) for kind, c, h, ladder in entries
-                if kind != "eps"] for right, entries in moves.items()}
+    # every letter as a head of length-n words: (kind, letter, q, k, hom)
+    heads = [(kind, letter, q, k, q * letters[kind][0]) for kind in letters
+             for letter, q, k in letters[kind][2]]
+
+    def stream(group):  # the totals that heads of group lead, repeats kept
+        return map(itemgetter(0), merge(*(
+            _image(tables[-1][r], q * letters[kind][0],
+                   q * letters[kind][1], k, bound)
+            for kind, _l, q, k, _hom in group for r in rights[kind]
+            if r in tables[-1])))
+
+    # targets one total below a multiple of p: their heads have q = 1
+    aims = [(kind, letter, q, k, hom) for kind, letter, q, k, hom in heads
+            if q == 1 and (mode == "raw" or kind == "eps")]
+    groups: dict[tuple, list] = {}  # source heads by the heads they may hit
+    for head in heads:
+        if head[4] >= 3:
+            groups.setdefault(tuple(v for v in aims if v[4] <= head[4] - 2),
+                              []).append(head)
     found = []
-
-    def walk(word: Word, total: int, s: int, depth: int) -> None:
-        for kind, c, h, ladder in (moves if depth > 1 else last)[word[0][0]]:
-            for letter, q, k in ladder:
-                if s + k > bound:
-                    break
-                t = q * (c + h * total)
-                if depth > 1:
-                    walk((letter,) + word, t, s + k, depth - 1)
-                    continue
-                hw = q * c
-                if hw < 3:  # every target has homological degree >= 1
-                    continue
-                for v in solve(t - 1, heads, bound, n, hw - 2):
-                    hv = _fold(v, p, family)[0]
-                    found.append(DifferentialCandidate(
-                        (letter,) + word, Bidegree(hw, t - hw),
-                        v, Bidegree(hv, t - 1 - hv)))
-
-    for u, hom, internal, s in level:
-        walk(u, hom + internal, s, n - split)
-    found.sort(key=lambda c: (canonical_key(c.source), canonical_key(c.target)))
+    for targets, sources in groups.items():
+        for t in _hits(stream(sources), stream(targets)):
+            hit = [(v, hom) for kind, letter, q, k, hom in targets
+                   for v in solve(t - 1, kind, bound, n, ((letter, q, k),))]
+            for kind, letter, q, k, hom in sources:
+                found += [DifferentialCandidate(
+                    w, Bidegree(hom, t - hom), v, Bidegree(hv, t - 1 - hv))
+                    for w in solve(t, kind, bound, n, ((letter, q, k),))
+                    for v, hv in hit]
+    order = cache(canonical_key)
+    found.sort(key=lambda c: (order(c.source), order(c.target)))
     return found
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hochhom import words
+from hochhom import series, words
 from hochhom.words import (
     EPS,
     MU,
@@ -427,8 +427,7 @@ DIFF_GRID = ((2, 8, 7), (2, 64, 6), (3, 26, 9), (3, 170, 7), (5, 124, 8),
              (5, 3125, 7))
 
 
-def test_diff_candidates_match_listing_reference_at_every_split(monkeypatch):
-    # every split length d = 1..n-1, forced through the level budget
+def test_diff_candidates_match_listing_reference():
     cases = [(p, N, n, mode) for p, N, longest in DIFF_GRID
              for n in range(2, longest + 1) for mode in ("raw", "refined")]
     # p = 2 refined: 105 of these 115 targets are eps phi^k ..., which a
@@ -436,38 +435,57 @@ def test_diff_candidates_match_listing_reference_at_every_split(monkeypatch):
     cases.append((2, 64, 7, "refined"))
     for p, N, n, mode in cases:
         want = listing_candidates(n, p, N, mode)
-        counts = words._word_counts(n, family_b(), exponent_bound(N, p))
-        splits = set()
-        for budget in {0, *counts[:n - 1]}:
-            monkeypatch.setattr(words, "_SPLIT_WORDS", budget)
-            splits.add(words._split_length(counts))
-            assert diff_candidates(n, p, N, mode) == want, (p, N, n, mode,
-                                                            budget)
-        assert splits == set(range(1, n)), (p, N, n)
+        assert diff_candidates(n, p, N, mode) == want, (p, N, n, mode)
     assert len(want) == 115
     assert sum(c.target[1][0] == "phi" for c in want) == 105
+
+
+def test_diff_candidates_keep_totals_past_64_bits():
+    # at p = 2^31 - 1, N = p^2 the totals of length 5 pass 2^64 - 1 and
+    # are held in lists, never truncated; E = 300 passes a byte's sums
+    big = 2 ** 31 - 1
+    for p, N, n in ((big, big ** 2, 5), (big, big ** 2, 6), (2, 2 ** 300, 4)):
+        for mode in ("raw", "refined"):
+            assert diff_candidates(n, p, N, mode) == \
+                listing_candidates(n, p, N, mode), (p, N, n, mode)
+    tables = words._total_tables(5, family_b(), words.letter_moves(
+        family_b(), big, big ** 2), 2)
+    assert max(tables[-1]["phi"][0]) >= 2 ** 64
 
 
 def test_word_counts_match_grown_level_sizes():
     fam = family_b()
     for p, N, n in ((2, 64, 9), (3, 170, 11), (5, 3125, 9)):
         e = exponent_bound(N, p)
-        assert words._word_counts(n, fam, e) == [
+        assert words._word_counts(n, fam, p, N) == [
             len(words._grow(length, fam, p, N, lambda _t, s: s <= e))
             for length in range(1, n + 1)], (p, N)
-    assert words._word_counts(13, fam, 4)[10:] == [16435, 36122, 77645]
-    assert words._word_counts(13, fam, 5)[-1] == 209034
-    assert words._word_counts(17, fam, 6)[-1] == 13343820
+    assert words._word_counts(13, fam, 3, 170)[10:] == [16435, 36122, 77645]
+    assert words._word_counts(13, fam, 5, 3125)[-1] == 209034
+    assert words._word_counts(17, fam, 7, 117649)[-1] == 13343820
 
 
-def test_diff_candidates_refuses_an_oversized_walk_before_walking(
+def test_diff_candidates_refuses_an_oversized_search_before_building(
         monkeypatch):
-    def no_words(*_args):
-        raise AssertionError("the search started building words")
+    def no_tables(*_args):
+        raise AssertionError("the search started building its tables")
 
-    monkeypatch.setattr(words, "_grow", no_words)
+    monkeypatch.setattr(words, "_total_tables", no_tables)
     with pytest.raises(ValueError, match="28,947,240 words of length 18"):
         diff_candidates(18, 7, 117649, "refined")
+
+
+def test_first_refined_pairs_where_the_proved_collapse_ends():
+    # odd p: the collapse is proved for n <= 2p + 2 and the first refined
+    # pairs stand at 2p + 3.  p = 2: "proved" stops at n = 3, but the
+    # first pairs stand at 6; that bound rests on another argument.
+    for p, N, first_pairs, first_open in ((3, 729, 9, 9), (5, 625, 13, 13),
+                                          (2, 64, 6, 4)):
+        assert next(n for n in range(2, first_pairs + 1)
+                    if diff_candidates(n, p, N, "refined")) == first_pairs
+        assert next(n for n in range(1, first_pairs + 1)
+                    if series.thh_fp(n, p, 1).validity != "proved") \
+            == first_open, p
 
 
 def test_refined_search_record_at_p5():
