@@ -20,7 +20,6 @@ from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from . import words as W
-from .fplinear import _is_prime
 
 
 @dataclass(frozen=True)
@@ -128,15 +127,13 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
     The bare base letter x of B'/B'' belongs to the base ring and carries
     no factor here.  The c words sharing a class and a degree enter the
     list at once, as the c-th power of their factor."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
     max_degree = len(coeffs) - 1
 
-    def images(c, h, ladder, counts):
+    def images(ladder, counts):
         out: dict[int, int] = {}
         for d, count in counts.items():
-            for _letter, q, _k in ladder:
-                t = q * (c + h * d)
+            for _letter, a, b, _k in ladder:
+                t = a + b * d
                 if t > max_degree:
                     break
                 out[t] = out.get(t, 0) + count
@@ -154,16 +151,10 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
                 _times(coeffs, d, _height_power(height, count, max_degree // d))
 
 
-def _require_prime(p: int) -> None:
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
 def family_series(family: W.WordFamily, n: int, p: int,
                   max_degree: int) -> PoincareSeries:
     """Poincare series of the algebra generated by the length-n words:
     the product of their factors (see _words_times)."""
-    _require_prime(p)
     coeffs = [1] + [0] * max_degree
     _words_times(coeffs, family, n, p)
     if coeffs[0] != 1:
@@ -328,7 +319,7 @@ def hh_group_algebra(group: GroupSpec, n: int, p: int,
     the recorded base ring: each Z gives a Laurent factor, each p-power
     torsion factor a truncated polynomial factor, torsion coprime to p an
     etale factor in degree 0."""
-    _require_prime(p)
+    W._require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_degree < 0:
@@ -354,7 +345,7 @@ def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
     """Order-n Hochschild homology series of a polynomial ring on
     generators of the given internal degrees, F_p-dimensions including
     the free base factors 1/(1 - t^d)."""
-    _require_prime(p)
+    W._require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
     if p != 2 and any(d % 2 for d in gen_degrees):

@@ -23,20 +23,22 @@ Bidegrees (homological, internal) follow the recursion
     ||rho^k w|| = p^k (1, |w|),
     ||phi^k w|| = p^k (2, p |w|),   but p^k (2, m |x|) directly on x,
 
-where |w| is total degree: a letter acts as q (c, h |w|), q = p^k (1 for
-eps), and the x-weight (1 on x, 0 on mu) scales by the same q h; _fold
-carries all three.  Word lists come from one generator, _grow, that
-grows words right to left from the base letter, folding the bidegree
-and the exponent sum as each letter is prepended.  Neither ever drops,
-so a bound on either stops a word together with every longer word that
-ends in it, and no word is built only to be thrown away.
-enumerate_words bounds the total degree.  diff_candidates bounds the
-exponent sum but builds no word of length n: one level step (_levels)
-counts the words of each length by (leading kind, exponent sum), to
-refuse a search too large, and tables the sorted totals by leading kind
-below length n; the search intersects streams of length-n totals and
-solves only the hits back into words.  A separate scalar recursion for
-|w| (total_degree) is kept as an independent cross-check of the fold.
+where |w| is total degree: a letter acts as (a, b |w|) with a = q c,
+b = q h, q = p^k (1 for eps), and the x-weight (1 on x, 0 on mu) scales
+by the same b.  _action states this rule once; _fold and letter_moves
+read it.  One level step (_levels) prepends letters: it maps the tables
+of one word length, by leading kind, to those one letter longer.  Neither
+the total degree nor the exponent sum ever drops as a letter is
+prepended, so a bound on either stops a word together with every longer
+word that ends in it, and no word is built only to be thrown away.  The
+word listings (enumerate_words, graded_words, verify_powerwords) bound
+the total degree.  diff_candidates bounds the exponent sum but builds no
+word of length n: the same step counts the words of each length by
+(leading kind, exponent sum), to refuse a search too large, and tables
+the sorted totals by leading kind below length n; the search intersects
+streams of length-n totals and solves only the hits back into words.  A
+separate scalar recursion for |w| (total_degree) is kept as an
+independent cross-check of the fold.
 """
 
 from __future__ import annotations
@@ -177,61 +179,47 @@ def enumerate_shapes(n: int, family: WordFamily) -> list[Word]:
     return sorted(words, key=canonical_key)
 
 
+def _require_prime(p: int) -> None:
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def exponent_bound(max_degree: int, p: int) -> int:
-    """Largest E with p^E <= max_degree, computed in exact integers."""
-    if max_degree < 1:
-        raise ValueError("degree bound must be >= 1")
-    e, q = 0, p
+    """Largest E with p^E <= max_degree in exact integers, -1 for 0 (no
+    letter fits); every listing and count starts here, so p must be prime."""
+    _require_prime(p)
+    if max_degree < 0:
+        raise ValueError("degree bound must be >= 0")
+    e, q = -1, 1
     while q <= max_degree:
         e += 1
         q *= p
     return e
 
 
-def _scales(kind: str, right: str, family: WordFamily, p: int) -> tuple[int, int]:
-    """(c, h) with ||letter w|| = q (c, h |w|), q = p^k (1 for eps), for a
-    letter of this kind left of a letter of kind right."""
-    if kind == "phi":
-        return 2, (family.m if right == "x" else p)
-    return 1, 1
+def _action(letter: Letter, right_kind: str, family: WordFamily,
+            p: int) -> tuple[int, int]:
+    """(a, b) with ||letter w|| = (a, b |w|) for a word w that leads with a
+    letter of kind right_kind: a = q c, b = q h with q = p^k (1 for eps),
+    (c, h) = (2, p) for phi, (2, m) for phi directly on x, else (1, 1)."""
+    q = p ** letter[1] if letter[0] != "eps" else 1
+    if letter[0] == "phi":
+        return 2 * q, q * (family.m if right_kind == "x" else p)
+    return q, q
 
 
 def letter_moves(family: WordFamily, p: int, max_degree: int) -> dict:
     """For each kind of leftmost letter, the letters allowed to its left,
-    as (kind, c, h, [(letter, q, k), ...]) with q = p^k, k <= E for
-    p^E <= max_degree (no word past the bound has a larger exponent).
-    One letter tuple serves every word."""
+    by kind, as (kind, [(letter, a, b, k), ...]): (a, b) from _action, k
+    the exponent (0 for eps), k <= E for p^E <= max_degree (no word past
+    the bound has a larger one).  One letter tuple serves every word."""
     e = exponent_bound(max_degree, p)
-    ladders = {"eps": [(EPS, 1, 0)],
-               "rho": [(rho(k), p ** k, k) for k in range(e + 1)],
-               "phi": [(phi(k), p ** k, k) for k in range(e + 1)]}
-    return {right: [(kind, *_scales(kind, right, family, p), ladders[kind])
+    ladders = {"eps": [(EPS, 0)], "rho": [(rho(k), k) for k in range(e + 1)],
+               "phi": [(phi(k), k) for k in range(e + 1)]}
+    return {right: [(kind, [(letter, *_action(letter, right, family, p), k)
+                            for letter, k in ladders[kind]])
                     for kind in _left_kinds(right, family)]
             for right in ("mu", "x", "eps", "rho", "phi")}
-
-
-def _grow(n: int, family: WordFamily, p: int, max_degree: int,
-          within: Callable[[int, int], bool]) -> list[tuple[Word, int, int, int]]:
-    """Every admissible length-n word w with within(|w|, exponent sum)
-    true, as (w, hom, internal, exponent sum).  within must be monotone:
-    false stays false as either argument grows."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    moves = letter_moves(family, p, max_degree)
-    level = []
-    if within(family.base_degree, 0):
-        level.append(((family.base_letter,), 0, family.base_degree, 0))
-    for _ in range(n - 1):
-        grown = []
-        for word, hom, internal, s in level:
-            total = hom + internal
-            for _kind, c, h, ladder in moves[word[0][0]]:
-                for letter, q, k in ladder:
-                    if not within(q * (c + h * total), s + k):
-                        break
-                    grown.append(((letter,) + word, q * c, q * h * total, s + k))
-        level = grown
-    return level
 
 
 def total_degree(word: Word, p: int, family: WordFamily) -> int:
@@ -260,13 +248,12 @@ def bidegree(word: Word, p: int, family: WordFamily) -> Bidegree:
 
 def _fold(word: Word, p: int, family: WordFamily) -> tuple[int, int, int]:
     """(hom, internal, x-weight) of an admissible word; right to left, a
-    letter sends them to q (c, h (hom + internal), h weight)."""
+    letter acting as (a, b) sends them to (a, b (hom + internal), b weight)."""
     hom, internal = 0, family.base_degree
     weight = 0 if family.kind == "B" else 1
     for letter, right in zip(word[-2::-1], word[::-1]):
-        c, h = _scales(letter[0], right[0], family, p)
-        q = p ** letter[1] if letter[0] != "eps" else 1
-        hom, internal, weight = q * c, q * h * (hom + internal), q * h * weight
+        a, b = _action(letter, right[0], family, p)
+        hom, internal, weight = a, b * (hom + internal), b * weight
     return hom, internal, weight
 
 
@@ -278,22 +265,44 @@ def _require_admissible(word: Word, family: WordFamily) -> None:
             raise ValueError("word still has unassigned exponents")
 
 
+def _graded_levels(n: int, family: WordFamily, p: int, max_degree: int
+                   ) -> list[list[tuple[Word, int, int, int]]]:
+    """The admissible words of each length 1..n with total degree <=
+    max_degree, as (word, hom, total, x-weight), by the level step."""
+    def images(ladder, table):  # a letter (a, b): t -> a + b t
+        image = []
+        for word, _hom, total, weight in table:
+            for letter, a, b, _k in ladder:
+                t = a + b * total
+                if t > max_degree:
+                    break
+                image.append(((letter,) + word, a, t, b * weight))
+        return [image]
+
+    base = (family.base_letter,)
+    _hom, total, weight = _fold(base, p, family)
+    levels = _levels(n, family, letter_moves(family, p, max_degree),
+                     [(base, 0, total, weight)] if total <= max_degree else [],
+                     images, lambda parts: [e for part in parts for e in part])
+    return [[e for table in level.values() for e in table] for level in levels]
+
+
 def enumerate_words(n: int, family: WordFamily, p: int,
                     max_total_degree: int) -> list[Word]:
     """Every admissible length-n word of total degree <= the bound, once,
     in canonical order."""
-    grown = _grow(n, family, p, max_total_degree,
-                  lambda total, _s: total <= max_total_degree)
-    return sorted((word for word, *_ in grown), key=canonical_key)
+    level = _graded_levels(n, family, p, max_total_degree)[-1]
+    return sorted((e[0] for e in level), key=canonical_key)
 
 
 def graded_words(n: int, family: WordFamily, p: int, max_total_degree: int
                  ) -> list[tuple[Word, Bidegree, int, str]]:
     """The words of enumerate_words, in order, with bidegree, x-weight and
     class; they are admissible by construction, so nothing is re-checked."""
-    return [(word, Bidegree(hom, internal), weight, _classify(word, family))
-            for word in enumerate_words(n, family, p, max_total_degree)
-            for hom, internal, weight in (_fold(word, p, family),)]
+    level = _graded_levels(n, family, p, max_total_degree)[-1]
+    return [(word, Bidegree(hom, total - hom), weight, _classify(word, family))
+            for word, hom, total, weight in
+            sorted(level, key=lambda e: canonical_key(e[0]))]
 
 
 def classify(word: Word, family: WordFamily) -> str:
@@ -366,30 +375,31 @@ _MAX_WORDS = 20_000_000  # most length-n words diff_candidates searches
 
 
 def _levels(n: int, family: WordFamily, moves: dict, first, images, join):
-    """A list of tables by leading kind for word lengths 1..n: the base
-    letter's is first, and a longer kind's table joins the parts
-    images(c, h, ladder, table) of every table one shorter that moves
-    lets a letter of that kind stand left of."""
+    """A list of tables by leading kind for word lengths 1..n, the one step
+    that prepends letters: the base letter's table is first, and a longer
+    kind's table joins the parts images(ladder, table) of every table one
+    shorter that moves lets that kind's ladder stand left of."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
     levels = [{family.base_letter[0]: first}]
     for _ in range(n - 1):
         parts: dict[str, list] = {}
         for right, table in levels[-1].items():
-            for kind, c, h, ladder in moves[right]:
-                parts.setdefault(kind, []).extend(images(c, h, ladder, table))
+            for kind, ladder in moves[right]:
+                parts.setdefault(kind, []).extend(images(ladder, table))
         levels.append({kind: join(ps) for kind, ps in parts.items()})
     return levels
 
 
-def _word_counts(n: int, family: WordFamily, p: int,
-                 max_degree: int) -> list[int]:
+def _word_counts(n: int, family: WordFamily, moves: dict,
+                 bound: int) -> list[int]:
     """The number of admissible words of each length 1..n with exponent
-    sum <= E, p^E <= max_degree (the level sizes of _grow under that
-    bound), from counts by (leading kind, exponent sum): no word is built."""
-    def images(_c, _h, ladder, by_sum):  # a letter adds its exponent k
-        return [[0] * k + by_sum[:len(by_sum) - k] for _l, _q, k in ladder]
+    sum <= bound, from counts by (leading kind, exponent sum): no word is
+    built."""
+    def images(ladder, by_sum):  # a letter adds its exponent k
+        return [[0] * k + by_sum[:len(by_sum) - k] for _l, _a, _b, k in ladder]
 
-    levels = _levels(n, family, letter_moves(family, p, max_degree),
-                     [1] + [0] * exponent_bound(max_degree, p), images,
+    levels = _levels(n, family, moves, [1] + [0] * bound, images,
                      lambda parts: [sum(col) for col in zip(*parts)])
     return [sum(map(sum, level.values())) for level in levels]
 
@@ -422,9 +432,8 @@ def _total_tables(n: int, family: WordFamily, moves: dict,
         return totals, sums
 
     return _levels(n, family, moves, ([family.base_degree], [0]),
-                   lambda c, h, ladder, table: [
-                       _image(table, q * c, q * h, k, bound)
-                       for _l, q, k in ladder], join)
+                   lambda ladder, table: [_image(table, a, b, k, bound)
+                                          for _l, a, b, k in ladder], join)
 
 
 def _hits(sources, targets) -> list[int]:
@@ -454,39 +463,42 @@ def diff_candidates(n: int, p: int, max_degree: int,
     support no differential for degree reasons) and the target to start
     with eps (only primitives can be hit).
 
-    The length-n words are never listed.  A letter l (q = p^k, 1 for
-    eps) gives l u homological degree q c and total q (c + h |u|), so a
+    The length-n words are never listed.  A letter acting as (a, b)
+    (_action) gives l u homological degree a and total a + b |u|, so a
     head letter fixes the homological degree of the length-n words it
     leads, and their totals are the increasing image of the length n - 1
     tables of _total_tables.  A source has homological degree >= 3, so
-    q = p^k with k >= 1 and p divides its total; only a head with q = 1
-    (refined: eps; raw: eps, rho^0, phi^0, two degrees lower) reaches a
-    total one lower.  Two pointers meet the merged stream of the source
-    heads that aim at the same targets with the targets' stream.  Each
-    side of a hit is solved back to length 1: a letter heads a word of
-    total T only when q | T and h | (T/q - c), the rest having total
-    (T/q - c)/h, and a peel is taken only when the tables hold that total
-    with a least sum inside the budget left, so every branch yields a
-    word.  Memory is the tables below length n and the pairs.  A search
-    whose length-n level (_word_counts) holds more than _MAX_WORDS words
-    raises ValueError with that count before any table is built.
+    it leads with rho^k or phi^k, k >= 1, and p divides its total; only a
+    head with k = 0 (refined: eps; raw: eps, rho^0, phi^0, two degrees
+    lower) reaches a total one lower.  Two pointers meet the merged
+    stream of the source heads that aim at the same targets with the
+    targets' stream.  Each side of a hit is solved back to length 1: a
+    letter heads a word of total T only when b divides T - a, the rest
+    having total (T - a)/b, and a peel is taken only when the tables hold
+    that total with a least sum inside the budget left, so every branch
+    yields a word.  Memory is the tables below length n and the pairs.
+    A search whose length-n level (_word_counts) holds more than
+    _MAX_WORDS words raises ValueError with that count before any table
+    is built.  The search needs p^E <= max_degree, so max_degree >= 1.
     """
     if n < 2:
         raise ValueError("differential search needs word length >= 2")
     if mode not in ("raw", "refined"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_degree < 1:
+        raise ValueError("degree bound must be >= 1")
     family = family_b()
-    size = _word_counts(n, family, p, max_degree)[-1]
+    bound = exponent_bound(max_degree, p)
+    moves = letter_moves(family, p, max_degree)
+    size = _word_counts(n, family, moves, bound)[-1]
     if size > _MAX_WORDS:
         raise ValueError(
             f"the search would span {size:,} words of length {n} "
             f"(limit {_MAX_WORDS:,}); lower the length or the degree bound")
-    bound = exponent_bound(max_degree, p)
-    moves = letter_moves(family, p, max_degree)
     tables = _total_tables(n - 1, family, moves, bound)
-    # (c, h, ladder) of each non-base letter kind; the kinds right of it
-    letters = {kind: (c, h, ladder) for right in ("eps", "rho", "phi")
-               for kind, c, h, ladder in moves[right]}
+    # the ladder of each non-base letter kind; the kinds right of it
+    letters = {kind: ladder for right in ("eps", "rho", "phi")
+               for kind, ladder in moves[right]}
     rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
                      if kind in _left_kinds(r, family)] for kind in letters}
 
@@ -498,49 +510,49 @@ def diff_candidates(n: int, p: int, max_degree: int,
         given)."""
         if length == 1:
             return [(family.base_letter,)]
-        c, h, full = letters[kind]
         found = []
-        for letter, q, k in ladder or full:
-            if k > budget or total % q:
+        for letter, a, b, k in ladder or letters[kind]:
+            if k > budget or a > total:
                 break
-            rest, off = divmod(total // q - c, h)
+            rest, off = divmod(total - a, b)
+            if off:
+                continue
             for right in rights[kind]:
                 totals, sums = tables[length - 2].get(right, ((), ()))
                 i = bisect_left(totals, rest)
-                if (not off and i < len(totals) and totals[i] == rest
+                if (i < len(totals) and totals[i] == rest
                         and sums[i] <= budget - k):
                     found += [(letter,) + u for u in
                               solve(rest, right, budget - k, length - 1)]
         return found
 
-    # every letter as a head of length-n words: (kind, letter, q, k, hom)
-    heads = [(kind, letter, q, k, q * letters[kind][0]) for kind in letters
-             for letter, q, k in letters[kind][2]]
+    # every letter as a head of length-n words: (kind, letter, a, b, k)
+    heads = [(kind, *move) for kind, ladder in letters.items()
+             for move in ladder]
 
     def stream(group):  # the totals that heads of group lead, repeats kept
         return map(itemgetter(0), merge(*(
-            _image(tables[-1][r], q * letters[kind][0],
-                   q * letters[kind][1], k, bound)
-            for kind, _l, q, k, _hom in group for r in rights[kind]
+            _image(tables[-1][r], a, b, k, bound)
+            for kind, _l, a, b, k in group for r in rights[kind]
             if r in tables[-1])))
 
-    # targets one total below a multiple of p: their heads have q = 1
-    aims = [(kind, letter, q, k, hom) for kind, letter, q, k, hom in heads
-            if q == 1 and (mode == "raw" or kind == "eps")]
+    # targets one total below a multiple of p: their heads have k = 0
+    aims = [head for head in heads
+            if head[4] == 0 and (mode == "raw" or head[0] == "eps")]
     groups: dict[tuple, list] = {}  # source heads by the heads they may hit
     for head in heads:
-        if head[4] >= 3:
-            groups.setdefault(tuple(v for v in aims if v[4] <= head[4] - 2),
+        if head[2] >= 3:
+            groups.setdefault(tuple(v for v in aims if v[2] <= head[2] - 2),
                               []).append(head)
     found = []
     for targets, sources in groups.items():
         for t in _hits(stream(sources), stream(targets)):
-            hit = [(v, hom) for kind, letter, q, k, hom in targets
-                   for v in solve(t - 1, kind, bound, n, ((letter, q, k),))]
-            for kind, letter, q, k, hom in sources:
+            hit = [(v, a) for kind, letter, a, b, k in targets
+                   for v in solve(t - 1, kind, bound, n, ((letter, a, b, k),))]
+            for kind, letter, a, b, k in sources:
                 found += [DifferentialCandidate(
-                    w, Bidegree(hom, t - hom), v, Bidegree(hv, t - 1 - hv))
-                    for w in solve(t, kind, bound, n, ((letter, q, k),))
+                    w, Bidegree(a, t - a), v, Bidegree(hv, t - 1 - hv))
+                    for w in solve(t, kind, bound, n, ((letter, a, b, k),))
                     for v, hv in hit]
     order = cache(canonical_key)
     found.sort(key=lambda c: (order(c.source), order(c.target)))
@@ -575,15 +587,12 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
         raise ValueError("the length-bounded degree count needs an odd prime")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    fam = family_b()
-    cap = 4 * p ** k_max
     wanted = {4 * p ** k: k for k in range(k_max + 1)}
     hits: dict[int, list[Word]] = {k: [] for k in range(k_max + 1)}
-    for length in range(1, 2 * p + 2):
-        for w, hom, internal, _s in _grow(length, fam, p, cap,
-                                          lambda total, _s: total <= cap):
-            if hom + internal in wanted:
-                hits[wanted[hom + internal]].append(w)
+    for level in _graded_levels(2 * p + 1, family_b(), p, 4 * p ** k_max):
+        for w, _hom, total, _weight in level:
+            if total in wanted:
+                hits[wanted[total]].append(w)
     found = []
     for k in range(k_max + 1):
         ws = tuple(sorted(hits[k], key=canonical_key))

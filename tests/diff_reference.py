@@ -1,23 +1,44 @@
 """The listing differential search, kept as the reference oracle.
 
 ``diff_candidates`` lists every length-n word of family B with exponent
-sum <= E, tables the targets by total degree and pairs each source with
-the targets one degree below it.  It holds the whole length-n level in
-memory, so it serves only small cases; the shipping search in
-hochhom.words never builds that level and is compared against this one.
+sum <= E (``word_reference.sum_bounded_words``), grades each by a fold
+of its own, tables the targets by total degree and pairs each source
+with the targets one degree below it.  It holds the whole length-n
+level in memory, so it serves only small cases; the shipping search in
+hochhom.words never builds that level, and this oracle shares neither
+its level step, its letter moves nor its letter rule.
 """
 
+from functools import lru_cache
 from typing import Literal
 
 from hochhom.words import (
     Bidegree,
     DifferentialCandidate,
     Word,
-    _grow,
     canonical_key,
     exponent_bound,
     family_b,
 )
+from word_reference import sum_bounded_words
+
+
+@lru_cache(maxsize=None)
+def _graded_words(n, p, bound):
+    """(word, hom, internal) of every length-n family-B word (|mu| = 2)
+    with exponent sum <= bound, folded right to left: eps w -> (1, |w|),
+    rho^k w -> p^k (1, |w|), phi^k w -> p^k (2, p |w|).  Cached, so both
+    modes share one listing."""
+    out = []
+    for word in sum_bounded_words(n, family_b(), bound):
+        hom, internal = 0, 2
+        for letter in word[-2::-1]:
+            q = p ** letter[1] if len(letter) > 1 else 1
+            total = hom + internal
+            hom, internal = ((2 * q, q * p * total) if letter[0] == "phi"
+                             else (q, q * total))
+        out.append((word, hom, internal))
+    return out
 
 
 def diff_candidates(n: int, p: int, max_degree: int,
@@ -36,14 +57,13 @@ def diff_candidates(n: int, p: int, max_degree: int,
         raise ValueError("differential search needs word length >= 2")
     if mode not in ("raw", "refined"):
         raise ValueError(f"unknown mode {mode!r}")
-    bound = exponent_bound(max_degree, p)
-    elements = _grow(n, family_b(), p, max_degree, lambda _t, s: s <= bound)
+    elements = _graded_words(n, p, exponent_bound(max_degree, p))
     by_total: dict[int, list[tuple[Word, int, int]]] = {}
-    for v, hv, iv, _s in elements:
+    for v, hv, iv in elements:
         if mode == "raw" or v[0][0] == "eps":
             by_total.setdefault(hv + iv, []).append((v, hv, iv))
     found = []
-    for w, hw, iw, _s in elements:
+    for w, hw, iw in elements:
         if mode == "refined":
             first = w[0]
             if first[0] not in ("rho", "phi") or first[1] < 1:

@@ -239,6 +239,25 @@ def test_series_text_and_csv(capsys):
     assert ["3", "1"] in rows
 
 
+def test_degree_bound_zero_admits_no_letter(capsys):
+    # each of these exited 2 with "degree bound must be >= 1"
+    for argv, last in (("series thh-fp --p 3 --n 2", "  0  1"),
+                       ("series group --group Z/2 --p 3 --n 2", "  0  2"),
+                       ("series hh-laurent --p 3 --n 2", "  0  1"),
+                       ("words --family Bprime --p 3 --n 1",
+                        "x    x     (0,0)     0      1       free"),
+                       ("words --family B --p 3 --n 2",
+                        "key  word  bidegree  total  weight  class"),
+                       ("verify oracle-cross --p 3 --n 2", "result: ok")):
+        code, out, _ = run(shlex.split(argv + " --max-degree 0"), capsys)
+        assert (code, out.splitlines()[-1]) == (0, last), argv
+    # the search needs p^E <= N
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diff-search", "--p", "3", "--n", "5", "--max-degree", "0"])
+    assert exc.value.code == 2
+    assert "degree bound must be >= 1" in capsys.readouterr().err
+
+
 def test_series_group_json(capsys):
     code, out, _ = run(["series", "group", "--group", "Z x Z/6", "--p", "3",
                         "--n", "2", "--max-degree", "12", "--format", "json"],

@@ -215,6 +215,15 @@ def test_series_entry_points_refuse_non_prime_p():
             call()
 
 
+def test_degree_bound_zero_keeps_the_constant_term():
+    # hh_laurent raised at N = 0 while the trivial group algebra gave 1
+    for s, constant in ((thh_fp(3, 3, 0), 1), (hh_laurent(1, 3, 0), 1),
+                        (hh_polynomial(2, 5, 0), 1),
+                        (hh_group_algebra(GroupSpec(), 1, 3, 0), 1),
+                        (hh_group_algebra(GroupSpec(1, (3, 2)), 2, 3, 0), 2)):
+        assert (s.coeffs, s.truncation) == ({0: constant}, 0)
+
+
 def test_etale_finite():
     s = etale_finite(4)
     assert s.coeffs == {0: 4}

@@ -30,7 +30,7 @@ from hochhom.words import (
     verify_powerwords,
 )
 from diff_reference import diff_candidates as listing_candidates
-from word_reference import grid_cases, reference_words
+from word_reference import grid_cases, reference_words, sum_bounded_words
 
 
 def fold_bidegree(word, p, family):
@@ -195,6 +195,23 @@ def test_exponent_bound_exact():
     assert exponent_bound(1, 5) == 0
     assert exponent_bound(1024, 2) == 10
     assert exponent_bound(1023, 2) == 9
+    assert exponent_bound(0, 3) == -1  # no letter fits
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        exponent_bound(-1, 3)
+    with pytest.raises(ValueError, match="degree bound must be >= 1"):
+        diff_candidates(5, 3, 0)
+
+
+def test_word_calculus_refuses_a_non_prime_p():
+    # p = 0 and 1 looped for ever in exponent_bound; 4 and 9 were accepted
+    for p in (0, 1, 4, 9):
+        for call in (lambda: exponent_bound(50, p),
+                     lambda: enumerate_words(3, family_b(), p, 50),
+                     lambda: graded_words(3, family_bprime(), p, 50),
+                     lambda: diff_candidates(5, p, 50),
+                     lambda: diff_candidates(6, p, 100, "raw")):
+            with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+                call()
 
 
 def test_classify():
@@ -332,36 +349,26 @@ def test_refined_subset_of_raw():
 
 
 def brute_force_pairs(n, p, max_degree, refined=False):
-    """Independent search: enumerate exponent fillings of every shape with
-    exponent sum at most the cap, no degree filter, then scan all pairs.
-    refined keeps sources leading with rho^k or phi^k, k >= 1, and
-    targets leading with eps."""
+    """Independent search: every shape filled with every exponent tuple of
+    sum at most the cap, no degree filter, graded by fold_bidegree; each
+    source meets every target of total one lower.  refined keeps sources
+    leading with rho^k or phi^k, k >= 1, and targets leading with eps."""
     fam = family_b()
     cap = 0
     while p ** (cap + 1) <= max_degree:
         cap += 1
-    words_all = []
-    for shape in enumerate_shapes(n, fam):
-        slots = [i for i, letter in enumerate(shape)
-                 if letter[0] in ("rho", "phi")]
-        def fill(idx, budget, current):
-            if idx == len(slots):
-                words_all.append(tuple(current))
-                return
-            for e in range(budget + 1):
-                nxt = list(current)
-                nxt[slots[idx]] = (current[slots[idx]][0], e)
-                fill(idx + 1, budget - e, nxt)
-        fill(0, cap, list(shape))
-    graded = [(w,) + fold_bidegree(w, p, fam)[:2] for w in words_all]
+    graded = [(w,) + fold_bidegree(w, p, fam)[:2]
+              for w in sum_bounded_words(n, fam, cap)]
+    by_total = {}
+    for v, hv, iv in graded:
+        if not refined or v[0][0] == "eps":
+            by_total.setdefault(hv + iv, []).append((v, hv))
     found = set()
     for w, hw, iw in graded:
         if refined and (w[0][0] not in ("rho", "phi") or w[0][1] < 1):
             continue
-        for v, hv, iv in graded:
-            if refined and v[0][0] != "eps":
-                continue
-            if hw + iw == hv + iv + 1 and hw - hv > 1:
+        for v, hv in by_total.get(hw + iw - 1, ()):
+            if hw - hv > 1:
                 found.add((render_key(w), render_key(v)))
     return found
 
@@ -386,8 +393,8 @@ def test_enumerate_words_matches_reference_enumerator():
             list(reference_words(n, fam, p, bound)), (fam, n, p, bound)
     with pytest.raises(ValueError):
         enumerate_words(0, family_b(), 3, 10)
-    with pytest.raises(ValueError):
-        enumerate_words(3, family_b(), 3, 0)
+    # a bound of 0 admits no letter, and mu has degree 2
+    assert enumerate_words(3, family_b(), 3, 0) == []
 
 
 def exponent_sum(word):
@@ -455,14 +462,18 @@ def test_diff_candidates_keep_totals_past_64_bits():
 
 def test_word_counts_match_grown_level_sizes():
     fam = family_b()
+
+    def counts(n, p, N):
+        return words._word_counts(n, fam, words.letter_moves(fam, p, N),
+                                  exponent_bound(N, p))
+
     for p, N, n in ((2, 64, 9), (3, 170, 11), (5, 3125, 9)):
         e = exponent_bound(N, p)
-        assert words._word_counts(n, fam, p, N) == [
-            len(words._grow(length, fam, p, N, lambda _t, s: s <= e))
-            for length in range(1, n + 1)], (p, N)
-    assert words._word_counts(13, fam, 3, 170)[10:] == [16435, 36122, 77645]
-    assert words._word_counts(13, fam, 5, 3125)[-1] == 209034
-    assert words._word_counts(17, fam, 7, 117649)[-1] == 13343820
+        assert counts(n, p, N) == [len(sum_bounded_words(length, fam, e))
+                                   for length in range(1, n + 1)], (p, N)
+    assert counts(13, 3, 170)[10:] == [16435, 36122, 77645]
+    assert counts(13, 5, 3125)[-1] == 209034
+    assert counts(17, 7, 117649)[-1] == 13343820
 
 
 def test_diff_candidates_refuses_an_oversized_search_before_building(

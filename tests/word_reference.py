@@ -1,11 +1,11 @@
 """The first word enumerator and series product, kept as reference oracles.
 
-``reference_words`` lists every admissible shape, fills its rho/phi slots
-with every exponent tuple of sum <= E (p^E <= bound) and keeps the
-candidates whose scalar total degree is within the bound.
-``reference_series`` multiplies one class factor per listed word.  Both
-are slow, and neither shares the pruned generator, the letter-move table
-or the count DP they are compared with.
+``sum_bounded_words`` lists every admissible shape and fills its rho/phi
+slots with every exponent tuple of sum <= E; ``reference_words`` keeps
+those (E with p^E <= bound) whose scalar total degree is within the
+bound.  ``reference_series`` multiplies one class factor per listed
+word.  All are slow, and none shares the level step, the letter moves
+or the letter rule (_action) of the code they are compared with.
 """
 
 from functools import lru_cache
@@ -65,18 +65,25 @@ def fill_exponents(shape, exps):
 
 
 @lru_cache(maxsize=None)
-def reference_words(n, family, p, max_degree):
-    """Shapes x sum-bounded exponent tuples x fill, then a degree filter.
-    Cached, so the word and series grids share one enumeration."""
-    bound = exponent_bound(max_degree, p)
+def sum_bounded_words(n, family, bound):
+    """Every admissible length-n word with exponent sum <= bound: shapes x
+    sum-bounded exponent tuples x fill, shape by shape."""
     out = []
     for shape in enumerate_shapes(n, family):
         slots = sum(1 for letter in shape if letter[0] in ("rho", "phi"))
-        for exps in sum_bounded_tuples(slots, bound):
-            w = fill_exponents(shape, exps)
-            if total_degree(w, p, family) <= max_degree:
-                out.append(w)
-    return tuple(sorted(out, key=canonical_key))
+        out += [fill_exponents(shape, exps)
+                for exps in sum_bounded_tuples(slots, bound)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def reference_words(n, family, p, max_degree):
+    """Sum-bounded words, then a degree filter.  Cached, so the word and
+    series grids share one enumeration."""
+    bound = exponent_bound(max_degree, p)
+    return tuple(sorted((w for w in sum_bounded_words(n, family, bound)
+                         if total_degree(w, p, family) <= max_degree),
+                        key=canonical_key))
 
 
 def reference_series(family, n, p, max_degree):
