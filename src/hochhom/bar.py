@@ -348,33 +348,28 @@ class BarChain:
                 and other.terms == self.terms)
 
     def __mul__(self, other: "BarChain") -> "BarChain":
-        """Shuffle product."""
+        """Shuffle product.  A shuffle inserts self's factors a_0, ...,
+        a_{k-1} at positions pos_0 < ... < pos_{k-1} into other's tensor;
+        a_i then passes other's first pos_i - i factors, so the sign
+        exponent is sum_i (|a_i| + 1) before[pos_i - i], with before[j] the
+        sum of |b| + 1 over other's first j factors."""
         self._check_compatible(other)
         P = self.presentation
         acc: dict[Tensor, int] = {}
         for ta, ca in self.terms.items():
             ea = [P.mono_total(m) + 1 for m in ta]
             for tb, cb in other.terms.items():
-                eb = [P.mono_total(m) + 1 for m in tb]
-                la, lb = len(ta), len(tb)
-                for positions in itertools.combinations(range(la + lb), la):
-                    pos_set = frozenset(positions)
-                    merged: list[Monomial] = []
-                    ia = ib = 0
-                    sign_exp = 0
-                    b_prefix = 0  # parity sum of suspended degrees of b factors placed
-                    for slot in range(la + lb):
-                        if slot in pos_set:
-                            sign_exp += ea[ia] * b_prefix
-                            merged.append(ta[ia])
-                            ia += 1
-                        else:
-                            b_prefix += eb[ib]
-                            merged.append(tb[ib])
-                            ib += 1
-                    coeff = ca * cb * (-1 if sign_exp % 2 else 1)
+                before = list(itertools.accumulate(
+                    (P.mono_total(m) + 1 for m in tb), initial=0))
+                for positions in itertools.combinations(
+                        range(len(ta) + len(tb)), len(ta)):
+                    merged, sign_exp = list(tb), 0
+                    for i, pos in enumerate(positions):
+                        merged.insert(pos, ta[i])
+                        sign_exp += ea[i] * before[pos - i]
                     key = tuple(merged)
-                    acc[key] = acc.get(key, 0) + coeff
+                    acc[key] = acc.get(key, 0) + (
+                        -ca * cb if sign_exp % 2 else ca * cb)
         return BarChain(P, acc)
 
     def boundary(self) -> "BarChain":
@@ -669,6 +664,8 @@ class _QuasiIsoCase:
 
     def __init__(self, case: str, x_degree: int, p: int, m: Optional[int],
                  max_s: int, max_internal: int):
+        if case in ("poly", "exterior") and m is not None:
+            raise ValueError(f"{case} case carries no height")
         self.case = case
         self.p = p
         self.m = m
@@ -715,29 +712,20 @@ class _QuasiIsoCase:
         return {m: v for m, v in out.items() if v}
 
     def _pi_tensor(self, tensor: Tensor) -> Optional[ModelElement]:
-        s = len(tensor)
-        exps = [mono[0] for mono in tensor]
-        if self.case == "poly":
-            if s == 0:
-                return {self.model.unit: 1}
-            if s == 1 and exps == [1]:
-                return self._gamma_element(0, delta=1)
-            return None
+        """pi of one basis tensor, None for 0.  Exterior case: [x|...|x]
+        of length s goes to gamma_s.  Otherwise an odd tensor must open
+        with (x), the eps x factor, and the rest must pair into n blocks
+        (x^a | x^b) with a + b = m; the poly case has no m, so no block.
+        The tensor goes to gamma_n, times eps x when its length is odd."""
         if self.case == "exterior":
-            # every factor is x itself
-            return self._gamma_element(s)
-        m = self.m
-        if s % 2 == 0:
-            pairs = list(zip(exps[0::2], exps[1::2]))
-            if all(a + b == m for a, b in pairs):
-                return self._gamma_element(s // 2)
+            return self._gamma_element(len(tensor))
+        delta = len(tensor) % 2
+        if delta and tensor[0] != (1,):
             return None
-        if exps[0] != 1:
-            return None
-        pairs = list(zip(exps[1::2], exps[2::2]))
-        if all(a + b == m for a, b in pairs):
-            return self._gamma_element((s - 1) // 2, delta=1)
-        return None
+        for i in range(delta, len(tensor), 2):
+            if tensor[i][0] + tensor[i + 1][0] != self.m:
+                return None
+        return self._gamma_element(len(tensor) // 2, delta)
 
     def inc(self, monomial: Monomial) -> BarChain:
         """Image of a small-model basis monomial in the bar complex."""
@@ -780,8 +768,6 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
     homology dimension tables agree on the bounded window, and both maps
     are multiplicative for the shuffle product.  Each check reports its
     first failure as the witness."""
-    if case in ("poly", "exterior") and m is not None:
-        raise ValueError(f"{case} case carries no height")
     qc = _QuasiIsoCase(case, x_degree, p, m, max_s, max_internal)
     complex_ = BarComplex(qc.algebra, max_s, max_internal)
     model = qc.model

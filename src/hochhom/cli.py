@@ -40,12 +40,9 @@ def _default_max_degree() -> int:
     if raw is None:
         return DEFAULT_MAX_DEGREE
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_DEGREE} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{ENV_MAX_DEGREE} must be >= 1")
-    return value
 
 
 def _family_from_args(args) -> words.WordFamily:
@@ -333,7 +330,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not _is_prime(args.p):
             raise ValueError(f"--p must be prime, got {args.p}")
         if bounded and args.max_degree < 0:
-            raise ValueError("--max-degree must be >= 0")
+            raise ValueError(f"--max-degree and {ENV_MAX_DEGREE} must be >= 0")
         report = args.handler(args)
         _emit(args, report)
     except ValueError as exc:

@@ -224,6 +224,7 @@ def letter_moves(family: WordFamily, p: int, max_degree: int) -> dict:
 
 def total_degree(word: Word, p: int, family: WordFamily) -> int:
     """Scalar degree recursion, independent of the bidegree pair arithmetic."""
+    _require_prime(p)
     _require_admissible(word, family)
     deg = family.base_degree
     tail_is_base = True
@@ -242,6 +243,7 @@ def total_degree(word: Word, p: int, family: WordFamily) -> int:
 
 def bidegree(word: Word, p: int, family: WordFamily) -> Bidegree:
     """(homological, internal) bidegree of an admissible word."""
+    _require_prime(p)
     _require_admissible(word, family)
     return Bidegree(*_fold(word, p, family)[:2])
 

@@ -9,7 +9,6 @@ from hochhom.bar import (
     AlgebraPresentation,
     BarChain,
     BarComplex,
-    bar_homology,
     iterated_tor,
     polynomial,
     truncated,
@@ -30,6 +29,8 @@ from hochhom.words import (
     render_key,
     verify_powerwords,
 )
+
+from shared_complexes import weight_graded_complex
 
 
 def report(capsys, cid, ok, detail):
@@ -113,8 +114,7 @@ def test_c5_closed_forms_match_homology_oracles(capsys):
                 problems.append(f"family B p={p} n={n}")
     for p in (2, 3):
         closed = hh_truncated(1, p, 1, 12)
-        alg = AlgebraPresentation(p, (truncated("x", p, 0, weight=1),))
-        hom = bar_homology(alg, 13, 0, 13 * (p - 1))
+        hom = weight_graded_complex(p).homology()
         per_degree = {}
         for (h, i, w), d in hom.items():
             per_degree[h] = per_degree.get(h, 0) + d

@@ -26,6 +26,7 @@ from hochhom.bar import (
     verify_quasi_iso,
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
+from bar_reference import reference_pi_tensor, reference_shuffle
 from tor_reference import reference_presentation_dims
 
 
@@ -227,6 +228,23 @@ def test_shuffle_commutativity_and_leibniz_sampled():
         assert (lhs - rhs).is_zero()
 
 
+def test_shuffle_matches_reference_on_basis_pairs():
+    # one generator of each kind, and two odd generators whose product
+    # yz has odd suspended degree while y and z have even ones
+    for p in (2, 3, 5):
+        for gens in ((polynomial("x", 2),), (truncated("x", 3, 2),),
+                     (exterior("x", 1),), (exterior("y", 1), exterior("z", 3))):
+            P = AlgebraPresentation(p, gens)
+            by_length = {}
+            for t in _tensors(P, P.augmentation_monomials(4), 4):
+                by_length.setdefault(len(t), []).append(BarChain(P, {t: 1}))
+            for sa in range(5):
+                for sb in range(5 - sa):
+                    for a, b in itertools.product(by_length[sa],
+                                                  by_length[sb]):
+                        assert a * b == reference_shuffle(a, b), (p, a, b)
+
+
 def test_boundary_squares_to_zero_sampled():
     rng = random.Random(77)
     P = AlgebraPresentation(2, (polynomial("x", 1), exterior("y", 2)))
@@ -237,23 +255,48 @@ def test_boundary_squares_to_zero_sampled():
         assert c.boundary().boundary().is_zero()
 
 
-def test_quasi_iso_all_cases():
-    assert verify_quasi_iso("poly", 2, 2, max_s=4, max_internal=12).ok
-    assert verify_quasi_iso("poly", 2, 3, max_s=4, max_internal=12).ok
-    assert verify_quasi_iso("truncated", 2, 2, m=2, max_s=5,
-                            max_internal=14).ok
-    assert verify_quasi_iso("truncated", 2, 3, m=3, max_s=5,
-                            max_internal=16).ok
-    assert verify_quasi_iso("exterior", 3, 3, max_s=5, max_internal=18).ok
-    for case, xd, p, m in [("truncated", 2, 5, 4), ("truncated", 2, 5, 5),
-                           ("truncated", 2, 5, 25), ("exterior", 3, 5, None),
-                           ("truncated", 2, 3, 4), ("truncated", 2, 3, 9),
-                           ("exterior", 2, 2, None), ("poly", 1, 2, None),
-                           ("truncated", 1, 2, 3)]:
-        assert verify_quasi_iso(case, xd, p, m, max_s=4, max_internal=12).ok
+# (case, |x|, p, m, max_s, max_internal) of every verify_quasi_iso run
+QUASI_ISO_CASES = (
+    ("poly", 2, 2, None, 4, 12), ("poly", 2, 3, None, 4, 12),
+    ("truncated", 2, 2, 2, 5, 14), ("truncated", 2, 3, 3, 5, 16),
+    ("exterior", 3, 3, None, 5, 18),
+    *((case, xd, p, m, 4, 12) for case, xd, p, m in [
+        ("truncated", 2, 5, 4), ("truncated", 2, 5, 5),
+        ("truncated", 2, 5, 25), ("exterior", 3, 5, None),
+        ("truncated", 2, 3, 4), ("truncated", 2, 3, 9),
+        ("exterior", 2, 2, None), ("poly", 1, 2, None),
+        ("truncated", 1, 2, 3)]),
     # a window below |eps x| leaves the small model without generators
-    assert verify_quasi_iso("truncated", 2, 3, m=3, max_s=0,
-                            max_internal=1).ok
+    ("truncated", 2, 3, 3, 0, 1),
+)
+
+
+def test_quasi_iso_all_cases():
+    for case in QUASI_ISO_CASES:
+        assert verify_quasi_iso(*case).ok, case
+
+
+def _tensors(P, monos, max_s, max_total=None):
+    """Every tensor of at most max_s factors from monos, of total degree
+    <= max_total when that is given."""
+    level, out = [((), 0)], [()]
+    for _ in range(max_s):
+        level = [(t + (m,), d + P.mono_total(m)) for t, d in level
+                 for m in monos if max_total is None
+                 or d + P.mono_total(m) <= max_total]
+        out += [t for t, _ in level]
+    return out
+
+
+def test_pi_matches_reference_on_every_basis_tensor():
+    # every tensor of each complex verify_quasi_iso builds, top block too
+    for case in QUASI_ISO_CASES:
+        qc = _QuasiIsoCase(*case)
+        _, _, _, _, max_s, max_internal = case
+        monos = qc.algebra.augmentation_monomials(max_internal)
+        for tensor in _tensors(qc.algebra, monos, max_s + 1, max_internal):
+            assert qc._pi_tensor(tensor) == reference_pi_tensor(qc, tensor), (
+                case, tensor)
 
 
 def test_quasi_iso_rejects_bad_parity():

@@ -422,11 +422,17 @@ def test_env_var_default_max_degree(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_MAX_DEGREE, "20")
     _, out, _ = run(["words", "--p", "2", "--n", "3"], capsys)
     assert "# max_degree = 20" in out
-    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["words", "--p", "2", "--n", "3"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # a default of 0 obeys the flag's rule: it was refused with ">= 1"
+    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "0")
+    argv = ["series", "thh-fp", "--p", "3", "--n", "2"]
+    assert run(argv, capsys)[:2] == run(argv + ["--max-degree", "0"],
+                                         capsys)[:2]
+    for raw, why in (("-1", "must be >= 0"), ("not-a-number", "integer")):
+        monkeypatch.setenv(cli.ENV_MAX_DEGREE, raw)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["words", "--p", "2", "--n", "3"])
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
 
 
 def test_powerwords_reads_no_degree_bound(capsys, monkeypatch):

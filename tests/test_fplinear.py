@@ -18,6 +18,7 @@ from hochhom.fplinear import (
 )
 
 from fplinear_reference import markowitz_rank
+from shared_complexes import weight_graded_complex
 
 
 def dense(p, rows):
@@ -209,18 +210,18 @@ def test_rank_matches_markowitz_reference_on_bar_blocks():
     def x(p):
         return truncated("x", p, 0, weight=1)
 
-    cases = (
-        (AlgebraPresentation(2, (x(2),)), 13, 0, 13),
-        (AlgebraPresentation(3, (x(3),)), 13, 0, 26),
-        (AlgebraPresentation(5, (x(5),)), 5, 0, 20),
-        (AlgebraPresentation(3, (x(3), exterior("y", 1, weight=1))), 5, 9, 8),
+    complexes = (
+        weight_graded_complex(2),
+        weight_graded_complex(3),
+        BarComplex(AlgebraPresentation(5, (x(5),)), 5, 0, 20),
+        BarComplex(AlgebraPresentation(3, (x(3), exterior("y", 1, weight=1))),
+                   5, 9, 8),
     )
-    for presentation, max_s, max_internal, max_weight in cases:
-        cx = BarComplex(presentation, max_s, max_internal, max_weight)
-        for s in range(1, max_s + 2):
+    for cx in complexes:
+        for s in range(1, cx.max_s + 2):
             for t, w in cx.strata(s):
                 d = cx.differential(s, t, w)
-                label = (presentation.p, s, t, w)
+                label = (cx.presentation.p, s, t, w)
                 _assert_rank_matches(d, markowitz_rank(d), label)
 
 

@@ -203,13 +203,16 @@ def test_exponent_bound_exact():
 
 
 def test_word_calculus_refuses_a_non_prime_p():
-    # p = 0 and 1 looped for ever in exponent_bound; 4 and 9 were accepted
+    # p = 0 and 1 looped for ever in exponent_bound; 4 and 9 were accepted,
+    # and the single-word bidegree and total_degree took any p
     for p in (0, 1, 4, 9):
         for call in (lambda: exponent_bound(50, p),
                      lambda: enumerate_words(3, family_b(), p, 50),
                      lambda: graded_words(3, family_bprime(), p, 50),
                      lambda: diff_candidates(5, p, 50),
-                     lambda: diff_candidates(6, p, 100, "raw")):
+                     lambda: diff_candidates(6, p, 100, "raw"),
+                     lambda: bidegree((rho(1), EPS, MU), p, family_b()),
+                     lambda: total_degree((rho(2), EPS, MU), p, family_b())):
             with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
                 call()
 
