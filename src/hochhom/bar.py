@@ -21,7 +21,10 @@ with only the inner face maps surviving,
 the Koszul convention induced by suspending each factor.  d^2 = 0 is
 verified once for every composable pair of constructed blocks, and the
 shuffle product satisfies the graded Leibniz rule for this sign choice
-(property-tested).
+(property-tested).  BarComplex stores tensors of monomial indices;
+BarChain keeps tensors of monomials.  One enumeration of shuffles
+(_shuffles) serves the shuffle product and the check that pi is
+multiplicative, which sums pi over it without building the product.
 
 Homology of Tor^A(k, k) in the three one-generator cases has explicit
 small models:
@@ -44,9 +47,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
-from typing import Literal, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional
 
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
@@ -228,6 +232,37 @@ def _extend(level: list, pieces: list, max_total: int,
             and (max_weight is None or w + dw <= max_weight)]
 
 
+def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
+    """(order, crossings) of each shuffle of la >= 1 factors a_i into
+    lb >= 1 factors b_j: order picks the merged tensor out of ta + tb, and
+    bit i lb + j of crossings is set when a_i lands after b_j."""
+    out = []
+    for positions in itertools.combinations(range(la + lb), la):
+        order, crossings = list(range(la, la + lb)), 0
+        for i, pos in enumerate(positions):
+            order.insert(pos, i)  # after b_0 .. b_{pos - i - 1}
+            crossings |= ((1 << (pos - i)) - 1) << (i * lb)
+        out.append((itemgetter(*order), crossings))
+    return out
+
+
+def _shuffles(ta: Tensor, ea: list[int], tb: Tensor, eb: list[int],
+              patterns: Callable) -> Iterator[tuple[Tensor, int]]:
+    """Every shuffle of ta into tb as (merged tensor, sign parity); ea, eb
+    are the suspended degrees |a| + 1 of the factors and patterns a
+    cached _shuffle_patterns.  The sign counts the crossings of a_i over
+    b_j where both suspended degrees are odd."""
+    if not ta or not tb:
+        yield ta + tb, 0
+        return
+    lb = len(tb)
+    odd_b = sum(1 << j for j, e in enumerate(eb) if e % 2)
+    odd = sum(odd_b << (i * lb) for i, e in enumerate(ea) if e % 2)
+    factors = ta + tb
+    for order, crossings in patterns(len(ta), lb):
+        yield order(factors), (crossings & odd).bit_count() % 2
+
+
 class BigradedDims:
     """Sparse (hom, internal, weight) -> dimension table."""
 
@@ -348,28 +383,19 @@ class BarChain:
                 and other.terms == self.terms)
 
     def __mul__(self, other: "BarChain") -> "BarChain":
-        """Shuffle product.  A shuffle inserts self's factors a_0, ...,
-        a_{k-1} at positions pos_0 < ... < pos_{k-1} into other's tensor;
-        a_i then passes other's first pos_i - i factors, so the sign
-        exponent is sum_i (|a_i| + 1) before[pos_i - i], with before[j] the
-        sum of |b| + 1 over other's first j factors."""
+        """Shuffle product: the signed sum over _shuffles of each pair of
+        terms, self's factors inserted into other's."""
         self._check_compatible(other)
         P = self.presentation
+        e = {t: [P.mono_total(m) + 1 for m in t]
+             for t in (*self.terms, *other.terms)}
+        patterns = cache(_shuffle_patterns)
         acc: dict[Tensor, int] = {}
         for ta, ca in self.terms.items():
-            ea = [P.mono_total(m) + 1 for m in ta]
             for tb, cb in other.terms.items():
-                before = list(itertools.accumulate(
-                    (P.mono_total(m) + 1 for m in tb), initial=0))
-                for positions in itertools.combinations(
-                        range(len(ta) + len(tb)), len(ta)):
-                    merged, sign_exp = list(tb), 0
-                    for i, pos in enumerate(positions):
-                        merged.insert(pos, ta[i])
-                        sign_exp += ea[i] * before[pos - i]
-                    key = tuple(merged)
-                    acc[key] = acc.get(key, 0) + (
-                        -ca * cb if sign_exp % 2 else ca * cb)
+                c = ca * cb
+                for key, odd in _shuffles(ta, e[ta], tb, e[tb], patterns):
+                    acc[key] = acc.get(key, 0) + (-c if odd else c)
         return BarChain(P, acc)
 
     def boundary(self) -> "BarChain":
@@ -408,7 +434,8 @@ class BarComplex:
 
     Homology is exact for s <= max_s: each stratum is finite and complete
     within the bounds, and the block at max_s + 1 supplies the incoming
-    differential for the top reported row.  The homology table is
+    differential for the top reported row.  Tensors are stored as tuples
+    of monomial indices; basis() decodes them.  The homology table is
     computed once, at the end of construction, and that pass verifies
     d o d = 0 exactly once for every composable pair of blocks, so a
     presentation whose products are not associative raises here.
@@ -424,29 +451,40 @@ class BarComplex:
         self.max_weight = max_weight
         p = presentation.p
 
-        monos = presentation.augmentation_monomials(max_internal, max_weight)
-        totals = {m: presentation.mono_total(m) for m in monos}
-        mono_data = [(m, totals[m], presentation.mono_weight(m))
-                     for m in monos]
+        # monos is increasing, so index tensors sort like monomial tensors
+        monos = self._monos = presentation.augmentation_monomials(
+            max_internal, max_weight)
+        totals = [presentation.mono_total(m) for m in monos]
+        pieces = [(i, totals[i], presentation.mono_weight(m))
+                  for i, m in enumerate(monos)]
 
-        # basis[(s, t, w)] = sorted tensors; built level by level
-        self._basis: dict[tuple[int, int, int], list[Tensor]] = {(0, 0, 0): [()]}
-        level: list[tuple[Tensor, int, int]] = [((), 0, 0)]
+        # basis[(s, t, w)] = index tensors, built level by level; a sorted
+        # level extended by pieces in index order stays sorted.  B_0 is
+        # empty when weight 0 lies outside the window.
+        self._basis: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        if max_weight is None or max_weight >= 0:
+            self._basis[(0, 0, 0)] = [()]
+        level: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
         for s in range(1, max_s + 2):
-            level = _extend(level, mono_data, max_internal, max_weight)
+            level = _extend(level, pieces, max_internal, max_weight)
             for tensor, t, w in level:
                 self._basis.setdefault((s, t, w), []).append(tensor)
-        for tensors in self._basis.values():
-            tensors.sort()
 
         # Differentials keyed by source stratum (s, t, w), s >= 1, built
         # from the basis tensors with the face signs of BarChain.boundary.
-        # products[(a, b)] is (sign, ab), or None when truncation kills ab.
-        # Only blocks s <= max_s are targets, so only they get an index.
+        # faces(a, b) is (sign, index of ab), or None when truncation kills
+        # ab; it is filled only for adjacent factors, whose product lies in
+        # the window.  Only blocks s <= max_s are targets, so only they get
+        # an index.
+        mono_index = {m: i for i, m in enumerate(monos)}
+
+        def face(a: int, b: int) -> Optional[tuple[int, int]]:
+            res = presentation.multiply(monos[a], monos[b])
+            return res and (res[0], mono_index[res[1]])
+
+        faces = cache(face)
         index = {key: {t: i for i, t in enumerate(tensors)}
                  for key, tensors in self._basis.items() if key[0] <= max_s}
-        products: dict[tuple[Monomial, Monomial],
-                       Optional[tuple[int, Monomial]]] = {}
         self._diff: dict[tuple[int, int, int], SparseFpMatrix] = {}
         for (s, t, w), tensors in self._basis.items():
             if s == 0:
@@ -458,11 +496,8 @@ class BarComplex:
             for col, tensor in enumerate(tensors):
                 prefix = 0  # sum of (|a_j| + 1) for j < i
                 for i in range(s - 1):
-                    a, b = tensor[i], tensor[i + 1]
-                    if (a, b) in products:
-                        prod = products[(a, b)]
-                    else:
-                        prod = products[(a, b)] = presentation.multiply(a, b)
+                    a = tensor[i]
+                    prod = faces(a, tensor[i + 1])
                     if prod is not None:
                         sign, ab = prod
                         if (prefix + totals[a]) % 2:
@@ -472,7 +507,7 @@ class BarComplex:
                     prefix += totals[a] + 1
             self._diff[(s, t, w)] = SparseFpMatrix(
                 p, len(target), len(tensors), entries)
-        del index, products
+        del index, faces
 
         dims: dict[tuple[int, int, int], int] = {}
         for s, t, w in sorted(self._basis):
@@ -488,7 +523,9 @@ class BarComplex:
         self._homology = BigradedDims(dims)
 
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:
-        return list(self._basis.get((s, internal, weight), []))
+        """The stratum's tensors of monomials, in increasing order."""
+        return [tuple(map(self._monos.__getitem__, tensor))
+                for tensor in self._basis.get((s, internal, weight), ())]
 
     def strata(self, s: int) -> list[tuple[int, int]]:
         return sorted((t, w) for (s2, t, w) in self._basis if s2 == s)
@@ -685,6 +722,9 @@ class _QuasiIsoCase:
         # the window, and so do the generators of its base-p digits
         self.model = tor_presentation(self.algebra, max_s + max_internal)
         self._offset = 0 if case == "exterior" else 1
+        # pi of the tensors ({} for 0) and the shuffle patterns it meets
+        self._pi_memo = cache(lambda t: self._pi_tensor(t) or {})
+        self._patterns = cache(_shuffle_patterns)
 
     def _gamma_element(self, n: int, delta: int = 0) -> ModelElement:
         """gamma_n of the divided-power class, times (eps x)^delta."""
@@ -701,15 +741,23 @@ class _QuasiIsoCase:
         return {tuple(exps): coeff}
 
     def pi(self, chain: BarChain) -> ModelElement:
-        p = self.p
-        out: ModelElement = {}
-        for tensor, coeff in chain.terms.items():
-            contrib = self._pi_tensor(tensor)
-            if contrib is None:
-                continue
-            for m, v in contrib.items():
-                out[m] = (out.get(m, 0) + v * coeff) % p
-        return {m: v for m, v in out.items() if v}
+        return self._pi_sum(chain.terms.items())
+
+    def pi_product(self, ta: Tensor, ea: list[int], tb: Tensor,
+                   eb: list[int]) -> ModelElement:
+        """pi(ta * tb), ea and eb the suspended degrees: pi is linear, so
+        this sums +-pi over the shuffles without building the product."""
+        return self._pi_sum((tensor, -1 if odd else 1)
+                            for tensor, odd in _shuffles(ta, ea, tb, eb,
+                                                         self._patterns))
+
+    def _pi_sum(self, terms: Iterable[tuple[Tensor, int]]) -> ModelElement:
+        """pi of the sum of the (tensor, coeff) terms."""
+        memo, p, out = self._pi_memo, self.p, {}
+        for tensor, coeff in terms:
+            for m, v in memo(tensor).items():
+                out[m] = out.get(m, 0) + v * coeff
+        return {m: v % p for m, v in out.items() if v % p}
 
     def _pi_tensor(self, tensor: Tensor) -> Optional[ModelElement]:
         """pi of one basis tensor, None for 0.  Exterior case: [x|...|x]
@@ -777,15 +825,15 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
         return sum((qc.inc(mono).scale(c) for mono, c in element.items()),
                    BarChain(qc.algebra))
 
-    # (tensor, s, internal, its chain, pi of it) ordered by s; upto[k]
-    # counts the tensors with s <= k, so a pair loop walks only the
-    # prefix with sa + sb <= max_s
+    # (tensor, s, internal, suspended degrees, pi of it) ordered by s;
+    # upto[k] counts the tensors with s <= k, so a pair loop walks only
+    # the prefix with sa + sb <= max_s
     bar_tensors = []
     for s in range(max_s + 1):
         for t, w in complex_.strata(s):
             for tensor in complex_.basis(s, t, w):
-                c = BarChain(qc.algebra, {tensor: 1})
-                bar_tensors.append((tensor, s, t, c, qc.pi(c)))
+                e = [qc.algebra.mono_total(m) + 1 for m in tensor]
+                bar_tensors.append((tensor, s, t, e, qc._pi_memo(tensor)))
     upto = [sum(s <= k for _, s, *_ in bar_tensors) for k in range(max_s + 1)]
     model_basis = [mb for mb in [model.unit]
                    + model.augmentation_monomials(max_s + max_internal)
@@ -799,8 +847,8 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
     # differential is zero, so a chain map kills every boundary
     witnesses = (
         ("pi is a chain map",
-         (f"pi(d{t}) != 0" for t, s, _, c, _ in bar_tensors
-          if s and qc.pi(c.boundary()))),
+         (f"pi(d{t}) != 0" for t, s, *_ in bar_tensors
+          if s and qc.pi(BarChain(qc.algebra, {t: 1}).boundary()))),
         ("inc is a chain map",
          (f"d(inc({name(mb)})) != 0" for mb in model_basis
           if not qc.inc(mb).boundary().is_zero())),
@@ -811,10 +859,11 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
          iter([] if bar_dims == model_dims else
               [f"bar {bar_dims.as_dict()} vs model {model_dims.as_dict()}"])),
         ("pi is multiplicative",
-         (f"pi({ta} * {tb})" for ta, sa, tta, ca, pa in bar_tensors
-          for tb, _, ttb, cb, pb in bar_tensors[:upto[max_s - sa]]
+         (f"pi({ta} * {tb})" for ta, sa, tta, ea, pa in bar_tensors
+          for tb, _, ttb, eb, pb in itertools.islice(bar_tensors,
+                                                      upto[max_s - sa])
           if tta + ttb <= max_internal
-          and qc.pi(ca * cb) != _model_mul(model, pa, pb))),
+          and qc.pi_product(ta, ea, tb, eb) != _model_mul(model, pa, pb))),
         ("inc is multiplicative",
          (f"inc({name(ma)} * {name(mb)})"
           for ma in model_basis for mb in model_basis

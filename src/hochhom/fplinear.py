@@ -36,7 +36,7 @@ class SparseFpMatrix:
     __slots__ = ("modulus", "rows", "cols", "_entries", "_rank")
 
     def __init__(self, modulus: int, rows: int, cols: int,
-                 entries: EntryMap = {}):
+                 entries: Optional[EntryMap] = None):
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus!r} is not a prime")
         if rows < 0 or cols < 0:
@@ -45,7 +45,7 @@ class SparseFpMatrix:
         self.rows = rows
         self.cols = cols
         data: dict[tuple[int, int], int] = {}
-        for (r, c), v in entries.items():
+        for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
             if not isinstance(v, int):

@@ -157,6 +157,41 @@ def test_differentials_match_boundary_column_by_column():
                         (p, gens, s, t, w)
 
 
+def test_basis_strata_come_out_sorted():
+    # the grid of test_differentials_match_boundary_column_by_column: the
+    # basis is built in index order and never sorted, and index order
+    # must be the order of the monomial tensors
+    for p in (2, 3, 5):
+        cases = [((truncated("x", h, 2),), 5, 18, None) for h in (2, 3, 4, 9)]
+        cases += [((truncated("x", h, 0, weight=1),), 5, 0, 10)
+                  for h in (2, 3, 4, 9)]
+        cases += [
+            ((polynomial("x", 2),), 5, 12, None),
+            ((polynomial("x", 0, weight=1),), 5, 0, 8),
+            ((exterior("x", 3),), 5, 15, None),
+            ((exterior("a", 3), exterior("b", 5)), 4, 16, None),
+            ((truncated("x", 3, 0, weight=1), exterior("y", 1, weight=1)),
+             5, 6, 8),
+        ]
+        for gens, max_s, max_internal, max_weight in cases:
+            cx = BarComplex(AlgebraPresentation(p, gens), max_s,
+                            max_internal, max_weight)
+            for s in range(max_s + 2):
+                for t, w in cx.strata(s):
+                    basis = cx.basis(s, t, w)
+                    assert basis and basis == sorted(basis), (p, gens, s, t)
+
+
+def test_window_below_weight_zero_is_empty():
+    # weight 0 > max_weight, so not even B_0 lies in the window
+    alg = AlgebraPresentation(3, (truncated("x", 3, 0, weight=1),))
+    assert bar_homology(alg, 2, 0, -1).as_dict() == {}
+    tor = tor_presentation(alg, 2, -1)
+    assert presentation_dims(tor, 2, -1).as_dict() == {}
+    assert presentation_dims(alg, 2, -1).as_dict() == {}
+    assert bar_homology(alg, 2, 0, 0).as_dict() == {(0, 0, 0): 1}
+
+
 def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
     # x * x^j picks up a wrong sign, so (x x) x = -x^3 but x (x x) = x^3:
     # d o d != 0 on x|x|x must stop the build itself
@@ -297,6 +332,38 @@ def test_pi_matches_reference_on_every_basis_tensor():
         for tensor in _tensors(qc.algebra, monos, max_s + 1, max_internal):
             assert qc._pi_tensor(tensor) == reference_pi_tensor(qc, tensor), (
                 case, tensor)
+
+
+def _reference_pi(qc, chain):
+    """pi of a chain from reference_pi_tensor, with no memo."""
+    out = {}
+    for tensor, coeff in chain.terms.items():
+        for m, v in (reference_pi_tensor(qc, tensor) or {}).items():
+            out[m] = (out.get(m, 0) + v * coeff) % qc.p
+    return {m: v for m, v in out.items() if v}
+
+
+def test_pi_product_matches_pi_of_the_shuffle_product():
+    # every pair of basis tensors the multiplicativity check visits:
+    # s_a + s_b <= max_s and internal degrees summing to <= max_internal.
+    # The memo-free reference side catches a memo that mixes up tensors.
+    for case in QUASI_ISO_CASES:
+        qc = _QuasiIsoCase(*case)
+        _, _, _, _, max_s, max_internal = case
+        P = qc.algebra
+        cx = BarComplex(P, max_s, max_internal)
+        tensors = [(t, s, internal, [P.mono_total(m) + 1 for m in t])
+                   for s in range(max_s + 1)
+                   for internal, w in cx.strata(s)
+                   for t in cx.basis(s, internal, w)]
+        for ta, sa, ia, ea in tensors:
+            for tb, sb, ib, eb in tensors:
+                if sa + sb <= max_s and ia + ib <= max_internal:
+                    a, b = BarChain(P, {ta: 1}), BarChain(P, {tb: 1})
+                    got = qc.pi_product(ta, ea, tb, eb)
+                    assert got == qc.pi(a * b), (case, ta, tb)
+                    assert got == _reference_pi(qc, reference_shuffle(a, b)), (
+                        case, ta, tb)
 
 
 def test_quasi_iso_rejects_bad_parity():

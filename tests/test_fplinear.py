@@ -90,6 +90,20 @@ def test_matrix_construction():
     assert type(entries[(1, 1)]) is int and entries[(1, 0)] == 2
 
 
+def test_matrix_entries_default_to_none_and_are_all_checked():
+    # no entries gives a fresh zero matrix; given entries are each
+    # bounds-, type- and mod-p-checked, wherever they sit in the map
+    a, b = SparseFpMatrix(3, 2, 2), SparseFpMatrix(3, 2, 2, None)
+    assert a.is_zero() and a == b
+    good = {(0, 0): 1, (1, 1): 5}
+    assert dict(SparseFpMatrix(3, 2, 2, good).items()) == {(0, 0): 1,
+                                                           (1, 1): 2}
+    with pytest.raises(IndexError):
+        SparseFpMatrix(3, 2, 2, {**good, (0, 2): 1})
+    with pytest.raises(TypeError):
+        SparseFpMatrix(3, 2, 2, {**good, (1, 0): "1"})
+
+
 def test_rank_small_examples():
     # [[1,2],[2,1]] over F_3: second row is twice the first
     assert dense(3, [[1, 2], [2, 1]]).rank() == 1
