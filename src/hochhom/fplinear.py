@@ -1,10 +1,15 @@
 """Exact linear algebra over a prime field F_p.
 
-Immutable sparse matrices with integer entries mod p, rank by column
-echelon form over a pivot table keyed by leading row index (computed once
-per matrix), and homology dimensions for composable pairs of
-differentials.  Everything is integer arithmetic mod p; no floating point
-and no normal-form machinery.
+Immutable sparse matrices with integer entries mod p, stored by column,
+rank by column echelon form over a pivot table keyed by leading (largest)
+row index (computed once per matrix), and homology dimensions for
+composable pairs of differentials.  Everything is integer arithmetic mod
+p; no floating point and no normal-form machinery.
+
+homology_dim clears ("twist", Chen-Kerber 2011) once d_out o d_in = 0 is
+checked: a reduced column of d_in is a cycle whose largest row is its
+lead i, so column i of d_out lies in the span of d_out's lower-index
+columns, and d_out is reduced without the columns at d_in's leads.
 """
 
 from __future__ import annotations
@@ -24,19 +29,36 @@ def _is_prime(n: int) -> bool:
 
 
 EntryMap = Mapping[tuple[int, int], int]
+ColumnMap = Mapping[int, Mapping[int, int]]  # {col: {row: value}}
 
 
 class SparseFpMatrix:
     """Immutable sparse matrix over F_p.
 
-    Entries live in a dict keyed by (row, col); zeros are never stored.
-    Matrices act on column vectors: an r x c matrix is a map F_p^c -> F_p^r.
+    Entries live by column, {col: {row: value}}; zeros and empty columns
+    are never stored.  Matrices act on column vectors: an r x c matrix is a
+    map F_p^c -> F_p^r.
     """
 
-    __slots__ = ("modulus", "rows", "cols", "_entries", "_rank")
+    __slots__ = ("modulus", "rows", "cols", "_columns", "_leads")
 
     def __init__(self, modulus: int, rows: int, cols: int,
                  entries: Optional[EntryMap] = None):
+        columns: dict[int, dict[int, int]] = {}
+        for (r, c), v in (entries or {}).items():
+            columns.setdefault(c, {})[r] = v
+        self._fill(modulus, rows, cols, columns)
+
+    @classmethod
+    def from_columns(cls, modulus: int, rows: int, cols: int,
+                     columns: ColumnMap) -> "SparseFpMatrix":
+        """The matrix with these columns, checked as __init__ checks."""
+        matrix = cls.__new__(cls)
+        matrix._fill(modulus, rows, cols, columns)
+        return matrix
+
+    def _fill(self, modulus: int, rows: int, cols: int,
+              columns: ColumnMap) -> None:
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus!r} is not a prime")
         if rows < 0 or cols < 0:
@@ -44,59 +66,66 @@ class SparseFpMatrix:
         self.modulus = modulus
         self.rows = rows
         self.cols = cols
-        data: dict[tuple[int, int], int] = {}
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-            if not isinstance(v, int):
-                raise TypeError(f"entry ({r}, {c}) is {v!r}, not an int")
-            v %= modulus
-            if v:
-                data[(r, c)] = v
-        self._entries = data
-        self._rank: Optional[int] = None
+        data: dict[int, dict[int, int]] = {}
+        for c, column in columns.items():
+            kept = {}
+            for r, v in column.items():
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
+                if not isinstance(v, int):
+                    raise TypeError(f"entry ({r}, {c}) is {v!r}, not an int")
+                v %= modulus
+                if v:
+                    kept[r] = v
+            if kept:
+                data[c] = kept
+        self._columns = data
+        self._leads: Optional[frozenset[int]] = None
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(sorted(self._entries.items()))
+        return iter(sorted(((r, c), v) for c, column in self._columns.items()
+                           for r, v in column.items()))
 
     @property
     def nnz(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._columns.values()))
 
     def is_zero(self) -> bool:
-        return not self._entries
+        return not self._columns
 
     def compose(self, other: "SparseFpMatrix") -> "SparseFpMatrix":
-        """Matrix product self * other (apply other first)."""
+        """Matrix product self * other (apply other first), column by
+        column of other, summed under integer row keys."""
         if other.modulus != self.modulus:
             raise ValueError("cannot compose matrices over different primes")
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} o {other.rows}x{other.cols}")
-        other_rows: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in other._entries.items():
-            other_rows.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], int] = {}  # reduced mod p by __init__
-        for (r, k), v in self._entries.items():
-            for c, w in other_rows.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v * w
-        return SparseFpMatrix(self.modulus, self.rows, other.cols, acc)
+        mine = self._columns
+        out: dict[int, dict[int, int]] = {}
+        for c, column in other._columns.items():
+            acc = out[c] = {}  # from_columns keeps the sums nonzero mod p
+            for k, w in column.items():
+                if k in mine:
+                    for r, v in mine[k].items():
+                        acc[r] = acc.get(r, 0) + v * w
+        return self.from_columns(self.modulus, self.rows, other.cols, out)
 
-    def rank(self) -> int:
+    def rank(self, cleared: frozenset[int] = frozenset()) -> int:
         """Rank by column echelon form, computed once per matrix.
 
         Each column is reduced against a pivot table keyed by leading
         (largest) row index until it is zero or leads at a new index,
-        where it becomes a pivot.  The number of pivots is the rank.
+        where it becomes a pivot.  The number of pivots is the rank; their
+        leads are kept for clearing.  The columns in cleared are skipped:
+        homology_dim passes the leads of a d_in with self o d_in = 0,
+        whose columns lie in the span of the others.
         """
-        if self._rank is None:
+        if self._leads is None:
             p = self.modulus
-            columns: dict[int, dict[int, int]] = {}
-            for (r, c), v in self._entries.items():
-                columns.setdefault(c, {})[r] = v
             pivots: dict[int, dict[int, int]] = {}  # lead -> column, lead 1
-            for col in columns.values():
+            todo = (dict(v) for c, v in self._columns.items() if c not in cleared)
+            for col in todo:
                 while col:
                     lead = max(col)
                     pivot = pivots.get(lead)
@@ -111,8 +140,8 @@ class SparseFpMatrix:
                             col[r] = nv
                         else:
                             del col[r]
-            self._rank = len(pivots)
-        return self._rank
+            self._leads = frozenset(pivots)
+        return len(self._leads)
 
     def kernel_dim(self) -> int:
         return self.cols - self.rank()
@@ -121,11 +150,10 @@ class SparseFpMatrix:
         return (isinstance(other, SparseFpMatrix)
                 and other.modulus == self.modulus
                 and other.rows == self.rows and other.cols == self.cols
-                and other._entries == self._entries)
+                and other._columns == self._columns)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.rows, self.cols,
-                     tuple(sorted(self._entries.items()))))
+        return hash((self.modulus, self.rows, self.cols, tuple(self.items())))
 
     def __repr__(self) -> str:
         return (f"SparseFpMatrix(p={self.modulus}, {self.rows}x{self.cols}, "
@@ -139,7 +167,8 @@ class CompositionError(ValueError):
 def homology_dim(d_in: SparseFpMatrix, d_out: SparseFpMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for C_in --d_in--> C_mid --d_out--> C_out.
 
-    The composite d_out o d_in is verified to vanish, not assumed.
+    The composite d_out o d_in is verified to vanish, not assumed; only
+    then is d_out reduced with the columns at d_in's leads cleared.
     """
     if d_in.modulus != d_out.modulus:
         raise ValueError("differentials over different primes")
@@ -149,4 +178,5 @@ def homology_dim(d_in: SparseFpMatrix, d_out: SparseFpMatrix) -> int:
             f"d_out starts from {d_out.cols}")
     if not d_out.compose(d_in).is_zero():
         raise CompositionError("d_out o d_in != 0: not a complex")
-    return d_out.kernel_dim() - d_in.rank()
+    rank_in = d_in.rank()
+    return d_out.cols - d_out.rank(d_in._leads) - rank_in

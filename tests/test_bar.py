@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hochhom import bar
 from hochhom.bar import (
     AlgebraPresentation,
     BarChain,
@@ -347,6 +348,9 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
     # every pair of basis tensors the multiplicativity check visits:
     # s_a + s_b <= max_s and internal degrees summing to <= max_internal.
     # The memo-free reference side catches a memo that mixes up tensors.
+    # verify_quasi_iso skips the (s, internal) strata where pi is 0 on
+    # every basis tensor: the pairs whose shuffles land there, and the
+    # tensors whose boundary lands there.  pi of each of them is 0.
     for case in QUASI_ISO_CASES:
         qc = _QuasiIsoCase(*case)
         _, _, _, _, max_s, max_internal = case
@@ -356,7 +360,12 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
                    for s in range(max_s + 1)
                    for internal, w in cx.strata(s)
                    for t in cx.basis(s, internal, w)]
+        live = {(s, internal) for t, s, internal, _ in tensors
+                if qc.pi(BarChain(P, {t: 1}))}
         for ta, sa, ia, ea in tensors:
+            if (sa - 1, ia) not in live:
+                assert qc.pi(BarChain(P, {ta: 1}).boundary()) == {}, (
+                    case, ta)
             for tb, sb, ib, eb in tensors:
                 if sa + sb <= max_s and ia + ib <= max_internal:
                     a, b = BarChain(P, {ta: 1}), BarChain(P, {tb: 1})
@@ -364,6 +373,24 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
                     assert got == qc.pi(a * b), (case, ta, tb)
                     assert got == _reference_pi(qc, reference_shuffle(a, b)), (
                         case, ta, tb)
+                    if (sa + sb, ia + ib) not in live:
+                        assert got == {}, (case, ta, tb)
+
+
+def test_pi_multiplicativity_check_still_sees_a_flipped_shuffle_sign(
+        monkeypatch):
+    # the sign of every shuffle of two nonempty tensors is flipped; pi
+    # is 0 on most strata, which the check skips, but not on all of them
+    honest = bar._shuffles
+
+    def flipped(ta, ea, tb, eb, patterns):
+        for tensor, odd in honest(ta, ea, tb, eb, patterns):
+            yield tensor, odd ^ bool(ta and tb)
+
+    monkeypatch.setattr(bar, "_shuffles", flipped)
+    report = verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
+    assert not dict((name, ok) for name, ok, _ in report.checks)[
+        "pi is multiplicative"]
 
 
 def test_quasi_iso_rejects_bad_parity():

@@ -104,6 +104,37 @@ def test_matrix_entries_default_to_none_and_are_all_checked():
         SparseFpMatrix(3, 2, 2, {**good, (1, 0): "1"})
 
 
+def test_column_path_checks_every_entry_like_the_mapping_path():
+    with pytest.raises(IndexError):
+        SparseFpMatrix.from_columns(3, 2, 2, {0: {2: 1}})  # row 2
+    with pytest.raises(IndexError):
+        SparseFpMatrix.from_columns(3, 2, 2, {2: {0: 1}})  # column 2
+    with pytest.raises(IndexError):
+        SparseFpMatrix.from_columns(3, 2, 2, {0: {-1: 1}})
+    with pytest.raises(TypeError):
+        SparseFpMatrix.from_columns(3, 2, 2, {1: {0: 1.0}})
+    with pytest.raises(TypeError):
+        SparseFpMatrix.from_columns(3, 2, 2, {1: {0: 1, 1: "1"}})
+
+
+def test_column_path_reduces_mod_p_and_stores_no_empty_column():
+    # 3 and 6 are 0 mod 3 and column 1 is empty: neither is stored, so
+    # the matrix equals, and hashes like, one built from (row, col) entries
+    m = SparseFpMatrix.from_columns(3, 2, 3, {0: {0: 4, 1: 3}, 1: {},
+                                              2: {1: 6}})
+    expected = SparseFpMatrix(3, 2, 3, {(0, 0): 1})
+    assert list(m.items()) == [((0, 0), 1)] and m.nnz == 1
+    assert m == expected and hash(m) == hash(expected)
+    zero = SparseFpMatrix.from_columns(5, 3, 2, {0: {2: 5}, 1: {}})
+    assert zero.is_zero() and zero == SparseFpMatrix(5, 3, 2)
+    assert hash(zero) == hash(SparseFpMatrix(5, 3, 2))
+    # the caller's columns are copied, not shared
+    cols = {0: {0: 1}}
+    m = SparseFpMatrix.from_columns(2, 1, 1, cols)
+    cols[0][0] = 0
+    assert list(m.items()) == [((0, 0), 1)]
+
+
 def test_rank_small_examples():
     # [[1,2],[2,1]] over F_3: second row is twice the first
     assert dense(3, [[1, 2], [2, 1]]).rank() == 1
@@ -173,6 +204,19 @@ def test_homology_dim_rejects_noncomplex():
                      SparseFpMatrix(3, 5, 3))
 
 
+def test_homology_dim_checks_the_composite_before_clearing():
+    # d_in is ranked already, with its leads kept, as the top-down pass
+    # of a bar complex leaves it; a non-complex must still be refused,
+    # before d_out is reduced with those leads cleared
+    d_in = dense(3, [[1], [0]])
+    d_out = dense(3, [[1, 0]])
+    assert d_in.rank() == 1
+    with pytest.raises(CompositionError):
+        homology_dim(d_in, d_out)
+    assert d_out._leads is None  # no rank computed, cleared or not
+    assert d_out.rank() == 1
+
+
 def test_homology_dim_random_complexes():
     # build complexes as d_in = A*B, d_out = C with C*A*B = 0 by killing C*A
     rng = random.Random(99)
@@ -236,6 +280,14 @@ def test_rank_matches_markowitz_reference_on_bar_blocks():
             for t, w in cx.strata(s):
                 d = cx.differential(s, t, w)
                 label = (cx.presentation.p, s, t, w)
+                # the build ranked every block with a target top-down,
+                # d_s with the leads of d_{s+1} cleared for s <= max_s; a
+                # fresh copy is reduced with no clearing
+                assert d._leads is not None or not d.rows, label
+                if s <= cx.max_s:
+                    fresh = SparseFpMatrix(d.modulus, d.rows, d.cols,
+                                           dict(d.items()))
+                    assert fresh.rank() == d.rank(), label
                 _assert_rank_matches(d, markowitz_rank(d), label)
 
 
