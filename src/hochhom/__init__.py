@@ -3,7 +3,7 @@ homology over prime fields.
 
 Four layers, each usable on its own:
 
-- ``fplinear``: exact sparse linear algebra over F_p (ranks, kernels,
+- ``fplinear``: exact sparse linear algebra over F_p (ranks and
   homology dimensions).
 - ``words``: admissible word families, their bidegrees, and the search
   for degree-adjacent word pairs.

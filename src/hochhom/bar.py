@@ -508,8 +508,8 @@ class BarComplex:
                             sign = -sign
                         column[target[tensor[:i] + (ab,) + tensor[i + 2:]]] = sign
                     prefix += totals[a] + 1
-            self._diff[(s, t, w)] = SparseFpMatrix.from_columns(
-                p, len(target), len(tensors), columns)
+            self._diff[(s, t, w)] = SparseFpMatrix(p, len(target),
+                                                   len(tensors), columns)
         del index, faces
 
         # top-down, so d_{s+1} is ranked, leads kept, when d_s is cleared
@@ -628,18 +628,13 @@ def tor_presentation(presentation: AlgebraPresentation, max_total: int,
 
     for g in presentation.generators:
         t = g.total
-        if g.kind == "polynomial":
-            if 1 + t <= max_total:
-                gens.append(Generator(f"ε({g.name})", "exterior", None,
-                                      1, t, g.weight))
-        elif g.kind == "exterior":
+        if g.kind == "exterior":
             tower("ρ", g, 1, t, g.weight)
-        else:
-            h = g.height
-            if 1 + t <= max_total:
-                gens.append(Generator(f"ε({g.name})", "exterior", None,
-                                      1, t, g.weight))
-            tower("φ", g, 2, h * t, h * g.weight)
+        elif 1 + t <= max_total:
+            gens.append(Generator(f"ε({g.name})", "exterior", None,
+                                  1, t, g.weight))
+        if g.kind == "truncated":
+            tower("φ", g, 2, g.height * t, g.height * g.weight)
     return AlgebraPresentation(p, tuple(gens))
 
 

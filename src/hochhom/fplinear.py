@@ -6,10 +6,10 @@ row index (computed once per matrix), and homology dimensions for
 composable pairs of differentials.  Everything is integer arithmetic mod
 p; no floating point and no normal-form machinery.
 
-homology_dim clears ("twist", Chen-Kerber 2011) once d_out o d_in = 0 is
-checked: a reduced column of d_in is a cycle whose largest row is its
-lead i, so column i of d_out lies in the span of d_out's lower-index
-columns, and d_out is reduced without the columns at d_in's leads.
+rank(after) clears ("twist", Chen-Kerber 2011) once self o after = 0 is
+checked: a reduced column of after is a cycle whose largest row is its
+lead i, so column i of self lies in the span of self's lower-index
+columns, and self is reduced without the columns at after's leads.
 """
 
 from __future__ import annotations
@@ -28,37 +28,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-EntryMap = Mapping[tuple[int, int], int]
 ColumnMap = Mapping[int, Mapping[int, int]]  # {col: {row: value}}
+
+
+class CompositionError(ValueError):
+    """Raised when a would-be complex has d_out o d_in != 0."""
 
 
 class SparseFpMatrix:
     """Immutable sparse matrix over F_p.
 
-    Entries live by column, {col: {row: value}}; zeros and empty columns
-    are never stored.  Matrices act on column vectors: an r x c matrix is a
-    map F_p^c -> F_p^r.
+    Built from and stored as columns, {col: {row: value}}: each entry is
+    range- and int-checked and reduced mod p, and zeros and empty columns
+    are never stored.  Matrices act on column vectors: an r x c matrix is
+    a map F_p^c -> F_p^r.
     """
 
     __slots__ = ("modulus", "rows", "cols", "_columns", "_leads")
 
     def __init__(self, modulus: int, rows: int, cols: int,
-                 entries: Optional[EntryMap] = None):
-        columns: dict[int, dict[int, int]] = {}
-        for (r, c), v in (entries or {}).items():
-            columns.setdefault(c, {})[r] = v
-        self._fill(modulus, rows, cols, columns)
-
-    @classmethod
-    def from_columns(cls, modulus: int, rows: int, cols: int,
-                     columns: ColumnMap) -> "SparseFpMatrix":
-        """The matrix with these columns, checked as __init__ checks."""
-        matrix = cls.__new__(cls)
-        matrix._fill(modulus, rows, cols, columns)
-        return matrix
-
-    def _fill(self, modulus: int, rows: int, cols: int,
-              columns: ColumnMap) -> None:
+                 columns: Optional[ColumnMap] = None):
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus!r} is not a prime")
         if rows < 0 or cols < 0:
@@ -67,7 +56,7 @@ class SparseFpMatrix:
         self.rows = rows
         self.cols = cols
         data: dict[int, dict[int, int]] = {}
-        for c, column in columns.items():
+        for c, column in (columns or {}).items():
             kept = {}
             for r, v in column.items():
                 if not (0 <= r < rows and 0 <= c < cols):
@@ -104,24 +93,35 @@ class SparseFpMatrix:
         mine = self._columns
         out: dict[int, dict[int, int]] = {}
         for c, column in other._columns.items():
-            acc = out[c] = {}  # from_columns keeps the sums nonzero mod p
+            acc = out[c] = {}  # the constructor keeps the sums nonzero mod p
             for k, w in column.items():
                 if k in mine:
                     for r, v in mine[k].items():
                         acc[r] = acc.get(r, 0) + v * w
-        return self.from_columns(self.modulus, self.rows, other.cols, out)
+        return SparseFpMatrix(self.modulus, self.rows, other.cols, out)
 
-    def rank(self, cleared: frozenset[int] = frozenset()) -> int:
+    def rank(self, after: Optional["SparseFpMatrix"] = None) -> int:
         """Rank by column echelon form, computed once per matrix.
+
+        Given the incoming differential after, self o after = 0 is checked
+        on every call, and CompositionError raised otherwise; only then
+        may the columns at after's pivot leads be skipped.
+        """
+        if after is not None and not self.compose(after).is_zero():
+            raise CompositionError("self o after != 0: not a complex")
+        return len(self._pivot_leads(after))
+
+    def _pivot_leads(self, after: Optional[SparseFpMatrix]) -> frozenset[int]:
+        """Leads of the pivots, memoised; rank() has checked after.
 
         Each column is reduced against a pivot table keyed by leading
         (largest) row index until it is zero or leads at a new index,
-        where it becomes a pivot.  The number of pivots is the rank; their
-        leads are kept for clearing.  The columns in cleared are skipped:
-        homology_dim passes the leads of a d_in with self o d_in = 0,
-        whose columns lie in the span of the others.
+        where it becomes a pivot.  The leads depend only on the column
+        space, so skipping the columns at after's leads, which lie in the
+        span of the others, keeps them.
         """
         if self._leads is None:
+            cleared = after._pivot_leads(None) if after is not None else ()
             p = self.modulus
             pivots: dict[int, dict[int, int]] = {}  # lead -> column, lead 1
             todo = (dict(v) for c, v in self._columns.items() if c not in cleared)
@@ -141,10 +141,7 @@ class SparseFpMatrix:
                         else:
                             del col[r]
             self._leads = frozenset(pivots)
-        return len(self._leads)
-
-    def kernel_dim(self) -> int:
-        return self.cols - self.rank()
+        return self._leads
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseFpMatrix)
@@ -160,23 +157,9 @@ class SparseFpMatrix:
                 f"nnz={self.nnz})")
 
 
-class CompositionError(ValueError):
-    """Raised when a would-be complex has d_out o d_in != 0."""
-
-
 def homology_dim(d_in: SparseFpMatrix, d_out: SparseFpMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for C_in --d_in--> C_mid --d_out--> C_out.
 
-    The composite d_out o d_in is verified to vanish, not assumed; only
-    then is d_out reduced with the columns at d_in's leads cleared.
+    d_out.rank(d_in) verifies that d_out o d_in vanishes before it clears.
     """
-    if d_in.modulus != d_out.modulus:
-        raise ValueError("differentials over different primes")
-    if d_out.cols != d_in.rows:
-        raise ValueError(
-            f"middle dimension mismatch: d_in lands in {d_in.rows}, "
-            f"d_out starts from {d_out.cols}")
-    if not d_out.compose(d_in).is_zero():
-        raise CompositionError("d_out o d_in != 0: not a complex")
-    rank_in = d_in.rank()
-    return d_out.cols - d_out.rank(d_in._leads) - rank_in
+    return d_out.cols - d_out.rank(d_in) - d_in.rank()

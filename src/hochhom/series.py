@@ -40,12 +40,15 @@ class PoincareSeries:
             raise ValueError("truncation must be nonnegative")
         clean = {}
         for d, c in self.coeffs.items():
+            if not (isinstance(d, int) and isinstance(c, int)):
+                raise TypeError(
+                    f"degree {d!r} and coefficient {c!r} must both be ints")
             if d < 0:
                 raise ValueError("degrees must be nonnegative")
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
             if c and d <= self.truncation:
-                clean[int(d)] = int(c)
+                clean[d] = c
         object.__setattr__(self, "coeffs", clean)
 
     def coefficient(self, degree: int) -> int:

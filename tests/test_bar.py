@@ -127,12 +127,11 @@ def _boundary_matrix(cx, s, internal, weight):
     P = cx.presentation
     rows = {t: i for i, t in enumerate(cx.basis(s - 1, internal, weight))}
     sources = cx.basis(s, internal, weight)
-    entries = {}
+    columns = {}
     for col, tensor in enumerate(sources):
         image = BarChain.from_tensor(P, tensor).boundary()
-        for target, coeff in image.terms.items():
-            entries[(rows[target], col)] = coeff
-    return SparseFpMatrix(P.p, len(rows), len(sources), entries)
+        columns[col] = {rows[t]: coeff for t, coeff in image.terms.items()}
+    return SparseFpMatrix(P.p, len(rows), len(sources), columns)
 
 
 def test_differentials_match_boundary_column_by_column():
@@ -594,7 +593,7 @@ def test_iterated_tor_against_bar_oracle():
     # and from B' and B''(m) with |x| in {0, 2}.  A class of hom <= S and
     # internal <= N has total degree up to N + S, so the rewrite runs there
     S, N, W = 5, 14, 10
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         starts = [poly_algebra(p, 2)]
         for x in (0, 2):
             starts.append(AlgebraPresentation(

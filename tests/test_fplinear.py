@@ -23,9 +23,18 @@ from shared_complexes import weight_graded_complex
 
 def dense(p, rows):
     """The matrix with these dense rows."""
-    entries = {(i, j): v for i, row in enumerate(rows)
-               for j, v in enumerate(row)}
-    return SparseFpMatrix(p, len(rows), len(rows[0]) if rows else 0, entries)
+    ncols = len(rows[0]) if rows else 0
+    columns = {j: {i: row[j] for i, row in enumerate(rows)}
+               for j in range(ncols)}
+    return SparseFpMatrix(p, len(rows), ncols, columns)
+
+
+def columns_of(m):
+    """The {col: {row: value}} columns of m, read through its items."""
+    columns = {}
+    for (r, c), v in m.items():
+        columns.setdefault(c, {})[r] = v
+    return columns
 
 
 def dense_rank_modp(rows, p):
@@ -77,60 +86,53 @@ def test_matrix_construction():
     assert entries[(0, 1)] == 2
     z = SparseFpMatrix(5, 3, 4)
     assert z.is_zero() and z.nnz == 0
-    eye = SparseFpMatrix(2, 3, 3, {(i, i): 1 for i in range(3)})
+    eye = SparseFpMatrix(2, 3, 3, {i: {i: 1} for i in range(3)})
     assert eye.rank() == 3
     # entries reduced mod p, zeros dropped
     m2 = dense(3, [[3, 4], [0, 6]])
     assert list(m2.items()) == [((0, 1), 1)]
     with pytest.raises(IndexError):
-        SparseFpMatrix(3, 2, 2, {(2, 0): 1})
+        SparseFpMatrix(3, 2, 2, {0: {2: 1}})
     # entries are ints; items() reads them back as ints
     with pytest.raises(TypeError):
-        SparseFpMatrix(3, 2, 2, {(0, 0): 1.0})
+        SparseFpMatrix(3, 2, 2, {0: {0: 1.0}})
     assert type(entries[(1, 1)]) is int and entries[(1, 0)] == 2
 
 
 def test_matrix_entries_default_to_none_and_are_all_checked():
-    # no entries gives a fresh zero matrix; given entries are each
-    # bounds-, type- and mod-p-checked, wherever they sit in the map
+    # no columns gives a fresh zero matrix; given entries are each
+    # bounds-, type- and mod-p-checked, wherever they sit in the columns
     a, b = SparseFpMatrix(3, 2, 2), SparseFpMatrix(3, 2, 2, None)
     assert a.is_zero() and a == b
-    good = {(0, 0): 1, (1, 1): 5}
+    good = {0: {0: 1}, 1: {1: 5}}
     assert dict(SparseFpMatrix(3, 2, 2, good).items()) == {(0, 0): 1,
                                                            (1, 1): 2}
-    with pytest.raises(IndexError):
-        SparseFpMatrix(3, 2, 2, {**good, (0, 2): 1})
-    with pytest.raises(TypeError):
-        SparseFpMatrix(3, 2, 2, {**good, (1, 0): "1"})
-
-
-def test_column_path_checks_every_entry_like_the_mapping_path():
-    with pytest.raises(IndexError):
-        SparseFpMatrix.from_columns(3, 2, 2, {0: {2: 1}})  # row 2
-    with pytest.raises(IndexError):
-        SparseFpMatrix.from_columns(3, 2, 2, {2: {0: 1}})  # column 2
-    with pytest.raises(IndexError):
-        SparseFpMatrix.from_columns(3, 2, 2, {0: {-1: 1}})
-    with pytest.raises(TypeError):
-        SparseFpMatrix.from_columns(3, 2, 2, {1: {0: 1.0}})
-    with pytest.raises(TypeError):
-        SparseFpMatrix.from_columns(3, 2, 2, {1: {0: 1, 1: "1"}})
+    for bad in ({**good, 2: {0: 1}},  # column 2 beside good columns
+                {0: {2: 1}},  # row 2
+                {2: {0: 1}},  # column 2
+                {0: {-1: 1}}):
+        with pytest.raises(IndexError):
+            SparseFpMatrix(3, 2, 2, bad)
+    for bad in ({**good, 1: {1: 5, 0: "1"}},  # a str after good entries
+                {1: {0: 1.0}},
+                {1: {0: 1, 1: "1"}}):
+        with pytest.raises(TypeError):
+            SparseFpMatrix(3, 2, 2, bad)
 
 
 def test_column_path_reduces_mod_p_and_stores_no_empty_column():
     # 3 and 6 are 0 mod 3 and column 1 is empty: neither is stored, so
-    # the matrix equals, and hashes like, one built from (row, col) entries
-    m = SparseFpMatrix.from_columns(3, 2, 3, {0: {0: 4, 1: 3}, 1: {},
-                                              2: {1: 6}})
-    expected = SparseFpMatrix(3, 2, 3, {(0, 0): 1})
+    # the matrix equals, and hashes like, one built from its one entry
+    m = SparseFpMatrix(3, 2, 3, {0: {0: 4, 1: 3}, 1: {}, 2: {1: 6}})
+    expected = SparseFpMatrix(3, 2, 3, {0: {0: 1}})
     assert list(m.items()) == [((0, 0), 1)] and m.nnz == 1
     assert m == expected and hash(m) == hash(expected)
-    zero = SparseFpMatrix.from_columns(5, 3, 2, {0: {2: 5}, 1: {}})
+    zero = SparseFpMatrix(5, 3, 2, {0: {2: 5}, 1: {}})
     assert zero.is_zero() and zero == SparseFpMatrix(5, 3, 2)
     assert hash(zero) == hash(SparseFpMatrix(5, 3, 2))
     # the caller's columns are copied, not shared
     cols = {0: {0: 1}}
-    m = SparseFpMatrix.from_columns(2, 1, 1, cols)
+    m = SparseFpMatrix(2, 1, 1, cols)
     cols[0][0] = 0
     assert list(m.items()) == [((0, 0), 1)]
 
@@ -144,7 +146,7 @@ def test_rank_small_examples():
     assert SparseFpMatrix(7, 4, 5).rank() == 0
     m = dense(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert m.rank() == 2
-    assert m.kernel_dim() == 1
+    assert m.cols - m.rank() == 1
 
 
 def test_rank_against_dense_oracle():
@@ -171,7 +173,7 @@ def test_rank_invariances():
         shuffled = dense(p, [rows[i] for i in perm])
         assert m.rank() == shuffled.rank()
         assert m.rank() == dense(p, [list(c) for c in zip(*rows)]).rank()
-        assert m.kernel_dim() == nc - m.rank()
+        assert m.cols - m.rank() == nc - dense_rank_modp(rows, p)
 
 
 def test_compose():
@@ -202,6 +204,8 @@ def test_homology_dim_rejects_noncomplex():
     with pytest.raises(ValueError):
         homology_dim(SparseFpMatrix(3, 4, 2),
                      SparseFpMatrix(3, 5, 3))
+    with pytest.raises(ValueError):
+        homology_dim(SparseFpMatrix(3, 2, 2), SparseFpMatrix(5, 2, 2))
 
 
 def test_homology_dim_checks_the_composite_before_clearing():
@@ -215,6 +219,26 @@ def test_homology_dim_checks_the_composite_before_clearing():
         homology_dim(d_in, d_out)
     assert d_out._leads is None  # no rank computed, cleared or not
     assert d_out.rank() == 1
+
+
+def test_rank_after_checks_the_composite_on_every_call():
+    # rank(after) clears only once self o after = 0 is checked, so no
+    # argument can store a wrong rank, and a stored rank skips no check
+    eye = SparseFpMatrix(3, 2, 2, {0: {0: 1}, 1: {1: 1}})
+    with pytest.raises(CompositionError):
+        eye.rank(after=eye)
+    assert eye._leads is None
+    assert eye.rank(after=SparseFpMatrix(3, 2, 4)) == 2
+    assert eye.rank() == 2
+    with pytest.raises(CompositionError):
+        eye.rank(after=eye)
+    with pytest.raises(ValueError):
+        eye.rank(after=SparseFpMatrix(5, 2, 1))
+    assert eye.rank() == 2
+    # [1 1] o (1, 2)^T = 0 mod 3: column 1 is cleared, the rank stays 1
+    d_out = dense(3, [[1, 1]])
+    assert d_out.rank(after=dense(3, [[1], [2]])) == 1
+    assert d_out.rank() == 1 == dense(3, [[1, 1]]).rank()
 
 
 def test_homology_dim_random_complexes():
@@ -237,7 +261,8 @@ def test_homology_dim_random_complexes():
             kernel_rows = [[0] * mid]
         d_out = dense(p, kernel_rows)
         h = homology_dim(d_in, d_out)
-        assert h == d_out.kernel_dim() - d_in.rank()
+        # a fresh d_out is ranked with no clearing
+        assert h == d_out.cols - dense(p, kernel_rows).rank() - d_in.rank()
         assert 0 <= h <= mid
 
 
@@ -252,7 +277,7 @@ def _all_vectors(p, n):
 
 def test_matrix_equality_and_items():
     a = dense(3, [[1, 0], [0, 2]])
-    b = SparseFpMatrix(3, 2, 2, {(1, 1): 2, (0, 0): 4})
+    b = SparseFpMatrix(3, 2, 2, {1: {1: 2}, 0: {0: 4}})
     assert a == b
     assert list(a.items()) == [((0, 0), 1), ((1, 1), 2)]
 
@@ -286,7 +311,7 @@ def test_rank_matches_markowitz_reference_on_bar_blocks():
                 assert d._leads is not None or not d.rows, label
                 if s <= cx.max_s:
                     fresh = SparseFpMatrix(d.modulus, d.rows, d.cols,
-                                           dict(d.items()))
+                                           columns_of(d))
                     assert fresh.rank() == d.rank(), label
                 _assert_rank_matches(d, markowitz_rank(d), label)
 
@@ -298,10 +323,12 @@ def test_rank_matches_markowitz_reference_on_random_shapes():
     for p in (2, 3, 5, 7):
         for nr, nc in shapes:
             for density in (0.1, 0.3, 0.8):
-                entries = {(r, c): rng.randint(1, p - 1)
-                           for r in range(nr) for c in range(nc)
-                           if rng.random() < density}
-                m = SparseFpMatrix(p, nr, nc, entries)
+                columns = {}
+                for r in range(nr):
+                    for c in range(nc):
+                        if rng.random() < density:
+                            columns.setdefault(c, {})[r] = rng.randint(1, p - 1)
+                m = SparseFpMatrix(p, nr, nc, columns)
                 _assert_rank_matches(m, markowitz_rank(m), (p, nr, nc, density))
         # row-dependent: extra rows are combinations of k base rows
         for _ in range(12):

@@ -63,6 +63,14 @@ def test_poincare_series_basics():
     assert prod == [1, 0, 2, 1, 0]
 
 
+def test_poincare_series_refuses_non_int_terms():
+    # an int() cast would read {1.5: 1.7, 2: 1} as {1: 1, 2: 1}
+    for coeffs in ({1.5: 1.7, 2: 1}, {2: 1, 1.5: 1}, {1: 1.7}, {1: "1"},
+                   {"1": 1}):
+        with pytest.raises(TypeError):
+            PoincareSeries(coeffs, 3)
+
+
 def test_poincare_series_drops_beyond_truncation():
     s = PoincareSeries({0: 1, 5: 7}, 3)
     assert s.coeffs == {0: 1}
