@@ -107,14 +107,20 @@ def test_matrix_entries_default_to_none_and_are_all_checked():
     good = {0: {0: 1}, 1: {1: 5}}
     assert dict(SparseFpMatrix(3, 2, 2, good).items()) == {(0, 0): 1,
                                                            (1, 1): 2}
-    for bad in ({**good, 2: {0: 1}},  # column 2 beside good columns
-                {0: {2: 1}},  # row 2
+    with pytest.raises(IndexError):
+        SparseFpMatrix(3, 2, 2, {**good, 2: {0: 1}})  # beside good columns
+    with pytest.raises(TypeError):
+        SparseFpMatrix(3, 2, 2, {**good, 1: {1: 5, 0: "1"}})
+
+
+def test_column_path_checks_every_entry_like_the_mapping_path():
+    # the constructor takes columns; each lone bad entry is still caught
+    for bad in ({0: {2: 1}},  # row 2
                 {2: {0: 1}},  # column 2
                 {0: {-1: 1}}):
         with pytest.raises(IndexError):
             SparseFpMatrix(3, 2, 2, bad)
-    for bad in ({**good, 1: {1: 5, 0: "1"}},  # a str after good entries
-                {1: {0: 1.0}},
+    for bad in ({1: {0: 1.0}},
                 {1: {0: 1, 1: "1"}}):
         with pytest.raises(TypeError):
             SparseFpMatrix(3, 2, 2, bad)
