@@ -18,15 +18,15 @@ with only the inner face maps surviving,
     d(a_1 | ... | a_s) = sum_i (-1)^(e_i) a_1 | ... | a_i a_{i+1} | ... | a_s,
     e_i = sum_{j<i} (|a_j| + 1) + |a_i|,
 
-the Koszul convention induced by suspending each factor.  d^2 = 0 is
-verified once for every composable pair of constructed blocks, before
-the homology pass (top-down in s) ranks d_s with the leads of d_{s+1}
-cleared, and the shuffle product satisfies the graded Leibniz rule for
-this sign choice (property-tested).  BarComplex stores tensors of
-monomial indices; BarChain keeps tensors of monomials.  One enumeration
-of shuffles (_shuffles) serves the shuffle product and the check that pi
-is multiplicative, which sums pi over it without building the product
-and skips the pairs whose shuffles land where pi is 0.
+the Koszul convention induced by suspending each factor.  BarComplex
+stores tensors of monomial indices and the coboundaries delta^s =
+d_{s+1}^T.  Bottom-up in s, it ranks delta^s with the leads of
+delta^{s-1} cleared, once delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0
+is verified.  The shuffle product satisfies the graded Leibniz rule for
+this sign choice (property-tested).  One enumeration of shuffles
+(_shuffles) serves the shuffle product and the check that pi is
+multiplicative, which sums pi over it without building the product and
+skips the pairs whose shuffles land where pi is 0.
 
 Homology of Tor^A(k, k) in the three one-generator cases has explicit
 small models:
@@ -432,16 +432,16 @@ class BarChain:
 
 class BarComplex:
     """All bar blocks B_s for s <= max_s + 1 within degree/weight bounds,
-    stratified by (internal degree, weight); differentials per stratum.
+    stratified by (internal degree, weight); coboundaries per stratum.
 
     Homology is exact for s <= max_s: each stratum is finite and complete
-    within the bounds, and the block at max_s + 1 supplies the incoming
-    differential for the top reported row.  Tensors are stored as tuples
-    of monomial indices; basis() decodes them.  The homology table is
-    computed once, at the end of construction, top-down in s, and that
-    pass verifies d o d = 0 exactly once for every composable pair of
-    blocks before it clears d_s by the leads of d_{s+1}, so a
-    presentation whose products are not associative raises here.
+    within the bounds, and B_{max_s + 1} is the target of delta^{max_s}.
+    Tensors are stored as tuples of monomial indices; basis() decodes
+    them.  The homology table is computed once, at the end of
+    construction, bottom-up in s; that pass verifies d o d = 0 once for
+    every composable pair of blocks before it clears delta^s by the leads
+    of delta^{s-1}, so a presentation whose products are not associative
+    raises here.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_s: int,
@@ -473,58 +473,55 @@ class BarComplex:
             for tensor, t, w in level:
                 self._basis.setdefault((s, t, w), []).append(tensor)
 
-        # Differentials keyed by source stratum (s, t, w), s >= 1, built
-        # from the basis tensors with the face signs of BarChain.boundary.
-        # faces(a, b) is (sign, index of ab), or None when truncation kills
-        # ab; it is filled only for adjacent factors, whose product lies in
-        # the window.  Only blocks s <= max_s are targets, so only they get
-        # an index.
+        # Coboundaries delta^s = d_{s+1}^T : C^s -> C^{s+1} by source stratum,
+        # s <= max_s.  Column v holds each u whose face i is v, u splitting
+        # v_i = c into (a, b) with the sign of BarChain.boundary; splits[c]
+        # lists (a, b, multiply's sign times (-1)^|a|) for 0 < a < c, the
+        # exponent ranges' product minus its ends, so no face visited is 0.
         mono_index = {m: i for i, m in enumerate(monos)}
 
-        def face(a: int, b: int) -> Optional[tuple[int, int]]:
-            res = presentation.multiply(monos[a], monos[b])
-            return res and (res[0], mono_index[res[1]])
+        def split(c: Monomial) -> Iterator[tuple[int, int, int]]:
+            powers = [range(e + 1) for e in c]
+            for a in list(itertools.product(*powers))[1:-1]:
+                b = tuple(e - f for e, f in zip(c, a))
+                yield (mono_index[a], mono_index[b],
+                       presentation.multiply(a, b)[0]
+                       * (-1) ** presentation.mono_total(a))
 
-        faces = cache(face)
-        index = {key: {t: i for i, t in enumerate(tensors)}
-                 for key, tensors in self._basis.items() if key[0] <= max_s}
-        self._diff: dict[tuple[int, int, int], SparseFpMatrix] = {}
+        splits = [list(split(c)) for c in monos]
+        self._cobound: dict[tuple[int, int, int], SparseFpMatrix] = {}
         for (s, t, w), tensors in self._basis.items():
-            if s == 0:
-                continue
-            target = index.get((s - 1, t, w), {})
-            # faces of one tensor land on distinct tensors, so every row of
-            # a column is written at most once
-            columns: dict[int, dict[int, int]] = {}
-            for col, tensor in enumerate(tensors):
-                column = columns[col] = {}
-                prefix = 0  # sum of (|a_j| + 1) for j < i
-                for i in range(s - 1):
-                    a = tensor[i]
-                    prod = faces(a, tensor[i + 1])
-                    if prod is not None:
-                        sign, ab = prod
-                        if (prefix + totals[a]) % 2:
-                            sign = -sign
-                        column[target[tensor[:i] + (ab,) + tensor[i + 2:]]] = sign
-                    prefix += totals[a] + 1
-            self._diff[(s, t, w)] = SparseFpMatrix(p, len(target),
-                                                   len(tensors), columns)
-        del index, faces
-
-        # top-down, so d_{s+1} is ranked, leads kept, when d_s is cleared
-        dims: dict[tuple[int, int, int], int] = {}
-        for s, t, w in sorted(self._basis, reverse=True):
             if s > max_s:
                 continue
+            targets = self._basis.get((s + 1, t, w), ())
+            row = {u: i for i, u in enumerate(targets)}
+            # distinct splits of one tensor give distinct tensors, so every
+            # row of a column is written at most once
+            columns: dict[int, dict[int, int]] = {}
+            for col, v in enumerate(tensors):
+                column = columns[col] = {}
+                prefix = 0  # sum of (|v_j| + 1) for j < i
+                for i, c in enumerate(v):
+                    head, tail = v[:i], v[i + 1:]
+                    face_sign = -1 if prefix % 2 else 1
+                    for a, b, sign in splits[c]:
+                        column[row[head + (a, b) + tail]] = sign * face_sign
+                    prefix += totals[c] + 1
+            self._cobound[(s, t, w)] = SparseFpMatrix(p, len(targets),
+                                                      len(tensors), columns)
+
+        # bottom-up over the strata s <= max_s, so delta^{s-1} is ranked,
+        # leads kept, when delta^s is cleared, and dims comes out sorted
+        dims: dict[tuple[int, int, int], int] = {}
+        for s, t, w in sorted(self._cobound):
             try:
-                dims[(s, t, w)] = homology_dim(self.differential(s + 1, t, w),
-                                               self.differential(s, t, w))
+                dims[(s, t, w)] = homology_dim(self.coboundary(s - 1, t, w),
+                                               self.coboundary(s, t, w))
             except CompositionError as exc:
                 raise CompositionError(
                     f"d o d != 0 from stratum (s={s + 1}, t={t}, w={w})"
                 ) from exc
-        self._homology = BigradedDims(dict(sorted(dims.items())))
+        self._homology = BigradedDims(dims)
 
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:
         """The stratum's tensors of monomials, in increasing order."""
@@ -534,13 +531,14 @@ class BarComplex:
     def strata(self, s: int) -> list[tuple[int, int]]:
         return sorted((t, w) for (s2, t, w) in self._basis if s2 == s)
 
-    def differential(self, s: int, internal: int,
-                     weight: int = 0) -> SparseFpMatrix:
+    def coboundary(self, s: int, internal: int,
+                   weight: int = 0) -> SparseFpMatrix:
+        """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum."""
         key = (s, internal, weight)
-        if key in self._diff:
-            return self._diff[key]
+        if key in self._cobound:
+            return self._cobound[key]
+        rows = len(self._basis.get((s + 1, internal, weight), ()))
         cols = len(self._basis.get(key, ()))
-        rows = len(self._basis.get((s - 1, internal, weight), ()))
         return SparseFpMatrix(self.presentation.p, rows, cols)
 
     def homology(self) -> BigradedDims:

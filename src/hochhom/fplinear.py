@@ -7,8 +7,8 @@ composable pairs of differentials.  Everything is integer arithmetic mod
 p; no floating point and no normal-form machinery.
 
 rank(after) clears ("twist", Chen-Kerber 2011) once self o after = 0 is
-checked: a reduced column of after is a cycle whose largest row is its
-lead i, so column i of self lies in the span of self's lower-index
+checked: self kills each reduced column of after, whose largest row is
+its lead i, so column i of self lies in the span of self's lower-index
 columns, and self is reduced without the columns at after's leads.
 """
 

@@ -36,6 +36,8 @@ class PoincareSeries:
     validity: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.truncation, int):
+            raise TypeError(f"truncation {self.truncation!r} is not an int")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         clean = {}

@@ -27,7 +27,9 @@ from hochhom.bar import (
     verify_quasi_iso,
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
-from bar_reference import reference_pi_tensor, reference_shuffle
+from bar_reference import (reference_homology, reference_pi_tensor,
+                           reference_shuffle)
+from shared_complexes import weight_graded_complex
 from tor_reference import reference_presentation_dims
 
 
@@ -134,52 +136,62 @@ def _boundary_matrix(cx, s, internal, weight):
     return SparseFpMatrix(P.p, len(rows), len(sources), columns)
 
 
+def _transpose(m):
+    columns = {}
+    for (r, c), v in m.items():
+        columns.setdefault(r, {})[c] = v
+    return SparseFpMatrix(m.modulus, m.cols, m.rows, columns)
+
+
+# (generators, max_s, max_internal, max_weight) of the bar complexes that
+# the build is checked on, at every p of a test
+GRID = [((truncated("x", h, 2),), 5, 18, None) for h in (2, 3, 4, 9)]
+GRID += [((truncated("x", h, 0, weight=1),), 5, 0, 10) for h in (2, 3, 4, 9)]
+GRID += [
+    ((polynomial("x", 2),), 5, 12, None),
+    ((polynomial("x", 0, weight=1),), 5, 0, 8),
+    ((exterior("x", 3),), 5, 15, None),
+    ((exterior("a", 3), exterior("b", 5)), 4, 16, None),
+    ((truncated("x", 3, 0, weight=1), exterior("y", 1, weight=1)), 5, 6, 8),
+]
+
+
 def test_differentials_match_boundary_column_by_column():
+    # the coboundary delta^{s-1} is the transpose of d_s
     for p in (2, 3, 5):
-        cases = [((truncated("x", h, 2),), 5, 18, None) for h in (2, 3, 4, 9)]
-        cases += [((truncated("x", h, 0, weight=1),), 5, 0, 10)
-                  for h in (2, 3, 4, 9)]
-        cases += [
-            ((polynomial("x", 2),), 5, 12, None),
-            ((polynomial("x", 0, weight=1),), 5, 0, 8),
-            ((exterior("x", 3),), 5, 15, None),
-            ((exterior("a", 3), exterior("b", 5)), 4, 16, None),
-            ((truncated("x", 3, 0, weight=1), exterior("y", 1, weight=1)),
-             5, 6, 8),
-        ]
-        for gens, max_s, max_internal, max_weight in cases:
+        for gens, max_s, max_internal, max_weight in GRID:
             cx = BarComplex(AlgebraPresentation(p, gens), max_s,
                             max_internal, max_weight)
             for s in range(1, max_s + 2):
                 for t, w in cx.strata(s):
-                    expected = _boundary_matrix(cx, s, t, w)
-                    assert cx.differential(s, t, w) == expected, \
+                    expected = _transpose(_boundary_matrix(cx, s, t, w))
+                    assert cx.coboundary(s - 1, t, w) == expected, \
                         (p, gens, s, t, w)
 
 
 def test_basis_strata_come_out_sorted():
-    # the grid of test_differentials_match_boundary_column_by_column: the
-    # basis is built in index order and never sorted, and index order
+    # the basis is built in index order and never sorted, and index order
     # must be the order of the monomial tensors
     for p in (2, 3, 5):
-        cases = [((truncated("x", h, 2),), 5, 18, None) for h in (2, 3, 4, 9)]
-        cases += [((truncated("x", h, 0, weight=1),), 5, 0, 10)
-                  for h in (2, 3, 4, 9)]
-        cases += [
-            ((polynomial("x", 2),), 5, 12, None),
-            ((polynomial("x", 0, weight=1),), 5, 0, 8),
-            ((exterior("x", 3),), 5, 15, None),
-            ((exterior("a", 3), exterior("b", 5)), 4, 16, None),
-            ((truncated("x", 3, 0, weight=1), exterior("y", 1, weight=1)),
-             5, 6, 8),
-        ]
-        for gens, max_s, max_internal, max_weight in cases:
+        for gens, max_s, max_internal, max_weight in GRID:
             cx = BarComplex(AlgebraPresentation(p, gens), max_s,
                             max_internal, max_weight)
             for s in range(max_s + 2):
                 for t, w in cx.strata(s):
                     basis = cx.basis(s, t, w)
                     assert basis and basis == sorted(basis), (p, gens, s, t)
+
+
+def test_cohomology_pass_matches_the_top_down_reference():
+    # the bottom-up pass over the coboundaries against the top-down pass
+    # over the differentials, on the grid at p = 2, 3, 5, 7 and on the C5
+    # complexes
+    complexes = [BarComplex(AlgebraPresentation(p, gens), *window)
+                 for p in (2, 3, 5, 7) for gens, *window in GRID]
+    complexes += [weight_graded_complex(p) for p in (2, 3)]
+    for cx in complexes:
+        assert cx.homology() == reference_homology(cx), (
+            cx.presentation, cx.max_s)
 
 
 def test_window_below_weight_zero_is_empty():
@@ -204,17 +216,20 @@ def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
         return -res[0], res[1]
 
     monkeypatch.setattr(AlgebraPresentation, "multiply", broken)
-    with pytest.raises(CompositionError, match="d o d"):
+    with pytest.raises(CompositionError,
+                       match=r"d o d != 0 from stratum \(s=3, t=6, w=0\)"):
         BarComplex(poly_algebra(3), 3, 6)
 
 
 def test_bar_complex_strata_and_differential_shapes():
+    # delta^{s-1} : C^{s-1} -> C^s, the transpose of d_s, up to the top
+    # target B_{max_s + 1}
     cx = BarComplex(trunc_algebra(3, 3, 2), 4, 12)
-    for s in range(1, 5):
+    for s in range(1, 6):
         for (internal, w) in cx.strata(s):
-            d = cx.differential(s, internal, w)
-            assert d.rows == len(cx.basis(s - 1, internal, w))
-            assert d.cols == len(cx.basis(s, internal, w))
+            d = cx.coboundary(s - 1, internal, w)
+            assert d.rows == len(cx.basis(s, internal, w))
+            assert d.cols == len(cx.basis(s - 1, internal, w))
 
 
 def test_shuffle_unit_and_squares():

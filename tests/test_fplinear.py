@@ -307,18 +307,17 @@ def test_rank_matches_markowitz_reference_on_bar_blocks():
                    5, 9, 8),
     )
     for cx in complexes:
-        for s in range(1, cx.max_s + 2):
+        for s in range(cx.max_s + 1):
             for t, w in cx.strata(s):
-                d = cx.differential(s, t, w)
+                d = cx.coboundary(s, t, w)
                 label = (cx.presentation.p, s, t, w)
-                # the build ranked every block with a target top-down,
-                # d_s with the leads of d_{s+1} cleared for s <= max_s; a
-                # fresh copy is reduced with no clearing
-                assert d._leads is not None or not d.rows, label
-                if s <= cx.max_s:
-                    fresh = SparseFpMatrix(d.modulus, d.rows, d.cols,
-                                           columns_of(d))
-                    assert fresh.rank() == d.rank(), label
+                # the build ranked every coboundary delta^s, s <= max_s,
+                # bottom-up, with the leads of delta^{s-1} cleared for
+                # s >= 1; a fresh copy is reduced with no clearing
+                assert d._leads is not None, label
+                fresh = SparseFpMatrix(d.modulus, d.rows, d.cols,
+                                       columns_of(d))
+                assert fresh.rank() == d.rank(), label
                 _assert_rank_matches(d, markowitz_rank(d), label)
 
 

@@ -71,6 +71,13 @@ def test_poincare_series_refuses_non_int_terms():
             PoincareSeries(coeffs, 3)
 
 
+def test_poincare_series_refuses_a_non_int_truncation():
+    # a float truncation was kept, and printed as if it were int(2.5)
+    for truncation in (2.5, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            PoincareSeries({0: 1, 2: 1}, truncation)
+
+
 def test_poincare_series_drops_beyond_truncation():
     s = PoincareSeries({0: 1, 5: 7}, 3)
     assert s.coeffs == {0: 1}

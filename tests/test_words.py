@@ -1,10 +1,13 @@
 """Admissible words, bidegrees, and the degree-adjacency search."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from hochhom import series, words
+from hochhom.bar import (AlgebraPresentation, iterated_tor_presentation,
+                         polynomial, truncated)
 from hochhom.words import (
     EPS,
     MU,
@@ -518,3 +521,44 @@ def test_diff_candidates_sorted_deterministically():
     assert a == b
     keys = [(canonical_key(c.source), canonical_key(c.target)) for c in a]
     assert keys == sorted(keys)
+
+
+def _rewrite_generators(family, p, n, max_degree):
+    """(hom, internal, weight, class) of each generator of the (n - 1)-fold
+    Tor rewrite of the family's base ring, from bar alone: a polynomial
+    generator is "free", a truncated one of height p "truncated_height_p",
+    and the base of B''(m) "truncated_height_m"."""
+    if family.kind == "B":
+        base = polynomial("mu", family.base_degree)
+    elif family.kind == "B'":
+        base = polynomial("x", family.base_degree, weight=1)
+    else:
+        base = truncated("x", family.m, family.base_degree, weight=1)
+    final = iterated_tor_presentation(AlgebraPresentation(p, (base,)), n - 1,
+                                      max_degree)
+    kinds = {"exterior": "exterior", "polynomial": "free"}
+    out = Counter()
+    for g in final.generators:
+        if g.kind == "truncated":
+            kind = ("truncated_height_m" if g == base else
+                    "truncated_height_p" if g.height == p else g.height)
+        else:
+            kind = kinds[g.kind]
+        out[(g.hom, g.internal, g.weight, kind)] += 1
+    return out
+
+
+def test_words_and_tor_rewrite_agree_generator_by_generator():
+    # the two routes meet otherwise only in total-degree series
+    families = [family_b(2), family_b(4), family_bprime(0), family_bprime(2)]
+    families += [family_bdoubleprime(m, d) for m in (2, 3, 4, 9)
+                 for d in (0, 2)]
+    for p in (2, 3, 5):
+        N = 2000 if p == 5 else 400
+        for family in families:
+            for n in range(1, 8):
+                got = Counter((b.hom, b.internal, weight, kind)
+                              for _word, b, weight, kind
+                              in graded_words(n, family, p, N))
+                assert got == _rewrite_generators(family, p, n, N), (
+                    str(family), family.base_degree, p, n)
