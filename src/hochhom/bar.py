@@ -48,7 +48,7 @@ oracle for that rewrite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import factorial
 from operator import itemgetter
@@ -649,9 +649,13 @@ def iterated_tor_presentation(presentation: AlgebraPresentation,
 
 def iterated_tor(presentation: AlgebraPresentation, iterations: int,
                  max_total: int) -> BigradedDims:
-    """Dimension table of the n-fold iterated Tor within bounds."""
+    """Dimensions of the n-fold iterated Tor by (hom, internal) up to
+    total degree max_total, weights untracked: a generator of degree > 0
+    counts with weight 0, a degree-0 start at 0 iterations keeps its own."""
     final = iterated_tor_presentation(presentation, iterations, max_total)
-    return presentation_dims(final, max_total)
+    gens = (replace(g, weight=0) if g.total else g for g in final.generators)
+    return presentation_dims(AlgebraPresentation(final.p, tuple(gens)),
+                             max_total)
 
 
 # ---------------------------------------------------------------------------

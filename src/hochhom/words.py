@@ -569,10 +569,6 @@ class PowerwordReport:
     k_max: int
     found: tuple[tuple[int, tuple[Word, ...]], ...]  # (k, words of degree 4p^k)
 
-    @property
-    def ok(self) -> bool:
-        return all(ws == ((rho(k), EPS, MU),) for k, ws in self.found)
-
     def lines(self) -> list[str]:
         out = []
         for k, ws in self.found:

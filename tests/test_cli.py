@@ -70,6 +70,11 @@ FROZEN_REPORTS = {
         "0:f8e5ff49f05aedc4e673507b3aa929494b49f3ac4af6053250740bfc22626b32",
         "0:bf558ad73da8ded0207dc97f78ab1abd315fc2136ee484b21d777be58c5d08a5",
         "0:8e13773e2148f805e5bd5d9a00c9dee85c065750be20b700743d664cab8ebef2"),
+    # recorded while the Tor rewrite still counted by weight
+    "verify oracle-cross --family \"B''\" --m 4 --n 8 --p 3 -N 200": (
+        "0:e802b7dc75e65d5498065321b555dc21b1fab08d8d761b9838d261c4ec4d64fa",
+        "0:a08bb8acc95bc5568827c6b5f60d5abdb337995af2031ec6c43698b60e31bb3d",
+        "0:8e13773e2148f805e5bd5d9a00c9dee85c065750be20b700743d664cab8ebef2"),
     "series thh-fp --p 2 --n 2 --max-degree 12": (
         "0:8d55ce0672cfaf78c70cd57b0796bf2cba244c88dc77dddcd94bc998b2da83d8",
         "0:823dd16f07877b224b251e1446741418e499ba196dd2f822552f43db7c355c2e",

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from hochhom.bar import AlgebraPresentation, iterated_tor, polynomial, truncated
+from hochhom.bar import (
+    AlgebraPresentation,
+    iterated_tor,
+    iterated_tor_presentation,
+    polynomial,
+    presentation_dims,
+    truncated,
+)
 from hochhom.series import (
     GroupSpec,
     PoincareSeries,
@@ -114,11 +121,11 @@ def test_family_series_count_dp_matches_word_by_word_product():
         family_series(family_b(0), 1, 3, 10)  # a free factor of degree 0
 
 
-def test_family_series_matches_iterated_tor():
-    # the starts of `verify oracle-cross` (|x| = 0), and |x| = 2, where the
-    # height m enters degrees through phi^k x of degree p^k (2 + m |x|),
-    # so heights 4 and 9 separate a non-p-power truncation from a p-power
-    # one
+def oracle_grid():
+    """(p, family, start, n) for the Tor rewrite checks: the starts of
+    `verify oracle-cross` (|x| = 0), and |x| = 2, where the height m
+    enters degrees through phi^k x of degree p^k (2 + m |x|), so heights
+    4 and 9 separate a non-p-power truncation from a p-power one."""
     starts = [(family_b(), polynomial("u", 2))]
     for x in (0, 2):
         starts.append((family_bprime(x), polynomial("x", x, weight=1)))
@@ -127,11 +134,40 @@ def test_family_series_matches_iterated_tor():
     for p in (2, 3, 5):
         for fam, gen in starts:
             for n in range(1 if fam.kind == "B" else 2, 7):
-                closed = family_series(fam, n, p, 40)
-                start = AlgebraPresentation(p, (gen,))
-                oracle = iterated_tor(start, n - 1, 40).total_series(40)
-                assert all(closed.coeffs.get(d, 0) == oracle.get(d, 0)
-                           for d in range(41)), (p, fam, n)
+                yield p, fam, AlgebraPresentation(p, (gen,)), n
+
+
+def test_family_series_matches_iterated_tor():
+    for p, fam, start, n in oracle_grid():
+        closed = family_series(fam, n, p, 40)
+        oracle = iterated_tor(start, n - 1, 40).total_series(40)
+        assert all(closed.coeffs.get(d, 0) == oracle.get(d, 0)
+                   for d in range(41)), (p, fam, n)
+
+
+def test_iterated_tor_matches_the_weighted_count():
+    """iterated_tor counts the rewritten generators with weight 0; its
+    bidegrees and series are those of the weighted count of the same
+    presentation."""
+    for p, fam, start, n in oracle_grid():
+        got = iterated_tor(start, n - 1, 40)
+        want = presentation_dims(iterated_tor_presentation(start, n - 1, 40),
+                                 40)
+        assert got.by_bidegree() == want.by_bidegree(), (p, fam, n)
+        assert got.total_series() == want.total_series(), (p, fam, n)
+        if n > 1:
+            assert all(w == 0 for _, _, w in got.as_dict()), (p, fam, n)
+    # at 0 iterations a degree-0 start is counted as presented: its weight
+    # is kept, and without a cap it needs a weight bound
+    start = AlgebraPresentation(3, (truncated("x", 4, 0, weight=1),))
+    assert iterated_tor(start, 0, 40).as_dict() \
+        == presentation_dims(start, 40).as_dict() \
+        == {(0, 0, w): 1 for w in range(4)}
+    start = AlgebraPresentation(3, (polynomial("x", 0, weight=1),))
+    for count in (lambda: iterated_tor(start, 0, 40),
+                  lambda: presentation_dims(start, 40)):
+        with pytest.raises(ValueError, match="weight bound is required"):
+            count()
 
 
 def test_products_match_dict_convolution():
