@@ -19,14 +19,15 @@ with only the inner face maps surviving,
     e_i = sum_{j<i} (|a_j| + 1) + |a_i|,
 
 the Koszul convention induced by suspending each factor.  BarComplex
-stores tensors of monomial indices and the coboundaries delta^s =
-d_{s+1}^T.  Bottom-up in s, it ranks delta^s with the leads of
-delta^{s-1} cleared, once delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0
-is verified.  The shuffle product satisfies the graded Leibniz rule for
-this sign choice (property-tested).  One enumeration of shuffles
-(_shuffles) serves the shuffle product and the check that pi is
-multiplicative, which sums pi over it without building the product and
-skips the pairs whose shuffles land where pi is 0.
+stores tensors of monomial indices and its homology; coboundary() builds
+delta^s = d_{s+1}^T on each call.  Bottom-up in s along each (internal,
+weight) chain, the build ranks delta^s with the leads of delta^{s-1}
+cleared, once delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
+The shuffle product satisfies the graded Leibniz rule for this sign
+choice (property-tested).  One enumeration of shuffles (_shuffles)
+serves the shuffle product and the check that pi is multiplicative,
+which sums pi over it without building the product and skips the pairs
+whose shuffles land where pi is 0.
 
 Homology of Tor^A(k, k) in the three one-generator cases has explicit
 small models:
@@ -432,16 +433,17 @@ class BarChain:
 
 class BarComplex:
     """All bar blocks B_s for s <= max_s + 1 within degree/weight bounds,
-    stratified by (internal degree, weight); coboundaries per stratum.
+    stratified by (internal degree, weight), and their homology; no
+    coboundary is stored, coboundary() builds one on each call.
 
     Homology is exact for s <= max_s: each stratum is finite and complete
     within the bounds, and B_{max_s + 1} is the target of delta^{max_s}.
     Tensors are stored as tuples of monomial indices; basis() decodes
-    them.  The homology table is computed once, at the end of
-    construction, bottom-up in s; that pass verifies d o d = 0 once for
-    every composable pair of blocks before it clears delta^s by the leads
-    of delta^{s-1}, so a presentation whose products are not associative
-    raises here.
+    them.  The homology is computed once, at the end of construction,
+    chain by chain and bottom-up in s; that pass verifies d o d = 0 once
+    for every composable pair of blocks before it clears delta^s by the
+    leads of delta^{s-1}, so a presentation whose products are not
+    associative raises here.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_s: int,
@@ -452,7 +454,6 @@ class BarComplex:
         self.max_s = max_s
         self.max_internal = max_internal
         self.max_weight = max_weight
-        p = presentation.p
 
         # monos is increasing, so index tensors sort like monomial tensors
         monos = self._monos = presentation.augmentation_monomials(
@@ -473,11 +474,8 @@ class BarComplex:
             for tensor, t, w in level:
                 self._basis.setdefault((s, t, w), []).append(tensor)
 
-        # Coboundaries delta^s = d_{s+1}^T : C^s -> C^{s+1} by source stratum,
-        # s <= max_s.  Column v holds each u whose face i is v, u splitting
-        # v_i = c into (a, b) with the sign of BarChain.boundary; splits[c]
-        # lists (a, b, multiply's sign times (-1)^|a|) for 0 < a < c, the
-        # exponent ranges' product minus its ends, so no face visited is 0.
+        # splits[c] lists (a, b, multiply's sign times (-1)^|a|) for 0 < a < c,
+        # the exponent ranges' product minus its ends, so no face is 0
         mono_index = {m: i for i, m in enumerate(monos)}
 
         def split(c: Monomial) -> Iterator[tuple[int, int, int]]:
@@ -488,40 +486,26 @@ class BarComplex:
                        presentation.multiply(a, b)[0]
                        * (-1) ** presentation.mono_total(a))
 
-        splits = [list(split(c)) for c in monos]
-        self._cobound: dict[tuple[int, int, int], SparseFpMatrix] = {}
-        for (s, t, w), tensors in self._basis.items():
-            if s > max_s:
-                continue
-            targets = self._basis.get((s + 1, t, w), ())
-            row = {u: i for i, u in enumerate(targets)}
-            # distinct splits of one tensor give distinct tensors, so every
-            # row of a column is written at most once
-            columns: dict[int, dict[int, int]] = {}
-            for col, v in enumerate(tensors):
-                column = columns[col] = {}
-                prefix = 0  # sum of (|v_j| + 1) for j < i
-                for i, c in enumerate(v):
-                    head, tail = v[:i], v[i + 1:]
-                    face_sign = -1 if prefix % 2 else 1
-                    for a, b, sign in splits[c]:
-                        column[row[head + (a, b) + tail]] = sign * face_sign
-                    prefix += totals[c] + 1
-            self._cobound[(s, t, w)] = SparseFpMatrix(p, len(targets),
-                                                      len(tensors), columns)
+        self._totals = totals
+        self._splits = [list(split(c)) for c in monos]
 
-        # bottom-up over the strata s <= max_s, so delta^{s-1} is ranked,
-        # leads kept, when delta^s is cleared, and dims comes out sorted
+        # each (t, w) is one cochain complex in s, walked bottom-up holding
+        # only delta^{s-1}, ranked with its leads kept, and delta^s, cleared
+        # by them; delta^{-1} and a missing stratum's delta^s have no columns
         dims: dict[tuple[int, int, int], int] = {}
-        for s, t, w in sorted(self._cobound):
-            try:
-                dims[(s, t, w)] = homology_dim(self.coboundary(s - 1, t, w),
-                                               self.coboundary(s, t, w))
-            except CompositionError as exc:
-                raise CompositionError(
-                    f"d o d != 0 from stratum (s={s + 1}, t={t}, w={w})"
-                ) from exc
-        self._homology = BigradedDims(dims)
+        for t, w in sorted({(t, w) for s, t, w in self._basis if s <= max_s}):
+            d_in = self.coboundary(-1, t, w)
+            for s in range(max_s + 1):
+                d_out = self.coboundary(s, t, w)
+                if (s, t, w) in self._basis:
+                    try:
+                        dims[(s, t, w)] = homology_dim(d_in, d_out)
+                    except CompositionError as exc:
+                        raise CompositionError(
+                            f"d o d != 0 from stratum (s={s + 1}, t={t}, "
+                            f"w={w})") from exc
+                d_in = d_out
+        self._homology = BigradedDims(dict(sorted(dims.items())))
 
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:
         """The stratum's tensors of monomials, in increasing order."""
@@ -533,13 +517,29 @@ class BarComplex:
 
     def coboundary(self, s: int, internal: int,
                    weight: int = 0) -> SparseFpMatrix:
-        """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum."""
-        key = (s, internal, weight)
-        if key in self._cobound:
-            return self._cobound[key]
-        rows = len(self._basis.get((s + 1, internal, weight), ()))
-        cols = len(self._basis.get(key, ()))
-        return SparseFpMatrix(self.presentation.p, rows, cols)
+        """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum, s <= max_s,
+        built afresh on each call.  Column v holds each u whose face i is
+        v, u splitting v_i into (a, b) with the sign of BarChain.boundary."""
+        if s > self.max_s:
+            raise ValueError(f"delta^{s} lies past max_s = {self.max_s}")
+        tensors = self._basis.get((s, internal, weight), ())
+        targets = self._basis.get((s + 1, internal, weight), ())
+        row = {u: i for i, u in enumerate(targets)}
+        splits, totals = self._splits, self._totals
+        # distinct splits of one tensor give distinct tensors, so every row
+        # of a column is written at most once
+        columns: dict[int, dict[int, int]] = {}
+        for col, v in enumerate(tensors):
+            column = columns[col] = {}
+            prefix = 0  # sum of (|v_j| + 1) for j < i
+            for i, c in enumerate(v):
+                head, tail = v[:i], v[i + 1:]
+                face_sign = -1 if prefix % 2 else 1
+                for a, b, sign in splits[c]:
+                    column[row[head + (a, b) + tail]] = sign * face_sign
+                prefix += totals[c] + 1
+        return SparseFpMatrix(self.presentation.p, len(targets), len(tensors),
+                              columns)
 
     def homology(self) -> BigradedDims:
         """Per-stratum homology dimensions for s <= max_s."""

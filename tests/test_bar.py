@@ -194,6 +194,27 @@ def test_cohomology_pass_matches_the_top_down_reference():
             cx.presentation, cx.max_s)
 
 
+def test_homology_entries_come_out_sorted():
+    # the build walks one (t, w) chain at a time, yet the table lists its
+    # entries by (s, t, w), as as_dict, by_bidegree and total_series read it
+    alg = AlgebraPresentation(3, (truncated("x", 3, 0, weight=1),
+                                  exterior("y", 1, weight=1)))
+    keys = list(bar_homology(alg, 5, 9, 8).as_dict())
+    assert len({(t, w) for _s, t, w in keys}) > 1
+    assert keys == sorted(keys)
+
+
+def test_built_complex_stores_no_matrix():
+    # coboundary() builds each delta^s afresh: the complex keeps its basis
+    # and homology, and the build's pass holds two coboundaries at a time
+    cx = BarComplex(trunc_algebra(3, 3), 4, 12)
+    for value in vars(cx).values():
+        inner = (value.values() if isinstance(value, dict)
+                 else value if isinstance(value, list) else ())
+        for item in (value, *inner):
+            assert not isinstance(item, SparseFpMatrix), item
+
+
 def test_window_below_weight_zero_is_empty():
     # weight 0 > max_weight, so not even B_0 lies in the window
     alg = AlgebraPresentation(3, (truncated("x", 3, 0, weight=1),))
