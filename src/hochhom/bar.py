@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import factorial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional
+from typing import Iterable, Iterator, Literal, Mapping, Optional
 
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
@@ -235,6 +235,7 @@ def _extend(level: list, pieces: list, max_total: int,
             and (max_weight is None or w + dw <= max_weight)]
 
 
+@cache
 def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
     """(order, crossings) of each shuffle of la >= 1 factors a_i into
     lb >= 1 factors b_j: order picks the merged tensor out of ta + tb, and
@@ -249,12 +250,11 @@ def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
     return out
 
 
-def _shuffles(ta: Tensor, ea: list[int], tb: Tensor, eb: list[int],
-              patterns: Callable) -> Iterator[tuple[Tensor, int]]:
+def _shuffles(ta: Tensor, ea: list[int], tb: Tensor,
+              eb: list[int]) -> Iterator[tuple[Tensor, int]]:
     """Every shuffle of ta into tb as (merged tensor, sign parity); ea, eb
-    are the suspended degrees |a| + 1 of the factors and patterns a
-    cached _shuffle_patterns.  The sign counts the crossings of a_i over
-    b_j where both suspended degrees are odd."""
+    are the suspended degrees |a| + 1 of the factors.  The sign counts the
+    crossings of a_i over b_j where both suspended degrees are odd."""
     if not ta or not tb:
         yield ta + tb, 0
         return
@@ -262,7 +262,7 @@ def _shuffles(ta: Tensor, ea: list[int], tb: Tensor, eb: list[int],
     odd_b = sum(1 << j for j, e in enumerate(eb) if e % 2)
     odd = sum(odd_b << (i * lb) for i, e in enumerate(ea) if e % 2)
     factors = ta + tb
-    for order, crossings in patterns(len(ta), lb):
+    for order, crossings in _shuffle_patterns(len(ta), lb):
         yield order(factors), (crossings & odd).bit_count() % 2
 
 
@@ -322,12 +322,6 @@ class BigradedDims:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BigradedDims) and other._entries == self._entries
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __repr__(self) -> str:
         return f"BigradedDims({self._entries!r})"
@@ -392,12 +386,11 @@ class BarChain:
         P = self.presentation
         e = {t: [P.mono_total(m) + 1 for m in t]
              for t in (*self.terms, *other.terms)}
-        patterns = cache(_shuffle_patterns)
         acc: dict[Tensor, int] = {}
         for ta, ca in self.terms.items():
             for tb, cb in other.terms.items():
                 c = ca * cb
-                for key, odd in _shuffles(ta, e[ta], tb, e[tb], patterns):
+                for key, odd in _shuffles(ta, e[ta], tb, e[tb]):
                     acc[key] = acc.get(key, 0) + (-c if odd else c)
         return BarChain(P, acc)
 
@@ -473,6 +466,9 @@ class BarComplex:
             level = _extend(level, pieces, max_internal, max_weight)
             for tensor, t, w in level:
                 self._basis.setdefault((s, t, w), []).append(tensor)
+        # the last level lists B_{max_s+1} again, which _basis holds; drop
+        # it so that the walk below does not keep the top block twice
+        del level
 
         # splits[c] lists (a, b, multiply's sign times (-1)^|a|) for 0 < a < c,
         # the exponent ranges' product minus its ends, so no face is 0
@@ -698,7 +694,8 @@ def _model_mul(model: AlgebraPresentation, a: ModelElement,
 class _QuasiIsoCase:
     """One-generator input algebra with its small model, the one-step
     tor_presentation of the algebra, and the explicit maps pi (bar ->
-    model) and inc (model -> bar)."""
+    model, memoised, {} for 0) and inc (model -> bar); Generator checks
+    the truncated case's height."""
 
     def __init__(self, case: str, x_degree: int, p: int, m: Optional[int],
                  max_s: int, max_internal: int):
@@ -710,8 +707,6 @@ class _QuasiIsoCase:
         if case == "poly":
             gen = polynomial("x", x_degree)
         elif case == "truncated":
-            if m is None or m < 2:
-                raise ValueError("truncated case needs a height m >= 2")
             gen = truncated("x", m, x_degree)
         elif case == "exterior":
             gen = exterior("x", x_degree)
@@ -723,9 +718,7 @@ class _QuasiIsoCase:
         # the window, and so do the generators of its base-p digits
         self.model = tor_presentation(self.algebra, max_s + max_internal)
         self._offset = 0 if case == "exterior" else 1
-        # pi of the tensors ({} for 0) and the shuffle patterns it meets
-        self._pi_memo = cache(lambda t: self._pi_tensor(t) or {})
-        self._patterns = cache(_shuffle_patterns)
+        self._pi_memo = cache(self._pi_tensor)
 
     def _gamma_element(self, n: int, delta: int = 0) -> ModelElement:
         """gamma_n of the divided-power class, times (eps x)^delta."""
@@ -749,8 +742,7 @@ class _QuasiIsoCase:
         """pi(ta * tb), ea and eb the suspended degrees: pi is linear, so
         this sums +-pi over the shuffles without building the product."""
         return self._pi_sum((tensor, -1 if odd else 1)
-                            for tensor, odd in _shuffles(ta, ea, tb, eb,
-                                                         self._patterns))
+                            for tensor, odd in _shuffles(ta, ea, tb, eb))
 
     def _pi_sum(self, terms: Iterable[tuple[Tensor, int]]) -> ModelElement:
         """pi of the sum of the (tensor, coeff) terms."""
@@ -760,8 +752,8 @@ class _QuasiIsoCase:
                 out[m] = out.get(m, 0) + v * coeff
         return {m: v % p for m, v in out.items() if v % p}
 
-    def _pi_tensor(self, tensor: Tensor) -> Optional[ModelElement]:
-        """pi of one basis tensor, None for 0.  Exterior case: [x|...|x]
+    def _pi_tensor(self, tensor: Tensor) -> ModelElement:
+        """pi of one basis tensor, {} for 0.  Exterior case: [x|...|x]
         of length s goes to gamma_s.  Otherwise an odd tensor must open
         with (x), the eps x factor, and the rest must pair into n blocks
         (x^a | x^b) with a + b = m; the poly case has no m, so no block.
@@ -770,10 +762,10 @@ class _QuasiIsoCase:
             return self._gamma_element(len(tensor))
         delta = len(tensor) % 2
         if delta and tensor[0] != (1,):
-            return None
+            return {}
         for i in range(delta, len(tensor), 2):
             if tensor[i][0] + tensor[i + 1][0] != self.m:
-                return None
+                return {}
         return self._gamma_element(len(tensor) // 2, delta)
 
     def inc(self, monomial: Monomial) -> BarChain:

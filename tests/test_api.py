@@ -13,6 +13,7 @@ from hochhom import (EPS, MU, AlgebraPresentation, BarComplex, Bidegree,
                      hh_poly_gens, hh_polynomial, hh_truncated,
                      hh_truncated_words, is_admissible, rho, thh_fp,
                      truncated, verify_powerwords)
+from hochhom.bar import _QuasiIsoCase
 
 
 def test_star_import_binds_every_public_name():
@@ -30,6 +31,9 @@ def _candidate(source_bidegree, target_bidegree):
 
 def test_bad_input_raises_its_own_error():
     bar_cx = BarComplex(AlgebraPresentation(3, (truncated("x", 3, 2),)), 2, 6)
+    # a window below |eps x| leaves the small model without generators
+    no_gamma = _QuasiIsoCase("truncated", 2, 3, 3, 0, 1)
+    gamma_beyond = "gamma index beyond the generators kept"
     n_zero = "n must be >= 1"
     cases = [
         (lambda: Generator("g", "cubic", None, 0, 2, 0), ValueError,
@@ -46,6 +50,8 @@ def test_bad_input_raises_its_own_error():
          "max_s must be >= 0"),
         (lambda: bar_cx.coboundary(3, 6), ValueError,
          "delta^3 lies past max_s = 2"),
+        (lambda: no_gamma._gamma_element(1), ValueError, gamma_beyond),
+        (lambda: no_gamma._gamma_element(0, 1), ValueError, gamma_beyond),
         (lambda: SparseFpMatrix(3, -1, 2), ValueError,
          "matrix dimensions must be nonnegative"),
         (lambda: PoincareSeries({}, -1), ValueError,

@@ -366,8 +366,8 @@ def test_pi_matches_reference_on_every_basis_tensor():
         _, _, _, _, max_s, max_internal = case
         monos = qc.algebra.augmentation_monomials(max_internal)
         for tensor in _tensors(qc.algebra, monos, max_s + 1, max_internal):
-            assert qc._pi_tensor(tensor) == reference_pi_tensor(qc, tensor), (
-                case, tensor)
+            assert qc._pi_tensor(tensor) == (
+                reference_pi_tensor(qc, tensor) or {}), (case, tensor)
 
 
 def _reference_pi(qc, chain):
@@ -418,14 +418,25 @@ def test_pi_multiplicativity_check_still_sees_a_flipped_shuffle_sign(
     # is 0 on most strata, which the check skips, but not on all of them
     honest = bar._shuffles
 
-    def flipped(ta, ea, tb, eb, patterns):
-        for tensor, odd in honest(ta, ea, tb, eb, patterns):
+    def flipped(ta, ea, tb, eb):
+        for tensor, odd in honest(ta, ea, tb, eb):
             yield tensor, odd ^ bool(ta and tb)
 
     monkeypatch.setattr(bar, "_shuffles", flipped)
     report = verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
     assert not dict((name, ok) for name, ok, _ in report.checks)[
         "pi is multiplicative"]
+
+
+def test_shuffle_patterns_have_one_process_wide_cache():
+    # a second identical run meets only patterns the first one cached
+    bar._shuffle_patterns.cache_clear()
+    verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
+    first = bar._shuffle_patterns.cache_info().misses
+    assert first > 0
+    verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
+    assert bar._shuffle_patterns.cache_info().misses == first
+    assert not hasattr(_QuasiIsoCase("truncated", 2, 3, 3, 5, 16), "_patterns")
 
 
 def test_quasi_iso_rejects_bad_parity():

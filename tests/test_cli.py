@@ -135,6 +135,8 @@ USAGE_ERRORS = (
     "series hh-trunc --p 3 --n 2 --m 3 --ell 1 --word-calculus-only -N 6",
     "series hh-trunc --p 3 --n 2 --ell 1 --word-calculus-only -N 6",
     "verify bar --case poly --m 3 --p 3",
+    # refused by Generator, the one check of a truncation height
+    "verify bar --case truncated --p 3",
     # -1 used to stand for the default base degree and exit 0
     "words --p 3 --n 2 --family B --base-degree -1 -N 20",
     # refused on its predicted size, 28,947,240 words, before any is built
@@ -311,6 +313,24 @@ def test_verify_powerwords_failure_exit_code(capsys, monkeypatch):
                        capsys)
     assert code == 1
     assert "FAIL" in out and "result: FAILED" in out
+
+
+def test_verify_powerwords_reports_an_extra_word(capsys, monkeypatch):
+    # the real check, fed one more word of total degree 4p = 12 at p = 3
+    honest = words._graded_levels
+
+    def with_extra(n, family, p, max_degree):
+        levels = honest(n, family, p, max_degree)
+        levels[-1].append(((words.phi(0), words.EPS, words.MU), 2, 12, 0))
+        return levels
+
+    monkeypatch.setattr(words, "_graded_levels", with_extra)
+    with pytest.raises(AssertionError, match=r"offending: \['φ\^0εμ'\]"):
+        words.verify_powerwords(3, 1)
+    code, out, _ = run(["verify", "powerwords", "--p", "3", "--k-max", "1"],
+                       capsys)
+    assert code == 1
+    assert "FAIL:" in out and "φ^0εμ" in out
 
 
 def test_verify_bar_pass(capsys):
