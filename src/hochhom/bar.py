@@ -282,12 +282,12 @@ class BigradedDims:
     def as_dict(self) -> dict[tuple[int, int, int], int]:
         return dict(self._entries)
 
-    def total_series(self, max_degree: Optional[int] = None) -> dict[int, int]:
-        """Dimensions per total degree hom + internal."""
+    def total_series(self, max_degree: int) -> dict[int, int]:
+        """Dimensions per total degree hom + internal, through max_degree."""
         out: dict[int, int] = {}
         for (h, i, _), dim in self._entries.items():
             d = h + i
-            if max_degree is None or d <= max_degree:
+            if d <= max_degree:
                 out[d] = out.get(d, 0) + dim
         return out
 
@@ -297,16 +297,10 @@ class BigradedDims:
             out[(h, i)] = out.get((h, i), 0) + dim
         return out
 
-    def restrict(self, max_hom: Optional[int] = None,
-                 max_internal: Optional[int] = None) -> "BigradedDims":
-        kept = {}
-        for (h, i, w), dim in self._entries.items():
-            if max_hom is not None and h > max_hom:
-                continue
-            if max_internal is not None and i > max_internal:
-                continue
-            kept[(h, i, w)] = dim
-        return BigradedDims(kept)
+    def restrict(self, max_hom: int, max_internal: int) -> "BigradedDims":
+        return BigradedDims({(h, i, w): dim
+                             for (h, i, w), dim in self._entries.items()
+                             if h <= max_hom and i <= max_internal})
 
     def to_json_dict(self) -> dict:
         return {"dims": {f"{h},{i},{w}": dim
@@ -345,14 +339,6 @@ class BarChain:
                     clean[tuple(tensor)] = c
         self.terms = clean
 
-    @classmethod
-    def from_tensor(cls, presentation: AlgebraPresentation, tensor: Tensor,
-                    coeff: int = 1) -> "BarChain":
-        for mono in tensor:
-            if not any(mono):
-                raise ValueError("tensor factors must lie in the augmentation ideal")
-        return cls(presentation, {tuple(tensor): coeff})
-
     def _check_compatible(self, other: "BarChain") -> None:
         if other.presentation != self.presentation:
             raise ValueError("chains over different presentations")
@@ -363,9 +349,6 @@ class BarChain:
         for t, c in other.terms.items():
             acc[t] = acc.get(t, 0) + c
         return BarChain(self.presentation, acc)
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + other.scale(-1)
 
     def scale(self, c: int) -> "BarChain":
         return BarChain(self.presentation,

@@ -16,7 +16,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -24,7 +23,6 @@ from typing import Optional
 from . import bar, series, words
 from .fplinear import _is_prime
 
-ENV_MAX_DEGREE = "HOCHHOM_MAX_DEGREE"
 DEFAULT_MAX_DEGREE = 64
 
 _FAMILY_NAMES = {
@@ -33,16 +31,6 @@ _FAMILY_NAMES = {
 }
 
 Report = tuple[list[tuple[str, object]], list[str], dict, list, int]
-
-
-def _default_max_degree() -> int:
-    raw = os.environ.get(ENV_MAX_DEGREE)
-    if raw is None:
-        return DEFAULT_MAX_DEGREE
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_DEGREE} must be an integer, got {raw!r}")
 
 
 def _family_from_args(args) -> words.WordFamily:
@@ -250,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=int, required=True)
         if max_degree:
-            sp.add_argument("--max-degree", "-N", type=int, default=None,
-                            help=f"total-degree bound (default from "
-                                 f"{ENV_MAX_DEGREE} or {DEFAULT_MAX_DEGREE})")
+            sp.add_argument("--max-degree", "-N", type=int,
+                            default=DEFAULT_MAX_DEGREE,
+                            help=f"total-degree bound (default "
+                                 f"{DEFAULT_MAX_DEGREE})")
         sp.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
         sp.add_argument("--out", default=None, help="write the report here")
@@ -324,13 +313,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        bounded = "max_degree" in vars(args)
-        if bounded and args.max_degree is None:
-            args.max_degree = _default_max_degree()
         if not _is_prime(args.p):
             raise ValueError(f"--p must be prime, got {args.p}")
-        if bounded and args.max_degree < 0:
-            raise ValueError(f"--max-degree and {ENV_MAX_DEGREE} must be >= 0")
+        if getattr(args, "max_degree", 0) < 0:
+            raise ValueError("--max-degree must be >= 0")
         report = args.handler(args)
         _emit(args, report)
     except ValueError as exc:

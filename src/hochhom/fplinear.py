@@ -149,9 +149,6 @@ class SparseFpMatrix:
                 and other.rows == self.rows and other.cols == self.cols
                 and other._columns == self._columns)
 
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.rows, self.cols, tuple(self.items())))
-
     def __repr__(self) -> str:
         return (f"SparseFpMatrix(p={self.modulus}, {self.rows}x{self.cols}, "
                 f"nnz={self.nnz})")

@@ -124,6 +124,8 @@ USAGE_ERRORS = (
     "words --p 4 --n 3", "words --p 3", "diff-search --p 3 --n 1",
     "series group --p 3 --n 2", "series group --group S_3 --p 3 --n 2",
     "verify powerwords --p 2", "nonsense",
+    # powerwords reads no degree bound, so it takes none
+    "verify powerwords --p 3 --max-degree 5",
     "words --p 3 --n 3 --family \"B''\"",
     "series hh-trunc --p 3 --n 2 --max-degree 8",
     "series hh-trunc --p 3 --n 2 --m 4 --max-degree 8",
@@ -165,7 +167,6 @@ def digests(frozen, capsys):
 
 
 def test_reports_match_frozen_digests(capsys, monkeypatch):
-    monkeypatch.delenv(cli.ENV_MAX_DEGREE, raising=False)
     assert digests(FROZEN_REPORTS, capsys) == FROZEN_REPORTS
     empty = "2:" + hashlib.sha256(b"").hexdigest()
     assert {argv: digest(argv, capsys) for argv in USAGE_ERRORS} \
@@ -376,11 +377,10 @@ def test_verify_oracle_cross(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    # the last four give an option the handler never reads, or an option
+    # the last three give an option the handler never reads, or an option
     # before the suite name
     for argv in USAGE_ERRORS + (
             "series thh-fp --p 3 --n 1 --max-degree 4 --group Z/6",
-            "verify powerwords --p 3 --max-degree 5",
             "words --p 3 --n 3 --family B --m 4",
             "verify --p 3 powerwords"):
         with pytest.raises(SystemExit) as exc:
@@ -443,36 +443,11 @@ def test_out_file(tmp_path, capsys):
     assert payload["series"]["coeffs"] == {"0": 1, "3": 1}
 
 
-def test_env_var_default_max_degree(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "20")
+def test_default_max_degree_is_a_constant(capsys, monkeypatch):
+    # the bound is --max-degree or 64, whatever the environment holds
+    monkeypatch.setenv("HOCHHOM_MAX_DEGREE", "20")
     _, out, _ = run(["words", "--p", "2", "--n", "3"], capsys)
-    assert "# max_degree = 20" in out
-    # a default of 0 obeys the flag's rule: it was refused with ">= 1"
-    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "0")
-    argv = ["series", "thh-fp", "--p", "3", "--n", "2"]
-    assert run(argv, capsys)[:2] == run(argv + ["--max-degree", "0"],
-                                         capsys)[:2]
-    for raw, why in (("-1", "must be >= 0"), ("not-a-number", "integer")):
-        monkeypatch.setenv(cli.ENV_MAX_DEGREE, raw)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["words", "--p", "2", "--n", "3"])
-        assert exc.value.code == 2
-        assert why in capsys.readouterr().err
-
-
-def test_powerwords_reads_no_degree_bound(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "abc")
-    code, out, _ = run(["verify", "powerwords", "--p", "3", "--k-max", "1"],
-                       capsys)
-    assert code == 0
-    assert "result: ok" in out
-
-
-def test_explicit_bound_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_DEGREE, "10")
-    _, out, _ = run(["words", "--p", "2", "--n", "3", "--max-degree", "30"],
-                    capsys)
-    assert "# max_degree = 30" in out
+    assert "# max_degree = 64" in out
 
 
 def test_seed_echoed(capsys):
