@@ -1,22 +1,25 @@
 """Poincare series of higher Hochschild and THH calculations over F_p.
 
 Every closed form is a product of factors, one per generator, taken on
-one dense coefficient list that each factor multiplies in place.  A word
-contributes a factor per its multiplicative class (exterior 1 + t^d,
-height-p truncated, or free 1/(1 - t^d)), and the base letter of the
-B'/B'' families is bookkept in the base ring, not in the word factor
-(basis_note records which).  Group algebras split as a tensor product of
-a THH factor and per-factor HH contributions: Laurent for Z, truncated
-polynomial for the p-part, etale (degree 0) for torsion coprime to p.
+one truncated series packed into a single int (_Product), which each
+factor multiplies by big-int shifts and adds and which is unpacked once,
+at the end.  A word contributes a factor per its multiplicative class
+(exterior 1 + t^d, height-p truncated, or free 1/(1 - t^d)), and the
+base letter of the B'/B'' families is bookkept in the base ring, not in
+the word factor (basis_note records which).  Group algebras split as a
+tensor product of a THH factor and per-factor HH contributions: Laurent
+for Z, truncated polynomial for the p-part, etale (degree 0) for
+torsion coprime to p.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, mul, sub
+from itertools import accumulate
+from operator import sub
 from typing import Optional, Sequence
 
 from . import words as W
@@ -90,14 +93,88 @@ class PoincareSeries:
         return " + ".join(bits)
 
 
-def _times(coeffs: list[int], step: int, factor: Sequence[int]) -> None:
-    """Multiply the dense list in place by sum_j factor[j] t^(j step),
-    truncated to its length; factor[0] must be 1."""
-    old, n = coeffs[:], len(coeffs)
-    for j in range(1, min(len(factor), (n - 1) // step + 1)):
-        shift, c = j * step, factor[j]
-        terms = old[:n - shift] if c == 1 else map(mul, old[:n - shift], repeat(c))
-        coeffs[shift:] = map(add, coeffs[shift:], terms)
+class _Product:
+    """A power series truncated at degree max_degree, with nonnegative
+    integer coefficients, packed into one int: the coefficient of t^k sits
+    in bits [k width, (k+1) width).  A factor is a few big-int shifts and
+    adds on the whole series.  Before each factor the slots are checked to
+    hold its result, and widened if they might not, so that no slot ever
+    carries into the next: every factor starts with 1 and has nonnegative
+    coefficients summing to s, so slots below 2^(width - bitlen(s)) stay
+    below 2^width."""
+
+    def __init__(self, max_degree: int):
+        if max_degree < 0:
+            raise ValueError("truncation must be nonnegative")
+        self.max_degree = max_degree
+        self._repack(64, b"\1")
+
+    def _repack(self, width: int, raw: bytes) -> None:
+        """Set the slot width and the value from raw little-endian slots
+        of that width; the guard masks of the old width are dropped."""
+        self.width = width
+        self.value = int.from_bytes(raw, "little")
+        self._mask = (1 << (self.max_degree + 1) * width) - 1
+        self._guards: dict[int, int] = {}
+
+    def _fit(self, total: int) -> None:
+        """Widen the slots until each holds its coefficient times total."""
+        bits = total.bit_length()
+        while bits >= self.width or self.value & self._guard(bits):
+            size = self.width // 8
+            raw = self.value.to_bytes((self.max_degree + 1) * size, "little")
+            wide = bytearray(2 * len(raw))
+            for k in range(size):
+                wide[k::2 * size] = raw[k::size]
+            self._repack(2 * self.width, wide)
+
+    def _guard(self, bits: int) -> int:
+        """The top `bits` bits of every slot."""
+        if bits not in self._guards:
+            top = ((1 << bits) - 1) << (self.width - bits)
+            self._guards[bits] = int.from_bytes(
+                top.to_bytes(self.width // 8, "little") * (self.max_degree + 1),
+                "little")
+        return self._guards[bits]
+
+    def times(self, step: int, factor: Sequence[int]) -> None:
+        """Multiply by sum_j factor[j] t^(j step); factor[0] must be 1."""
+        factor = factor[:self.max_degree // step + 1]
+        self._fit(sum(factor))
+        old, shift = self.value, step * self.width
+        for j in range(1, len(factor)):
+            c = factor[j]
+            self.value += (old if c == 1 else old * c) << (j * shift)
+        self.value &= self._mask
+
+    def free_times(self, step: int) -> None:
+        """Multiply by 1/(1 - t^step) = (1 + t^step)(1 + t^(2 step))...,
+        up to the truncation."""
+        if step < 1:
+            raise ValueError("free factor needs positive degree")
+        while step <= self.max_degree:
+            self.times(step, (1, 1))
+            step *= 2
+
+    def scale(self, c: int) -> None:
+        """Multiply every coefficient by c >= 1."""
+        self._fit(c)
+        self.value *= c
+
+    def coeffs(self) -> list[int]:
+        """The coefficients of t^0 .. t^max_degree."""
+        size = self.width // 8
+        raw = self.value.to_bytes((self.max_degree + 1) * size, "little")
+        if size == 8:
+            return list(struct.unpack(f"<{self.max_degree + 1}Q", raw))
+        return [int.from_bytes(raw[i:i + size], "little")
+                for i in range(0, len(raw), size)]
+
+    def series(self, basis_note: str = "F_p-dimensions",
+               validity: Optional[str] = None) -> PoincareSeries:
+        """The product as a series, built once, unpacked once."""
+        return PoincareSeries(dict(enumerate(self.coeffs())), self.max_degree,
+                              basis_note, validity)
 
 
 def _height_power(height: int, count: int, length: int) -> list[int]:
@@ -110,19 +187,10 @@ def _height_power(height: int, count: int, length: int) -> list[int]:
     return out
 
 
-def _free_times(coeffs: list[int], step: int) -> None:
-    """Multiply the dense list in place by 1/(1 - t^step): a running sum
-    at stride step."""
-    if step < 1:
-        raise ValueError("free factor needs positive degree")
-    for r in range(min(step, len(coeffs))):
-        coeffs[r::step] = accumulate(coeffs[r::step])
-
-
-def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
+def _words_times(product: _Product, family: W.WordFamily, n: int,
                  p: int) -> None:
-    """Multiply the dense list in place by the factor of every length-n
-    word of the family, up to the list's last degree.
+    """Multiply the product by the factor of every length-n word of the
+    family, up to its truncation.
 
     The words are counted, not built: counts by (leading letter kind,
     total degree) grow a letter per level through W._levels, dropping
@@ -131,8 +199,8 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
     height-p truncated factor, the bare free base letter mu 1/(1 - t^d).
     The bare base letter x of B'/B'' belongs to the base ring and carries
     no factor here.  The c words sharing a class and a degree enter the
-    list at once, as the c-th power of their factor."""
-    max_degree = len(coeffs) - 1
+    product at once, as the c-th power of their factor."""
+    max_degree = product.max_degree
 
     def images(ladder, counts):
         out: dict[int, int] = {}
@@ -150,41 +218,53 @@ def _words_times(coeffs: list[int], family: W.WordFamily, n: int,
     for kind, counts in level.items():
         for d, count in counts.items():
             if kind == "mu":  # n = 1: the bare free base letter alone
-                _free_times(coeffs, d)
+                product.free_times(d)
             elif kind != "x":  # exterior is the height-2 case
                 height = 2 if kind == "eps" else p
-                _times(coeffs, d, _height_power(height, count, max_degree // d))
+                product.times(d, _height_power(height, count, max_degree // d))
+
+
+def _words_product(family: W.WordFamily, n: int, p: int,
+                   max_degree: int) -> _Product:
+    """The product of the factors of the length-n words (see _words_times)."""
+    product = _Product(max_degree)
+    _words_times(product, family, n, p)
+    constant = product.value & ((1 << product.width) - 1)
+    if constant != 1:
+        raise ArithmeticError(f"series has constant term {constant}, not 1")
+    return product
 
 
 def family_series(family: W.WordFamily, n: int, p: int,
                   max_degree: int) -> PoincareSeries:
     """Poincare series of the algebra generated by the length-n words:
     the product of their factors (see _words_times)."""
-    coeffs = [1] + [0] * max_degree
-    _words_times(coeffs, family, n, p)
-    if coeffs[0] != 1:
-        raise ArithmeticError(f"series has constant term {coeffs[0]}, not 1")
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree)
+    return _words_product(family, n, p, max_degree).series()
+
+
+def _thh(n: int, p: int, max_degree: int) -> tuple[_Product, str]:
+    """The product for the n-fold iterated THH of F_p (family B at length
+    n) and the validity of its collapse."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    product = _words_product(W.family_b(), n, p, max_degree)
+    if (p != 2 and n <= 2 * p + 2) or (p == 2 and n <= 3):
+        return product, "proved"
+    return product, "conjectural (collapse unproven beyond this range)"
 
 
 def thh_fp(n: int, p: int, max_degree: int) -> PoincareSeries:
     """Series of the n-fold iterated THH of F_p: family B at length n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = family_series(W.family_b(), n, p, max_degree)
-    if (p != 2 and n <= 2 * p + 2) or (p == 2 and n <= 3):
-        validity = "proved"
-    else:
-        validity = "conjectural (collapse unproven beyond this range)"
-    return PoincareSeries(base.coeffs, max_degree, "F_p-dimensions", validity)
+    product, validity = _thh(n, p, max_degree)
+    return product.series(validity=validity)
 
 
 def hh_polynomial(n: int, p: int, max_degree: int) -> PoincareSeries:
     """Order-n Hochschild homology of F_p[x], |x| = 0, as ranks over F_p[x]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = family_series(W.family_bprime(), n + 1, p, max_degree)
-    return PoincareSeries(base.coeffs, max_degree, f"free ranks over F_{p}[x]")
+    return _words_product(W.family_bprime(), n + 1, p, max_degree).series(
+        f"free ranks over F_{p}[x]")
 
 
 def hh_laurent(n: int, p: int, max_degree: int) -> PoincareSeries:
@@ -215,10 +295,9 @@ def hh_truncated_words(n: int, p: int, m: int, max_degree: int) -> PoincareSerie
         raise ValueError("n must be >= 1")
     if m < 2:
         raise ValueError("truncation height must be >= 2")
-    base = family_series(W.family_bdoubleprime(m), n + 1, p, max_degree)
-    note = (f"word-calculus series for height {m}; ring identification "
-            f"proved only for p-power heights")
-    return PoincareSeries(base.coeffs, max_degree, note)
+    product = _words_product(W.family_bdoubleprime(m), n + 1, p, max_degree)
+    return product.series(f"word-calculus series for height {m}; ring "
+                          f"identification proved only for p-power heights")
 
 
 def etale_finite(q: int) -> PoincareSeries:
@@ -298,22 +377,22 @@ class GroupSpec:
         return " x ".join(parts) if parts else "trivial"
 
 
-def _group_times(coeffs: list[int], group: GroupSpec, n: int, p: int) -> str:
-    """Multiply the dense list in place by the order-n Hochschild factors
-    of F_p[G] and return the note naming their base rings: each Z gives
-    the Laurent words (B' at length n+1), each p-power torsion factor p^e
-    the truncated words (B''(p^e) at length n+1), torsion q^e coprime to
-    p the etale factor q^e in degree 0."""
+def _group_times(product: _Product, group: GroupSpec, n: int, p: int) -> str:
+    """Multiply the product by the order-n Hochschild factors of F_p[G]
+    and return the note naming their base rings: each Z gives the Laurent
+    words (B' at length n+1), each p-power torsion factor p^e the
+    truncated words (B''(p^e) at length n+1), torsion q^e coprime to p
+    the etale factor q^e in degree 0."""
     base_parts: list[str] = []
     for _ in range(group.free_rank):
-        _words_times(coeffs, W.family_bprime(), n + 1, p)
+        _words_times(product, W.family_bprime(), n + 1, p)
         base_parts.append(f"F_{p}[x^±1]")
     for q, e in group.factored_torsion():
         if q == p:
-            _words_times(coeffs, W.family_bdoubleprime(p ** e), n + 1, p)
+            _words_times(product, W.family_bdoubleprime(p ** e), n + 1, p)
             base_parts.append(f"F_{p}[x]/x^{p ** e}")
         else:
-            coeffs[:] = [c * q ** e for c in coeffs]
+            product.scale(q ** e)
             base_parts.append(f"F_{p}[C_{q ** e}]")
     return "free ranks over " + (" (x) ".join(base_parts) or f"F_{p}")
 
@@ -327,22 +406,16 @@ def hh_group_algebra(group: GroupSpec, n: int, p: int,
     W._require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if max_degree < 0:
-        raise ValueError("truncation must be nonnegative")
-    coeffs = [1] + [0] * max_degree
-    note = _group_times(coeffs, group, n, p)
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree, note)
+    product = _Product(max_degree)
+    return product.series(_group_times(product, group, n, p))
 
 
 def thh_group_algebra(group: GroupSpec, n: int, p: int,
                       max_degree: int) -> PoincareSeries:
     """Order-n THH of F_p[G]: the THH series of F_p times the
     group-algebra Hochschild factors."""
-    thh = thh_fp(n, p, max_degree)
-    coeffs = [thh.coeffs.get(d, 0) for d in range(max_degree + 1)]
-    note = _group_times(coeffs, group, n, p)
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree, note,
-                          thh.validity)
+    product, validity = _thh(n, p, max_degree)
+    return product.series(_group_times(product, group, n, p), validity)
 
 
 def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
@@ -357,8 +430,8 @@ def hh_poly_gens(gen_degrees: Sequence[int], n: int, p: int,
         raise ValueError("odd generator degrees need p = 2")
     if any(d < 1 for d in gen_degrees):
         raise ValueError("generator degrees must be >= 1")
-    coeffs = [1] + [0] * max_degree
+    product = _Product(max_degree)
     for d in gen_degrees:
-        _words_times(coeffs, W.family_bprime(base_degree=d), n + 1, p)
-        _free_times(coeffs, d)
-    return PoincareSeries(dict(enumerate(coeffs)), max_degree, "F_p-dimensions")
+        _words_times(product, W.family_bprime(base_degree=d), n + 1, p)
+        product.free_times(d)
+    return product.series()

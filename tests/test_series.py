@@ -25,8 +25,11 @@ from hochhom.series import (
     hh_truncated_words,
     thh_fp,
     thh_group_algebra,
+    _height_power,
+    _Product,
 )
 from hochhom.words import family_b, family_bdoubleprime, family_bprime
+import series_reference
 from word_reference import GRID_FAMILIES, grid_cases, reference_series
 
 
@@ -45,7 +48,7 @@ def as_list(series, n):
 
 def dict_convolve(a, b, truncation):
     """The first series product, every pair of terms in turn, kept as the
-    reference for the in-place factor products."""
+    reference for the packed factor products."""
     out = {}
     for d1, c1 in a.items():
         if d1 > truncation:
@@ -121,6 +124,59 @@ def test_family_series_count_dp_matches_word_by_word_product():
         family_series(family_b(0), 1, 3, 10)  # a free factor of degree 0
 
 
+def packed_ops(N):
+    """Factors for the packed-product grid: unit and non-unit coefficients,
+    steps below, at and past 64 and past the truncation, free factors,
+    scales, and (1 + t)^80, whose coefficients reach C(80, 40) > 2^76."""
+    return [("scale", 3), ("times", 1, (1, 1)),
+            ("times", 3, _height_power(3, 2, N // 3)),
+            ("free_times", 2), ("times", 7, _height_power(5, 3, N // 7)),
+            ("scale", 6), ("times", 1, _height_power(2, 80, N)),
+            ("times", 64, (1, 1)), ("free_times", 65), ("free_times", 1),
+            ("times", N + 1, (1, 4)), ("scale", 3 ** 41)]
+
+
+def test_packed_product_matches_the_dense_list_product():
+    """Factor by factor, the packed product against the dense-list one it
+    replaced; the slots widen (64 -> 128 -> ...) before any could carry."""
+    for N in (0, 1, 5, 40, 70, 150):
+        # 2^63 - 1 fits 64-bit slots, but 3 (2^63 - 1) does not
+        for start in (1, 2 ** 63 - 1, 2 ** 64 + 1, 3 ** 90):
+            product, dense = _Product(N), [1] + [0] * N
+            product.scale(start)
+            series_reference.scale(dense, start)
+            widths = {product.width}
+            for op, *args in packed_ops(N):
+                getattr(product, op)(*args)
+                getattr(series_reference, op)(dense, *args)
+                assert product.coeffs() == dense, (N, start, op, args)
+                if max(dense) >> 63:
+                    assert product.width > 64, (N, start, op, args)
+                widths.add(product.width)
+            if N >= 40:  # the width grew with data in the slots
+                assert len(widths) > 1 and max(widths) >= 256, (N, start)
+            assert product.series().coeffs == {
+                d: c for d, c in enumerate(dense) if c}
+    with pytest.raises(ValueError, match="positive degree"):
+        _Product(5).free_times(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _Product(-1)
+
+
+def test_group_algebra_past_64_bits():
+    # four etale factors C_1000003 scale every coefficient by about 2^80
+    big = 1000003 ** 4
+    group = GroupSpec(0, (1000003,) * 4)
+    for n, p, N in ((2, 3, 30), (3, 2, 40), (4, 5, 200)):
+        thh = thh_fp(n, p, N)
+        got = thh_group_algebra(group, n, p, N)
+        assert got.coeffs == {d: big * c for d, c in thh.coeffs.items()}
+        assert got.validity == thh.validity
+        got = hh_group_algebra(GroupSpec(1, group.torsion), n, p, N)
+        assert got.coeffs == {d: big * c
+                              for d, c in hh_laurent(n, p, N).coeffs.items()}
+
+
 def oracle_grid():
     """(p, family, start, n) for the Tor rewrite checks: the starts of
     `verify oracle-cross` (|x| = 0), and |x| = 2, where the height m
@@ -171,8 +227,8 @@ def test_iterated_tor_matches_the_weighted_count():
 
 
 def test_products_match_dict_convolution():
-    """Each series product, taken in place factor by factor, against the
-    pairwise dict convolution of the published factors."""
+    """Each series product, taken factor by factor on one packed product,
+    against the pairwise dict convolution of the published factors."""
     for p in (2, 3, 5):
         poly_cases = [([2], 2, 60), ([2, 4, 6], 2, 60), ([4, 2, 2], 3, 80)]
         if p == 2:
@@ -263,6 +319,19 @@ def test_series_entry_points_refuse_non_prime_p():
                  lambda: thh_group_algebra(GroupSpec(1), 2, 4, 6),
                  lambda: hh_poly_gens([], 2, 4, 6)):
         with pytest.raises(ValueError, match="p must be prime"):
+            call()
+
+
+def test_series_entry_points_refuse_a_negative_bound():
+    for call in (lambda: hh_truncated(2, 3, 1, -1),
+                 lambda: hh_truncated_words(2, 3, 4, -1),
+                 lambda: thh_fp(2, 3, -1), lambda: hh_polynomial(2, 3, -1),
+                 lambda: hh_laurent(2, 3, -1),
+                 lambda: family_series(family_b(), 2, 3, -1),
+                 lambda: hh_group_algebra(GroupSpec(0, (6,)), 2, 3, -1),
+                 lambda: thh_group_algebra(GroupSpec(1), 2, 3, -1),
+                 lambda: hh_poly_gens([2], 2, 3, -1)):
+        with pytest.raises(ValueError, match="truncation must be nonnegative"):
             call()
 
 
