@@ -150,7 +150,7 @@ def test_packed_product_matches_the_dense_list_product():
                 getattr(product, op)(*args)
                 getattr(series_reference, op)(dense, *args)
                 assert product.coeffs() == dense, (N, start, op, args)
-                if max(dense) >> 63:
+                if max(dense) >> 64:
                     assert product.width > 64, (N, start, op, args)
                 widths.add(product.width)
             if N >= 40:  # the width grew with data in the slots
