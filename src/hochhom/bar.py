@@ -49,11 +49,14 @@ oracle for that rewrite.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
+from itertools import compress
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Iterator, Literal, Mapping, Optional
+from typing import (Iterable, Iterator, Literal, Mapping, Optional,
+                    Sequence)
 
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
@@ -534,40 +537,129 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
                       max_weight: Optional[int] = None) -> BigradedDims:
     """Monomial counts of a presented algebra per (hom, internal, weight).
 
-    One exact integer fold over levels[t], a {(hom, weight): count} dict
-    for each total degree t <= max_total.  Generators enter largest total
-    degree first (a stable sort): a generator then reads only monomials
-    in generators at least as large as itself, which are few in the low
-    levels it reads.  A generator of degree d > 0 sweeps t from
-    max_total - d down to 0 and adds every power e >= 1 of itself to
-    each level-t monomial, writing into level t + e d in place, as a
-    0/1 knapsack does.  The descent is exact: a sweep writes only above
-    the level it reads, onto levels it has already read, so each monomial
-    takes at most one power of the generator.  A degree-0 generator
-    writes into the level it reads, so it reads a copy.  Powers come from
-    _exponents and are cut at the degree room, so no key leaves the window.
+    A knapsack on packed levels (Kronecker substitution).  Level t is
+    one Python int, levels[t]: the polynomial in (hom, weight) of the
+    monomials of total degree t, evaluated at 2^W.  Slot k = h S + w,
+    bits [k W, (k + 1) W), holds the number of monomials of hom degree h
+    and weight w; internal = t - h >= 0, so level t has at most (t + 1) S
+    slots.  One power (e d, e hom, e weight) of a generator is then one
+    C-level big-int shift and add,
+    levels[t + e d] += src << ((e hom S + e weight) W).
+
+    W and S are proved, not guessed:
+    - W.  A first pass of the same fold shifts by 0, so it counts the
+      monomials of each level with weights ignored.  A slot counts some of
+      its level's monomials, and slots only grow, so no slot ever exceeds
+      the largest level total.  W is that total's bit length rounded up
+      to a whole byte, so no slot carries into the next.
+    - S = 1 + a bound on the weight of any monomial in the window
+      (_top_weight), or max_weight + 1 when max_weight is smaller and so
+      binds.  Then a power of weight dw > 0 reads its source through a
+      mask that keeps the slots with w <= max_weight - dw, one mask per
+      dw.  Unweighted counts have S = 1.
+
+    Generators enter largest total degree first (a stable sort), so a
+    generator reads only monomials in generators at least as large as
+    itself, which are few in the low levels it reads.  A generator of
+    degree d > 0 sweeps t from max_total - d down to 0 and adds its
+    powers e >= 1 to level t + e d, as a 0/1 knapsack does: a sweep
+    writes only above the level it reads, onto levels already read, so
+    each monomial takes at most one power of the generator.  A degree-0
+    generator writes into the level it reads, from the int read before
+    (ints are immutable).  Powers come from _exponents and are cut at the
+    degree room.  Both passes start from 1 at level 0, the unit.
+
+    Each level is unpacked once, and its slot sums are checked against
+    the first pass: equal to the level total when no weight bound binds,
+    at most the total when one does.  A mismatch raises ArithmeticError.
     """
-    levels: list[dict[tuple[int, int], int]] = [
-        {} for _ in range(max_total + 1)]
-    if levels and (max_weight is None or max_weight >= 0):
-        levels[0][(0, 0)] = 1
-    for g in sorted(presentation.generators, key=lambda g: -g.total):
-        d = g.total
-        powers = [(e * d, e * g.hom, e * g.weight)
-                  for e in _exponents(g, max_total, max_weight)[1:]]
+    gens = sorted(presentation.generators, key=lambda g: -g.total)
+    exps = [_exponents(g, max_total, max_weight) for g in gens]
+    if max_total < 0 or (max_weight is not None and max_weight < 0):
+        return BigradedDims({})
+    powers = [(g.total, [(e * g.total, e * g.hom, e * g.weight)
+                         for e in es[1:]]) for g, es in zip(gens, exps)]
+    totals = _fold([(d, [(dt, 0, None) for dt, _, _ in pw])
+                    for d, pw in powers], max_total)
+    width = _slot_width(max(totals))
+    top_weight = _top_weight(gens, exps, max_total)
+    bound = max_weight is not None and max_weight < top_weight
+    if bound:
+        top_weight = max_weight
+    stride = top_weight + 1
+    masks = {}
+    if bound:
+        # slot w <= top_weight - dw of every hom degree h <= max_total
+        rows = (((1 << ((max_total + 1) * stride * width)) - 1)
+                // ((1 << (stride * width)) - 1))
+        masks = {dw: ((1 << ((top_weight - dw + 1) * width)) - 1) * rows
+                 for dw in {dw for _, pw in powers for _, _, dw in pw} - {0}}
+    levels = _fold([(d, [(dt, (dh * stride + dw) * width, masks.get(dw))
+                         for dt, dh, dw in pw]) for d, pw in powers],
+                   max_total)
+    entries = {}
+    for t, (level, total) in enumerate(zip(levels, totals)):
+        slots = _slots(level, width)
+        found = sum(slots)
+        if found > total if bound else found != total:
+            raise ArithmeticError(
+                f"level {t} unpacks to {found} monomials, the first pass "
+                f"counted {total}: a slot of {width} bits carried")
+        for k in compress(range(len(slots)), slots):
+            h, w = divmod(k, stride)
+            entries[(h, t - h, w)] = slots[k]
+    return BigradedDims(entries)
+
+
+def _top_weight(gens: list[Generator], exps: list[range],
+                max_total: int) -> int:
+    """A bound on the weight of a monomial of total degree <= max_total:
+    no more than every generator at its top power, nor than the degree-0
+    generators at theirs plus max_total times the largest weight per
+    degree of the others."""
+    tops = [(g, es[-1]) for g, es in zip(gens, exps) if len(es) > 1]
+    flat = sum(g.weight * e for g, e in tops if not g.total)
+    steep = max((max_total * g.weight // g.total for g, _ in tops if g.total),
+                default=0)
+    return min(sum(g.weight * e for g, e in tops), flat + steep)
+
+
+def _fold(steps: list, max_total: int) -> list[int]:
+    """levels[t] for t <= max_total, from 1 at level 0, after each step
+    (degree d, powers (e d, shift, mask or None)) of presentation_dims."""
+    levels = [1] + [0] * max_total
+    for d, powers in steps:
         for t in range(max_total - d, -1, -1):
-            source = levels[t] if d else dict(levels[t])
-            usable = powers[:(max_total - t) // d] if d else powers
-            for (h, w), c in source.items():
-                for dt, dh, dw in usable:
-                    w2 = w + dw
-                    if max_weight is not None and w2 > max_weight:
+            src = levels[t]
+            if src:
+                room = max_total - t
+                for dt, shift, mask in powers:
+                    if dt > room:
                         break
-                    target = levels[t + dt]
-                    key = (h + dh, w2)
-                    target[key] = target.get(key, 0) + c
-    return BigradedDims({(h, t - h, w): c for t, level in enumerate(levels)
-                         for (h, w), c in sorted(level.items())})
+                    levels[t + dt] += (src if mask is None
+                                       else src & mask) << shift
+    return levels
+
+
+def _slot_width(largest: int) -> int:
+    """Bits per slot that hold every count up to largest: its bit length,
+    rounded up to a whole byte."""
+    return max(8, -(-largest.bit_length() // 8) * 8)
+
+
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _slots(level: int, width: int) -> Sequence[int]:
+    """The width-bit slots of a level int, lowest first: by struct at 8,
+    16, 32 and 64 bits, else slot by slot."""
+    size = width // 8
+    raw = level.to_bytes(-(-level.bit_length() // width) * size, "little")
+    if width in _STRUCT_CODES:
+        return struct.unpack(f"<{len(raw) // size}{_STRUCT_CODES[width]}",
+                             raw)
+    return [int.from_bytes(raw[i:i + size], "little")
+            for i in range(0, len(raw), size)]
 
 
 def tor_presentation(presentation: AlgebraPresentation, max_total: int,
@@ -630,7 +722,15 @@ def iterated_tor(presentation: AlgebraPresentation, iterations: int,
                  max_total: int) -> BigradedDims:
     """Dimensions of the n-fold iterated Tor by (hom, internal) up to
     total degree max_total, weights untracked: a generator of degree > 0
-    counts with weight 0, a degree-0 start at 0 iterations keeps its own."""
+    counts with weight 0, a degree-0 start at 0 iterations keeps its own.
+
+    The count is presentation_dims of the final presentation.  With
+    every weight 0 the slot stride is S = 1, so levels[t] holds one
+    W-bit slot per hom degree h <= t, and a generator power is a shift
+    by e hom W bits.  W is the bit length of the largest level total,
+    in whole bytes (64 bits for B''(m) at p = 3, n = 12, degree <= 600);
+    as a slot counts some of its level's monomials, it never carries, and
+    the unpacked slots of each level must sum to exactly its total."""
     final = iterated_tor_presentation(presentation, iterations, max_total)
     gens = (replace(g, weight=0) if g.total else g for g in final.generators)
     return presentation_dims(AlgebraPresentation(final.p, tuple(gens)),

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -586,6 +587,54 @@ def test_presentation_dims_degree_zero_needs_a_weight_bound():
     assert str(new.value) == str(old.value) == (
         "generator x has degree 0: a weight bound is required")
     assert presentation_dims(P, 10, 4) == reference_presentation_dims(P, 10, 4)
+
+
+def _degree_one_polynomials(k_hom, k_internal):
+    """k_hom polynomial generators of bidegree (1, 0) and k_internal of
+    bidegree (0, 1), at p = 2."""
+    return AlgebraPresentation(2, tuple(
+        Generator(f"a{i}", "polynomial", None, 1, 0, 0)
+        for i in range(k_hom)) + tuple(
+        polynomial(f"b{i}", 1) for i in range(k_internal)))
+
+
+def _monomials_of_degree(k, d):
+    """Monomials of degree d in k generators of degree 1."""
+    return math.comb(d + k - 1, k - 1) if k else int(d == 0)
+
+
+def test_presentation_dims_counts_past_64_bits():
+    # 40 generators of degree 1 give comb(t + 39, 39) monomials in degree
+    # t, 76 bits at t = 40: the slots are 80 bits wide, past struct's
+    # widths, and with a (1, 0) / (0, 1) split the slots themselves pass
+    # 2^64 (73 bits at (20, 20))
+    N = 40
+    for k_hom, k_internal in ((0, 40), (20, 20)):
+        dims = presentation_dims(_degree_one_polynomials(k_hom, k_internal),
+                                 N)
+        assert dims.as_dict() == {
+            (h, i, 0): _monomials_of_degree(k_hom, h)
+            * _monomials_of_degree(k_internal, i)
+            for h in range(N + 1) for i in range(N + 1 - h)
+            if _monomials_of_degree(k_hom, h)}, (k_hom, k_internal)
+        assert bar._slot_width(math.comb(N + 39, 39)) == 80
+    assert max(dims.as_dict().values()).bit_length() == 73
+
+
+def test_presentation_dims_raises_when_a_slot_carries(monkeypatch):
+    # one byte narrower than proved: 16 -> 8 bits at N = 12 (6,188
+    # monomials in degree 12, 784 in bidegree (6, 6) of the split case),
+    # 80 -> 72 bits at N = 40; a carry leaves the slot sums short of the
+    # first pass's level totals
+    proved = bar._slot_width
+    for k_hom, k_internal, N in ((0, 6, 12), (3, 3, 12), (20, 20, 40)):
+        P = _degree_one_polynomials(k_hom, k_internal)
+        presentation_dims(P, N)
+        monkeypatch.setattr(bar, "_slot_width",
+                            lambda largest: proved(largest) - 8)
+        with pytest.raises(ArithmeticError, match="carried"):
+            presentation_dims(P, N)
+        monkeypatch.setattr(bar, "_slot_width", proved)
 
 
 def test_tor_presentation_rewrites():
