@@ -52,7 +52,6 @@ import itertools
 import struct
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
-from itertools import compress
 from math import factorial
 from operator import itemgetter
 from typing import (Iterable, Iterator, Literal, Mapping, Optional,
@@ -605,7 +604,7 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
             raise ArithmeticError(
                 f"level {t} unpacks to {found} monomials, the first pass "
                 f"counted {total}: a slot of {width} bits carried")
-        for k in compress(range(len(slots)), slots):
+        for k in itertools.compress(range(len(slots)), slots):
             h, w = divmod(k, stride)
             entries[(h, t - h, w)] = slots[k]
     return BigradedDims(entries)

@@ -617,7 +617,7 @@ def test_presentation_dims_counts_past_64_bits():
             * _monomials_of_degree(k_internal, i)
             for h in range(N + 1) for i in range(N + 1 - h)
             if _monomials_of_degree(k_hom, h)}, (k_hom, k_internal)
-        assert bar._slot_width(math.comb(N + 39, 39)) == 80
+    assert bar._slot_width(math.comb(N + 39, 39)) == 80
     assert max(dims.as_dict().values()).bit_length() == 73
 
 
