@@ -549,8 +549,9 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
     - W.  A first pass of the same fold shifts by 0, so it counts the
       monomials of each level with weights ignored.  A slot counts some of
       its level's monomials, and slots only grow, so no slot ever exceeds
-      the largest level total.  W is that total's bit length rounded up
-      to a whole byte, so no slot carries into the next.
+      the largest level total.  W is at least that total's bit length, so
+      no slot carries into the next: 8, 16, 32 or 64 bits, which struct
+      unpacks, else the bit length rounded up to a whole byte.
     - S = 1 + a bound on the weight of any monomial in the window
       (_top_weight), or max_weight + 1 when max_weight is smaller and so
       binds.  Then a power of weight dw > 0 reads its source through a
@@ -640,13 +641,14 @@ def _fold(steps: list, max_total: int) -> list[int]:
     return levels
 
 
-def _slot_width(largest: int) -> int:
-    """Bits per slot that hold every count up to largest: its bit length,
-    rounded up to a whole byte."""
-    return max(8, -(-largest.bit_length() // 8) * 8)
-
-
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _slot_width(largest: int) -> int:
+    """Bits per slot that hold every count up to largest: 8, 16, 32 or
+    64, which struct unpacks, else its bit length in whole bytes."""
+    bits = largest.bit_length()
+    return next((w for w in _STRUCT_CODES if w >= bits), -(-bits // 8) * 8)
 
 
 def _slots(level: int, width: int) -> Sequence[int]:
@@ -726,10 +728,10 @@ def iterated_tor(presentation: AlgebraPresentation, iterations: int,
     The count is presentation_dims of the final presentation.  With
     every weight 0 the slot stride is S = 1, so levels[t] holds one
     W-bit slot per hom degree h <= t, and a generator power is a shift
-    by e hom W bits.  W is the bit length of the largest level total,
-    in whole bytes (64 bits for B''(m) at p = 3, n = 12, degree <= 600);
-    as a slot counts some of its level's monomials, it never carries, and
-    the unpacked slots of each level must sum to exactly its total."""
+    by e hom W bits.  W holds the largest level total (64 bits for
+    B''(m) at p = 3, n = 12, degree <= 600).  As a slot counts some of
+    its level's monomials, it never carries, and the unpacked slots of
+    each level must sum to exactly its total."""
     final = iterated_tor_presentation(presentation, iterations, max_total)
     gens = (replace(g, weight=0) if g.total else g for g in final.generators)
     return presentation_dims(AlgebraPresentation(final.p, tuple(gens)),
