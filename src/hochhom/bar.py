@@ -19,10 +19,12 @@ with only the inner face maps surviving,
     e_i = sum_{j<i} (|a_j| + 1) + |a_i|,
 
 the Koszul convention induced by suspending each factor.  BarComplex
-stores tensors of monomial indices and its homology; coboundary() builds
-delta^s = d_{s+1}^T on each call.  Bottom-up in s along each (internal,
-weight) chain, the build ranks delta^s with the leads of delta^{s-1}
-cleared, once delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
+stores each tensor of monomial indices as one int, B bits per index, and
+its homology; coboundary() builds delta^s = d_{s+1}^T on each call,
+finding each face's row by shifts on the code.  Bottom-up in s along
+each (internal, weight) chain, from its lowest block to its top one, the
+build ranks delta^s with the leads of delta^{s-1} cleared, once
+delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
 The shuffle product satisfies the graded Leibniz rule for this sign
 choice (property-tested).  One enumeration of shuffles (_shuffles)
 serves the shuffle product and the check that pi is multiplicative,
@@ -54,8 +56,8 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import factorial
 from operator import itemgetter
-from typing import (Iterable, Iterator, Literal, Mapping, Optional,
-                    Sequence)
+from typing import (Callable, Iterable, Iterator, Literal, Mapping,
+                    Optional, Sequence)
 
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
@@ -209,7 +211,8 @@ class AlgebraPresentation:
         for g in self.generators:
             level = _extend(level, [(e, e * g.total, e * g.weight) for e in
                                     _exponents(g, max_total, max_weight)],
-                            max_total, max_weight)
+                            max_total, max_weight,
+                            lambda m, e: m + (e,))
         return [m for m, _t, _w in level if any(m)]
 
 
@@ -228,10 +231,11 @@ def _exponents(g: Generator, max_total: int,
 
 
 def _extend(level: list, pieces: list, max_total: int,
-            max_weight: Optional[int]) -> list:
+            max_weight: Optional[int], combine: Callable) -> list:
     """Each (sequence, total, weight) of level with each (piece, total,
-    weight) of pieces appended, kept when the sums stay in the window."""
-    return [(seq + (piece,), t + dt, w + dw)
+    weight) of pieces appended by combine(sequence, piece), kept when the
+    sums stay in the window."""
+    return [(combine(seq, piece), t + dt, w + dw)
             for seq, t, w in level for piece, dt, dw in pieces
             if t + dt <= max_total
             and (max_weight is None or w + dw <= max_weight)]
@@ -416,8 +420,10 @@ class BarComplex:
 
     Homology is exact for s <= max_s: each stratum is finite and complete
     within the bounds, and B_{max_s + 1} is the target of delta^{max_s}.
-    Tensors are stored as tuples of monomial indices; basis() decodes
-    them.  The homology is computed once, at the end of construction,
+    A tensor (v_1, ..., v_s) of monomial indices is stored as one int, its
+    code, B = len(monos).bit_length() bits per index: v_s in the lowest B
+    bits, v_1 in the highest.  basis() decodes codes into tensors of
+    monomials.  The homology is computed once, at the end of construction,
     chain by chain and bottom-up in s; that pass verifies d o d = 0 once
     for every composable pair of blocks before it clears delta^s by the
     leads of delta^{s-1}, so a presentation whose products are not
@@ -433,50 +439,60 @@ class BarComplex:
         self.max_internal = max_internal
         self.max_weight = max_weight
 
-        # monos is increasing, so index tensors sort like monomial tensors
+        # monos is increasing and B bits hold any index, so the codes of
+        # one stratum, all of length s, sort like its monomial tensors
         monos = self._monos = presentation.augmentation_monomials(
             max_internal, max_weight)
+        B = self._digit_bits = len(monos).bit_length()
         totals = [presentation.mono_total(m) for m in monos]
         pieces = [(i, totals[i], presentation.mono_weight(m))
                   for i, m in enumerate(monos)]
 
-        # basis[(s, t, w)] = index tensors, built level by level; a sorted
-        # level extended by pieces in index order stays sorted.  B_0 is
-        # empty when weight 0 lies outside the window.
-        self._basis: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        # basis[(s, t, w)] = codes, built level by level; a sorted level
+        # extended by pieces in index order stays sorted.  B_0 is the empty
+        # tensor, code 0, and is empty when weight 0 lies outside the window.
+        self._basis: dict[tuple[int, int, int], list[int]] = {}
         if max_weight is None or max_weight >= 0:
-            self._basis[(0, 0, 0)] = [()]
-        level: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+            self._basis[(0, 0, 0)] = [0]
+        level: list[tuple[int, int, int]] = [(0, 0, 0)]
         for s in range(1, max_s + 2):
-            level = _extend(level, pieces, max_internal, max_weight)
-            for tensor, t, w in level:
-                self._basis.setdefault((s, t, w), []).append(tensor)
+            level = _extend(level, pieces, max_internal, max_weight,
+                            lambda code, i: (code << B) | i)
+            for code, t, w in level:
+                self._basis.setdefault((s, t, w), []).append(code)
         # the last level lists B_{max_s+1} again, which _basis holds; drop
         # it so that the walk below does not keep the top block twice
         del level
 
-        # splits[c] lists (a, b, multiply's sign times (-1)^|a|) for 0 < a < c,
-        # the exponent ranges' product minus its ends, so no face is 0
+        # splits[c] lists ((a << B) | b, multiply's sign times (-1)^|a|)
+        # for 0 < a < c, the exponent ranges' product minus its ends, so no
+        # face is 0
         mono_index = {m: i for i, m in enumerate(monos)}
 
-        def split(c: Monomial) -> Iterator[tuple[int, int, int]]:
+        def split(c: Monomial) -> Iterator[tuple[int, int]]:
             powers = [range(e + 1) for e in c]
             for a in list(itertools.product(*powers))[1:-1]:
                 b = tuple(e - f for e, f in zip(c, a))
-                yield (mono_index[a], mono_index[b],
+                yield ((mono_index[a] << B) | mono_index[b],
                        presentation.multiply(a, b)[0]
                        * (-1) ** presentation.mono_total(a))
 
         self._totals = totals
         self._splits = [list(split(c)) for c in monos]
 
-        # each (t, w) is one cochain complex in s, walked bottom-up holding
-        # only delta^{s-1}, ranked with its leads kept, and delta^s, cleared
-        # by them; delta^{-1} and a missing stratum's delta^s have no columns
+        # each (t, w) is one cochain complex in s, walked bottom-up from its
+        # lowest block to its top block at s <= max_s, holding only
+        # delta^{s-1}, ranked with its leads kept, and delta^s, cleared by
+        # them; the first delta^{s-1} and a gap's delta^s have no columns.
+        # The basis lists its strata by increasing s.
+        walks: dict[tuple[int, int], list[int]] = {}
+        for s, t, w in self._basis:
+            if s <= max_s:
+                walks.setdefault((t, w), [s, s])[1] = s
         dims: dict[tuple[int, int, int], int] = {}
-        for t, w in sorted({(t, w) for s, t, w in self._basis if s <= max_s}):
-            d_in = self.coboundary(-1, t, w)
-            for s in range(max_s + 1):
+        for (t, w), (low, top) in sorted(walks.items()):
+            d_in = self.coboundary(low - 1, t, w)
+            for s in range(low, top + 1):
                 d_out = self.coboundary(s, t, w)
                 if (s, t, w) in self._basis:
                     try:
@@ -488,36 +504,51 @@ class BarComplex:
                 d_in = d_out
         self._homology = BigradedDims(dict(sorted(dims.items())))
 
+    def _shifts(self, s: int) -> list[int]:
+        """Where v_1, ..., v_s sit in the code of a length-s tensor."""
+        return [k * self._digit_bits for k in reversed(range(s))]
+
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:
         """The stratum's tensors of monomials, in increasing order."""
-        return [tuple(map(self._monos.__getitem__, tensor))
-                for tensor in self._basis.get((s, internal, weight), ())]
+        monos, digit = self._monos, (1 << self._digit_bits) - 1
+        shifts = self._shifts(s)
+        return [tuple(monos[(code >> sh) & digit] for sh in shifts)
+                for code in self._basis.get((s, internal, weight), ())]
 
     def strata(self, s: int) -> list[tuple[int, int]]:
         return sorted((t, w) for (s2, t, w) in self._basis if s2 == s)
 
     def coboundary(self, s: int, internal: int,
                    weight: int = 0) -> SparseFpMatrix:
-        """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum, s <= max_s,
-        built afresh on each call.  Column v holds each u whose face i is
-        v, u splitting v_i into (a, b) with the sign of BarChain.boundary."""
+        """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum, for
+        -1 <= s <= max_s, built afresh on each call.  Column v holds each
+        u whose face i is v, u splitting v_i into (a, b) with the sign of
+        BarChain.boundary.  With v_i at shift sh of v's code, u's code is
+        v's bits below sh, then (a << B) | b at sh, then v's bits above
+        v_i moved up by B."""
         if s > self.max_s:
             raise ValueError(f"delta^{s} lies past max_s = {self.max_s}")
+        if s < -1:
+            raise ValueError(f"delta^{s} lies below delta^-1")
         tensors = self._basis.get((s, internal, weight), ())
         targets = self._basis.get((s + 1, internal, weight), ())
         row = {u: i for i, u in enumerate(targets)}
-        splits, totals = self._splits, self._totals
+        B, splits, totals = self._digit_bits, self._splits, self._totals
+        digit, shifts = (1 << B) - 1, self._shifts(s)
         # distinct splits of one tensor give distinct tensors, so every row
         # of a column is written at most once
         columns: dict[int, dict[int, int]] = {}
         for col, v in enumerate(tensors):
             column = columns[col] = {}
             prefix = 0  # sum of (|v_j| + 1) for j < i
-            for i, c in enumerate(v):
-                head, tail = v[:i], v[i + 1:]
-                face_sign = -1 if prefix % 2 else 1
-                for a, b, sign in splits[c]:
-                    column[row[head + (a, b) + tail]] = sign * face_sign
+            for sh in shifts:
+                c = (v >> sh) & digit
+                if splits[c]:
+                    base = (((v >> (sh + B)) << (sh + 2 * B))
+                            | (v & ((1 << sh) - 1)))
+                    face_sign = -1 if prefix % 2 else 1
+                    for ab, sign in splits[c]:
+                        column[row[base | (ab << sh)]] = sign * face_sign
                 prefix += totals[c] + 1
         return SparseFpMatrix(self.presentation.p, len(targets), len(tensors),
                               columns)

@@ -9,7 +9,10 @@ p; no floating point and no normal-form machinery.
 rank(after) clears ("twist", Chen-Kerber 2011) once self o after = 0 is
 checked: self kills each reduced column of after, whose largest row is
 its lead i, so column i of self lies in the span of self's lower-index
-columns, and self is reduced without the columns at after's leads.
+columns, and self is reduced without the columns at after's leads.  The
+check reads the integer sums of the product column by column (_products,
+which compose also wraps into a matrix) and stops at the first sum that
+is not 0 mod p; it builds no product matrix.
 """
 
 from __future__ import annotations
@@ -83,31 +86,39 @@ class SparseFpMatrix:
         return not self._columns
 
     def compose(self, other: "SparseFpMatrix") -> "SparseFpMatrix":
-        """Matrix product self * other (apply other first), column by
-        column of other, summed under integer row keys."""
+        """Matrix product self * other (apply other first)."""
+        return SparseFpMatrix(self.modulus, self.rows, other.cols,
+                              dict(self._products(other)))
+
+    def _products(self, other: "SparseFpMatrix"
+                  ) -> Iterator[tuple[int, dict[int, int]]]:
+        """(c, {row: integer sum}) for each stored column c of other: column
+        c of self * other before reduction mod p."""
         if other.modulus != self.modulus:
             raise ValueError("cannot compose matrices over different primes")
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} o {other.rows}x{other.cols}")
         mine = self._columns
-        out: dict[int, dict[int, int]] = {}
         for c, column in other._columns.items():
-            acc = out[c] = {}  # the constructor keeps the sums nonzero mod p
+            acc: dict[int, int] = {}
             for k, w in column.items():
                 if k in mine:
                     for r, v in mine[k].items():
                         acc[r] = acc.get(r, 0) + v * w
-        return SparseFpMatrix(self.modulus, self.rows, other.cols, out)
+            yield c, acc
 
     def rank(self, after: Optional["SparseFpMatrix"] = None) -> int:
         """Rank by column echelon form, computed once per matrix.
 
         Given the incoming differential after, self o after = 0 is checked
-        on every call, and CompositionError raised otherwise; only then
-        may the columns at after's pivot leads be skipped.
+        on every call, sum by sum without building the product, and
+        CompositionError raised otherwise; only then may the columns at
+        after's pivot leads be skipped.
         """
-        if after is not None and not self.compose(after).is_zero():
+        p = self.modulus
+        if after is not None and any(
+                v % p for _, acc in self._products(after) for v in acc.values()):
             raise CompositionError("self o after != 0: not a complex")
         return len(self._pivot_leads(after))
 

@@ -167,6 +167,66 @@ def test_basis_strata_come_out_sorted():
                         (cx.presentation, s, t)
 
 
+def _window_tensors(P, s, max_total, max_weight):
+    """{(total, weight): sorted tensors} of the length-s tensors of
+    augmentation monomials in the window, by itertools.product over the
+    monomials that leave room for s - 1 more factors."""
+    monos = P.augmentation_monomials(max_total, max_weight)
+    top_weight = max_weight if max_weight is not None else math.inf
+    low_t = min(map(P.mono_total, monos), default=0)
+    low_w = min(map(P.mono_weight, monos), default=0)
+    room = [m for m in monos
+            if P.mono_total(m) + (s - 1) * low_t <= max_total
+            and P.mono_weight(m) + (s - 1) * low_w <= top_weight]
+    totals = [P.mono_total(m) for m in room]
+    weights = [P.mono_weight(m) for m in room]
+    found = {}
+    for picks in itertools.product(range(len(room)), repeat=s):
+        t = sum(map(totals.__getitem__, picks))
+        w = sum(map(weights.__getitem__, picks))
+        if t <= max_total and w <= top_weight:
+            found.setdefault((t, w), []).append(
+                tuple(map(room.__getitem__, picks)))
+    return {key: sorted(tensors) for key, tensors in found.items()}
+
+
+def test_packed_basis_matches_an_independent_enumeration():
+    # the decoded codes of every stratum against the tensors that
+    # itertools.product finds in the window
+    for p in (2, 3, 5):
+        for cx in grid_complexes(p):
+            for s in range(cx.max_s + 2):
+                expected = _window_tensors(cx.presentation, s,
+                                           cx.max_internal, cx.max_weight)
+                assert cx.strata(s) == sorted(expected), (cx.presentation, s)
+                for (t, w), tensors in expected.items():
+                    assert cx.basis(s, t, w) == tensors, \
+                        (cx.presentation, s, t, w)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 9, 17])
+def test_coboundary_matches_boundary_at_a_tight_digit_width(m):
+    # x, ..., x^m are the m monomials, and a code spends m.bit_length()
+    # bits on each index; with m - 1 a power of two the top index m - 1
+    # needs every one of them, so a digit one bit short overlaps factors
+    P = poly_algebra(3)
+    assert len(P.augmentation_monomials(2 * m)) == m
+    cx = BarComplex(P, 3, 2 * m)
+    for s in range(1, cx.max_s + 2):
+        for t, w in cx.strata(s):
+            expected = _transpose(_boundary_matrix(cx, s, t, w))
+            assert cx.coboundary(s - 1, t, w) == expected, (m, s, t)
+
+
+def test_coboundary_refuses_s_below_minus_one():
+    cx = BarComplex(AlgebraPresentation(3, (truncated("x", 3, 2),)), 2, 8)
+    with pytest.raises(ValueError, match=r"delta\^-2 lies below delta\^-1"):
+        cx.coboundary(-2, 0, 0)
+    # delta^-1 stays legal: the build starts the chain of B_0 = k with it
+    d = cx.coboundary(-1, 0, 0)
+    assert (d.rows, d.cols) == (1, 0) and d.is_zero()
+
+
 def test_cohomology_pass_matches_the_top_down_reference():
     # the bottom-up pass over the coboundaries against the top-down pass
     # over the differentials, on the grid at p = 2, 3, 5, 7 and on the C5

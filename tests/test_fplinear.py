@@ -238,6 +238,55 @@ def test_rank_after_checks_the_composite_on_every_call():
     assert d_out.rank() == 1 == dense(3, [[1, 1]]).rank()
 
 
+def test_rank_after_raises_exactly_when_the_product_is_nonzero():
+    # random small pairs, half of them with self's rows in the left kernel
+    # of after, where the integer sums of the product are often nonzero
+    # multiples of p; the product-free check must agree with compose
+    rng = random.Random(2024)
+    seen = {"nonzero": 0, "multiple of p": 0, "zero": 0}
+    for p in (2, 3, 5):
+        for trial in range(60):
+            inner, ncols = rng.randint(1, 3), rng.randint(1, 3)
+            after_rows = [[rng.randint(0, p - 1) for _ in range(ncols)]
+                          for _ in range(inner)]
+            candidates = list(_all_vectors(p, inner))
+            if trial % 2:
+                candidates = [v for v in candidates
+                              if all(sum(v[k] * after_rows[k][c]
+                                         for k in range(inner)) % p == 0
+                                     for c in range(ncols))]
+            self_rows = [list(rng.choice(candidates))
+                         for _ in range(rng.randint(1, 3))]
+            sums = [sum(row[k] * after_rows[k][c] for k in range(inner))
+                    for row in self_rows for c in range(ncols)]
+            kind = ("nonzero" if any(v % p for v in sums) else
+                    "multiple of p" if any(sums) else "zero")
+            seen[kind] += 1
+            mat, after = dense(p, self_rows), dense(p, after_rows)
+            assert mat.compose(after).is_zero() == (kind != "nonzero")
+            if kind == "nonzero":
+                with pytest.raises(CompositionError):
+                    mat.rank(after)
+                assert mat._leads is None
+            else:
+                assert mat.rank(after) == dense_rank_modp(self_rows, p)
+    assert min(seen.values()) > 10, seen
+
+
+def test_product_free_check_keeps_the_compose_errors():
+    # mixed moduli and shapes raise the plain ValueError of compose, not
+    # CompositionError, from rank(after) as from compose
+    m3 = dense(3, [[1, 0], [0, 1]])
+    bad = [(dense(5, [[1], [1]]), "cannot compose matrices over different "
+                                  "primes"),
+           (dense(3, [[1], [1], [1]]), r"shape mismatch: 2x2 o 3x1")]
+    for after, message in bad:
+        for call in (m3.compose, m3.rank):
+            with pytest.raises(ValueError, match=message) as exc:
+                call(after)
+            assert type(exc.value) is ValueError
+
+
 def test_homology_dim_random_complexes():
     # build complexes as d_in = A*B, d_out = C with C*A*B = 0 by killing C*A
     rng = random.Random(99)
