@@ -118,7 +118,8 @@ class SparseFpMatrix:
         """
         p = self.modulus
         if after is not None and any(
-                v % p for _, acc in self._products(after) for v in acc.values()):
+                v % p
+                for _, acc in self._products(after) for v in acc.values()):
             raise CompositionError("self o after != 0: not a complex")
         return len(self._pivot_leads(after))
 
