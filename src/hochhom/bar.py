@@ -51,14 +51,13 @@ oracle for that rewrite.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from math import factorial
 from operator import itemgetter
-from typing import (Callable, Iterable, Iterator, Literal, Mapping,
-                    Optional, Sequence)
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Optional
 
+from . import packed
 from .fplinear import (CompositionError, SparseFpMatrix, _is_prime,
                        homology_dim)
 
@@ -576,18 +575,16 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
     C-level big-int shift and add,
     levels[t + e d] += src << ((e hom S + e weight) W).
 
-    W and S are proved, not guessed:
+    The fold counts the monomials whose every generator power lies in
+    the window (_exponents); those of weight > max_weight are cut when
+    the levels are unpacked.  W and S are proved, not guessed:
     - W.  A first pass of the same fold shifts by 0, so it counts the
       monomials of each level with weights ignored.  A slot counts some of
-      its level's monomials, and slots only grow, so no slot ever exceeds
-      the largest level total.  W is at least that total's bit length, so
-      no slot carries into the next: 8, 16, 32 or 64 bits, which struct
-      unpacks, else the bit length rounded up to a whole byte.
-    - S = 1 + a bound on the weight of any monomial in the window
-      (_top_weight), or max_weight + 1 when max_weight is smaller and so
-      binds.  Then a power of weight dw > 0 reads its source through a
-      mask that keeps the slots with w <= max_weight - dw, one mask per
-      dw.  Unweighted counts have S = 1.
+      its level's monomials, so no slot exceeds the largest level total.
+      W holds that total (packed.slot_width), so no slot carries into the
+      next.
+    - S = 1 + a bound on the weight of any monomial the fold counts
+      (_top_weight).  Unweighted counts have S = 1.
 
     Generators enter largest total degree first (a stable sort), so a
     generator reads only monomials in generators at least as large as
@@ -600,9 +597,9 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
     (ints are immutable).  Powers come from _exponents and are cut at the
     degree room.  Both passes start from 1 at level 0, the unit.
 
-    Each level is unpacked once, and its slot sums are checked against
-    the first pass: equal to the level total when no weight bound binds,
-    at most the total when one does.  A mismatch raises ArithmeticError.
+    Each level is unpacked once, and its slot sums must equal the first
+    pass's level total, with or without a weight bound; a mismatch
+    raises ArithmeticError.
     """
     gens = sorted(presentation.generators, key=lambda g: -g.total)
     exps = [_exponents(g, max_total, max_weight) for g in gens]
@@ -610,35 +607,26 @@ def presentation_dims(presentation: AlgebraPresentation, max_total: int,
         return BigradedDims({})
     powers = [(g.total, [(e * g.total, e * g.hom, e * g.weight)
                          for e in es[1:]]) for g, es in zip(gens, exps)]
-    totals = _fold([(d, [(dt, 0, None) for dt, _, _ in pw])
-                    for d, pw in powers], max_total)
-    width = _slot_width(max(totals))
-    top_weight = _top_weight(gens, exps, max_total)
-    bound = max_weight is not None and max_weight < top_weight
-    if bound:
-        top_weight = max_weight
-    stride = top_weight + 1
-    masks = {}
-    if bound:
-        # slot w <= top_weight - dw of every hom degree h <= max_total
-        rows = (((1 << ((max_total + 1) * stride * width)) - 1)
-                // ((1 << (stride * width)) - 1))
-        masks = {dw: ((1 << ((top_weight - dw + 1) * width)) - 1) * rows
-                 for dw in {dw for _, pw in powers for _, _, dw in pw} - {0}}
-    levels = _fold([(d, [(dt, (dh * stride + dw) * width, masks.get(dw))
+    totals = _fold([(d, [(dt, 0) for dt, _, _ in pw]) for d, pw in powers],
+                   max_total)
+    width = packed.slot_width(max(totals))
+    stride = _top_weight(gens, exps, max_total) + 1
+    levels = _fold([(d, [(dt, (dh * stride + dw) * width)
                          for dt, dh, dw in pw]) for d, pw in powers],
                    max_total)
     entries = {}
     for t, (level, total) in enumerate(zip(levels, totals)):
-        slots = _slots(level, width)
+        slots = packed.unpack(level, width,
+                              -(-level.bit_length() // width))
         found = sum(slots)
-        if found > total if bound else found != total:
+        if found != total:
             raise ArithmeticError(
                 f"level {t} unpacks to {found} monomials, the first pass "
                 f"counted {total}: a slot of {width} bits carried")
         for k in itertools.compress(range(len(slots)), slots):
             h, w = divmod(k, stride)
-            entries[(h, t - h, w)] = slots[k]
+            if max_weight is None or w <= max_weight:
+                entries[(h, t - h, w)] = slots[k]
     return BigradedDims(entries)
 
 
@@ -657,41 +645,18 @@ def _top_weight(gens: list[Generator], exps: list[range],
 
 def _fold(steps: list, max_total: int) -> list[int]:
     """levels[t] for t <= max_total, from 1 at level 0, after each step
-    (degree d, powers (e d, shift, mask or None)) of presentation_dims."""
+    (degree d, powers (e d, shift)) of presentation_dims."""
     levels = [1] + [0] * max_total
     for d, powers in steps:
         for t in range(max_total - d, -1, -1):
             src = levels[t]
             if src:
                 room = max_total - t
-                for dt, shift, mask in powers:
+                for dt, shift in powers:
                     if dt > room:
                         break
-                    levels[t + dt] += (src if mask is None
-                                       else src & mask) << shift
+                    levels[t + dt] += src << shift
     return levels
-
-
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
-
-
-def _slot_width(largest: int) -> int:
-    """Bits per slot that hold every count up to largest: 8, 16, 32 or
-    64, which struct unpacks, else its bit length in whole bytes."""
-    bits = largest.bit_length()
-    return next((w for w in _STRUCT_CODES if w >= bits), -(-bits // 8) * 8)
-
-
-def _slots(level: int, width: int) -> Sequence[int]:
-    """The width-bit slots of a level int, lowest first: by struct at 8,
-    16, 32 and 64 bits, else slot by slot."""
-    size = width // 8
-    raw = level.to_bytes(-(-level.bit_length() // width) * size, "little")
-    if width in _STRUCT_CODES:
-        return struct.unpack(f"<{len(raw) // size}{_STRUCT_CODES[width]}",
-                             raw)
-    return [int.from_bytes(raw[i:i + size], "little")
-            for i in range(0, len(raw), size)]
 
 
 def tor_presentation(presentation: AlgebraPresentation, max_total: int,
@@ -757,12 +722,9 @@ def iterated_tor(presentation: AlgebraPresentation, iterations: int,
     counts with weight 0, a degree-0 start at 0 iterations keeps its own.
 
     The count is presentation_dims of the final presentation.  With
-    every weight 0 the slot stride is S = 1, so levels[t] holds one
-    W-bit slot per hom degree h <= t, and a generator power is a shift
-    by e hom W bits.  W holds the largest level total (64 bits for
-    B''(m) at p = 3, n = 12, degree <= 600).  As a slot counts some of
-    its level's monomials, it never carries, and the unpacked slots of
-    each level must sum to exactly its total."""
+    every weight 0 the slot stride is S = 1, so levels[t] holds one slot
+    per hom degree h <= t, and a generator power is a shift by e hom W
+    bits (W = 64 for B''(m) at p = 3, n = 12, degree <= 600)."""
     final = iterated_tor_presentation(presentation, iterations, max_total)
     gens = (replace(g, weight=0) if g.total else g for g in final.generators)
     return presentation_dims(AlgebraPresentation(final.p, tuple(gens)),

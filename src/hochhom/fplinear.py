@@ -82,9 +82,6 @@ class SparseFpMatrix:
     def nnz(self) -> int:
         return sum(map(len, self._columns.values()))
 
-    def is_zero(self) -> bool:
-        return not self._columns
-
     def compose(self, other: "SparseFpMatrix") -> "SparseFpMatrix":
         """Matrix product self * other (apply other first)."""
         return SparseFpMatrix(self.modulus, self.rows, other.cols,

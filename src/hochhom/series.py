@@ -1,27 +1,28 @@
 """Poincare series of higher Hochschild and THH calculations over F_p.
 
 Every closed form is a product of factors, one per generator, taken on
-one truncated series packed into a single int (_Product), which each
-factor multiplies by big-int shifts and adds and which is unpacked once,
-at the end.  A word contributes a factor per its multiplicative class
-(exterior 1 + t^d, height-p truncated, or free 1/(1 - t^d)), and the
-base letter of the B'/B'' families is bookkept in the base ring, not in
-the word factor (basis_note records which).  Group algebras split as a
-tensor product of a THH factor and per-factor HH contributions: Laurent
-for Z, truncated polynomial for the p-part, etale (degree 0) for
-torsion coprime to p.
+one truncated series packed into a single int (_Product, slots as in
+packed), which each factor multiplies by big-int shifts and adds.  It is
+unpacked only to widen its slots and once, at the end.  A word
+contributes a factor per its multiplicative class (exterior 1 + t^d,
+height-p truncated, or free 1/(1 - t^d)), and the base letter of the
+B'/B'' families is bookkept in the base ring, not in the word factor
+(basis_note records which).  Group algebras split as a tensor product
+of a THH factor and per-factor HH contributions: Laurent for Z,
+truncated polynomial for the p-part, etale (degree 0) for torsion
+coprime to p.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import sub
 from typing import Optional, Sequence
 
+from . import packed
 from . import words as W
 
 
@@ -96,37 +97,36 @@ class PoincareSeries:
 class _Product:
     """A power series truncated at degree max_degree, with nonnegative
     integer coefficients, packed into one int: the coefficient of t^k sits
-    in bits [k width, (k+1) width).  A factor is a few big-int shifts and
-    adds on the whole series.  Before each factor the slots are checked to
-    hold its result, and widened if they might not, so that no slot ever
-    carries into the next: every factor starts with 1 and has nonnegative
-    coefficients summing to s, so slots below 2^(width - bitlen(s)) stay
-    below 2^width."""
+    in slot k, bits [k width, (k+1) width) (see packed).  A factor is a
+    few big-int shifts and adds on the whole series.  Every factor starts
+    with 1 and has nonnegative coefficients summing to s, so slots below
+    2^(width - bitlen(s)) hold its result.  The slots start at 8 bits;
+    before each factor a guard mask tests that bound, and where it fails
+    the series is unpacked and packed again at
+    packed.slot_width(max coefficient * s), so no slot ever carries into
+    the next."""
 
     def __init__(self, max_degree: int):
         if max_degree < 0:
             raise ValueError("truncation must be nonnegative")
         self.max_degree = max_degree
-        self._repack(64, b"\1")
+        self._pack([1], 8)
 
-    def _repack(self, width: int, raw: bytes) -> None:
-        """Set the slot width and the value from raw little-endian slots
-        of that width; the guard masks of the old width are dropped."""
+    def _pack(self, coeffs: Sequence[int], width: int) -> None:
+        """Set the slot width and the value from the coefficients; the
+        guard masks of the old width are dropped."""
         self.width = width
-        self.value = int.from_bytes(raw, "little")
+        self.value = packed.pack(coeffs, width)
         self._mask = (1 << (self.max_degree + 1) * width) - 1
         self._guards: dict[int, int] = {}
 
     def _fit(self, total: int) -> None:
-        """Widen the slots until each holds its coefficient times total."""
+        """Widen the slots, if need be, to hold each coefficient times
+        total."""
         bits = total.bit_length()
-        while bits >= self.width or self.value & self._guard(bits):
-            size = self.width // 8
-            raw = self.value.to_bytes((self.max_degree + 1) * size, "little")
-            wide = bytearray(2 * len(raw))
-            for k in range(size):
-                wide[k::2 * size] = raw[k::size]
-            self._repack(2 * self.width, wide)
+        if bits >= self.width or self.value & self._guard(bits):
+            coeffs = self.coeffs()
+            self._pack(coeffs, packed.slot_width(max(coeffs) * total))
 
     def _guard(self, bits: int) -> int:
         """The top `bits` bits of every slot."""
@@ -163,12 +163,7 @@ class _Product:
 
     def coeffs(self) -> list[int]:
         """The coefficients of t^0 .. t^max_degree."""
-        size = self.width // 8
-        raw = self.value.to_bytes((self.max_degree + 1) * size, "little")
-        if size == 8:
-            return list(struct.unpack(f"<{self.max_degree + 1}Q", raw))
-        return [int.from_bytes(raw[i:i + size], "little")
-                for i in range(0, len(raw), size)]
+        return list(packed.unpack(self.value, self.width, self.max_degree + 1))
 
     def series(self, basis_note: str = "F_p-dimensions",
                validity: Optional[str] = None) -> PoincareSeries:

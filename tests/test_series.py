@@ -138,7 +138,8 @@ def packed_ops(N):
 
 def test_packed_product_matches_the_dense_list_product():
     """Factor by factor, the packed product against the dense-list one it
-    replaced; the slots widen (64 -> 128 -> ...) before any could carry."""
+    replaced; the slots widen (from 8 bits, past 64) before any could
+    carry."""
     for N in (0, 1, 5, 40, 70, 150):
         # 2^63 - 1 fits 64-bit slots, but 3 (2^63 - 1) does not
         for start in (1, 2 ** 63 - 1, 2 ** 64 + 1, 3 ** 90):
@@ -153,8 +154,8 @@ def test_packed_product_matches_the_dense_list_product():
                 if max(dense) >> 64:
                     assert product.width > 64, (N, start, op, args)
                 widths.add(product.width)
-            if N >= 40:  # the width grew with data in the slots
-                assert len(widths) > 1 and max(widths) >= 256, (N, start)
+            if N >= 40:  # the width grew past 64 once a slot did
+                assert len(widths) > 1 and max(widths) > 64, (N, start)
             assert product.series().coeffs == {
                 d: c for d, c in enumerate(dense) if c}
     with pytest.raises(ValueError, match="positive degree"):
