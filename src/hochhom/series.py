@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import sub
 from typing import Optional, Sequence
 
@@ -167,9 +167,17 @@ class _Product:
 
     def series(self, basis_note: str = "F_p-dimensions",
                validity: Optional[str] = None) -> PoincareSeries:
-        """The product as a series, built once, unpacked once."""
-        return PoincareSeries(dict(enumerate(self.coeffs())), self.max_degree,
-                              basis_note, validity)
+        """The product as a series, built once, unpacked once.  Its int
+        coefficients are nonnegative by construction, so the per-term
+        checks of PoincareSeries.__post_init__ are skipped."""
+        coeffs = self.coeffs()
+        series = object.__new__(PoincareSeries)
+        series.__dict__.update(
+            coeffs=dict(zip(compress(range(len(coeffs)), coeffs),
+                            filter(None, coeffs))),
+            truncation=self.max_degree, basis_note=basis_note,
+            validity=validity)
+        return series
 
 
 def _height_power(height: int, count: int, length: int) -> list[int]:

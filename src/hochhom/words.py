@@ -35,8 +35,9 @@ word listings (enumerate_words, graded_words, verify_powerwords) bound
 the total degree.  diff_candidates bounds the exponent sum but builds no
 word of length n: the same step counts the words of each length by
 (leading kind, exponent sum), to refuse a search too large, and tables
-the sorted totals by leading kind below length n; the search intersects
-streams of length-n totals and solves only the hits back into words.  A
+the totals by leading kind below length n, as one increasing run per
+least exponent sum; the search intersects sets of length-n totals, one
+window of totals at a time, and solves only the hits back into words.  A
 separate scalar recursion for |w| (total_degree) is kept as an
 independent cross-check of the fold.
 """
@@ -47,8 +48,6 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
-from heapq import merge
-from operator import itemgetter
 from typing import Callable, Literal, Optional
 
 from .fplinear import _is_prime
@@ -179,6 +178,7 @@ def enumerate_shapes(n: int, family: WordFamily) -> list[Word]:
     return sorted(words, key=canonical_key)
 
 
+@cache  # trial division: about 5 ms at p = 2^31 - 1; a failure is not kept
 def _require_prime(p: int) -> None:
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -406,51 +406,85 @@ def _word_counts(n: int, family: WordFamily, moves: dict,
     return [sum(map(sum, level.values())) for level in levels]
 
 
-def _image(table, a: int, b: int, k: int, bound: int):
-    """The entries (t, s) of a sorted table with s + k <= bound, sent to
-    (a + b t, s + k): increasing, since b > 0."""
-    budget = bound - k
-    return ((a + b * t, s + k) for t, s in zip(*table) if s <= budget)
+_WINDOW = 1 << 12  # most entries of one source row in a window of totals
+_MAX_Q = 2 ** 64 - 1  # largest total an array("Q") run holds
+
+
+def _extend(run, totals: list[int]):
+    """The run with the increasing totals appended: an array("Q") until
+    one passes 2^64 - 1, then a list."""
+    if totals and totals[-1] > _MAX_Q and isinstance(run, array):
+        run = list(run)
+    run.extend(totals)
+    return run
+
+
+def _windows(rows):
+    """Cut the images a + b t of the increasing rows (a, b, row, tag) at
+    common totals, so that no window holds more than _WINDOW entries of
+    one row, and yield for each window, in row order, the pairs (tag,
+    image of the row's slice) of the rows that reach into it."""
+    starts = [0] * len(rows)
+    while True:
+        cut = min((a + b * row[i + _WINDOW] for (a, b, row, _t), i
+                   in zip(rows, starts) if i + _WINDOW < len(row)),
+                  default=None)
+        if cut is None:
+            ends = [len(row) for _a, _b, row, _t in rows]
+        else:  # a + b t >= cut just when t >= ceil((cut - a) / b)
+            ends = [bisect_left(row, -((a - cut) // b))
+                    for a, b, row, _t in rows]
+        yield ((tag, map(a.__add__, row[i:j] if b == 1
+                         else map(b.__mul__, row[i:j])))
+               for (a, b, row, tag), i, j in zip(rows, starts, ends) if i < j)
+        if cut is None:
+            return
+        starts = ends
+
+
+def _holds(runs, total: int) -> bool:
+    """Whether one of the increasing runs holds total."""
+    for run in runs:
+        i = bisect_left(run, total)
+        if i < len(run) and run[i] == total:
+            return True
+    return False
 
 
 def _total_tables(n: int, family: WordFamily, moves: dict,
                   bound: int) -> list[dict]:
-    """For each length 1..n and leading kind, the sorted totals of the
-    words with exponent sum <= bound, each with its least such sum, as
-    (totals, sums): a merge of every letter's image of the tables one
-    shorter.  Totals sit in a 64-bit array until one passes 2^64 - 1, the
-    rest in a list; sums in bytes while the bound fits in one."""
+    """For each length 1..n and leading kind, the totals of the words with
+    exponent sum <= bound as runs by least sum: run s holds, increasing,
+    the totals whose least exponent sum is s.  A letter (a, b) of
+    exponent k sends run s to run s + k by t -> a + b t, so its image
+    reads only the runs s <= bound - k and filters nothing.  A table
+    joins the images one window of totals at a time (_windows): the
+    images landing on each sum, lowest sum first, are merged by sorted,
+    their repeats and the totals of lower runs dropped, and appended to
+    that sum's run, with no bytecode per entry."""
     def join(parts):
-        totals, last = array("Q"), None
-        sums = array("B") if bound < 256 else []
-        for t, s in merge(*parts):
-            if t != last:
-                try:
-                    totals.append(t)
-                except OverflowError:
-                    totals = [*totals, t]
-                sums.append(s)
-                last = t
-        return totals, sums
+        runs = [array("Q") for _ in range(bound + 1)]
+        for window in _windows(parts):
+            by_sum: dict[int, list] = {}
+            for s, image in window:
+                by_sum.setdefault(s, []).extend(image)
+            seen: set[int] = set()
+            for s in sorted(by_sum):
+                # sorted merges the increasing images; fromkeys drops repeats
+                new = dict.fromkeys(sorted(by_sum[s]))
+                for t in seen.intersection(new):
+                    del new[t]
+                seen.update(new)
+                runs[s] = _extend(runs[s], [*new])
+        return runs
 
-    return _levels(n, family, moves, ([family.base_degree], [0]),
-                   lambda ladder, table: [_image(table, a, b, k, bound)
-                                          for _l, a, b, k in ladder], join)
+    def images(ladder, table):  # (a, b, source run, target sum)
+        return [(a, b, row, s + k) for _l, a, b, k in ladder
+                for s, row in enumerate(table[:bound - k + 1]) if row]
 
-
-def _hits(sources, targets) -> list[int]:
-    """The totals t of the increasing stream sources with t - 1 in the
-    increasing stream targets, once each, by two pointers."""
-    found, targets = [], iter(targets)
-    v = next(targets, None)
-    for t in sources:
-        while v is not None and v < t - 1:
-            v = next(targets, None)
-        if v is None:
-            break
-        if v == t - 1 and (not found or found[-1] != t):
-            found.append(t)
-    return found
+    first = [_extend(array("Q"), [family.base_degree])]
+    return _levels(n, family, moves,
+                   first + [array("Q") for _ in range(bound)], images, join)
 
 
 def diff_candidates(n: int, p: int, max_degree: int,
@@ -472,13 +506,16 @@ def diff_candidates(n: int, p: int, max_degree: int,
     tables of _total_tables.  A source has homological degree >= 3, so
     it leads with rho^k or phi^k, k >= 1, and p divides its total; only a
     head with k = 0 (refined: eps; raw: eps, rho^0, phi^0, two degrees
-    lower) reaches a total one lower.  Two pointers meet the merged
-    stream of the source heads that aim at the same targets with the
-    targets' stream.  Each side of a hit is solved back to length 1: a
+    lower) reaches a total one lower.  For the source heads that aim at
+    the same targets, the hits are the source totals t with t - 1 a
+    target total: a set of the targets' totals plus one, intersected
+    with the sources' totals, one window of totals at a time
+    (_windows).  Each side of a hit is solved back to length 1: a
     letter heads a word of total T only when b divides T - a, the rest
-    having total (T - a)/b, and a peel is taken only when the tables hold
-    that total with a least sum inside the budget left, so every branch
-    yields a word.  Memory is the tables below length n and the pairs.
+    having total (T - a)/b, and a peel is taken only when a run of the
+    tables with a least sum inside the budget left holds that total, so
+    every branch yields a word.  Memory is the tables below length n,
+    one window and the pairs.
     A search whose length-n level (_word_counts) holds more than
     _MAX_WORDS words raises ValueError with that count before any table
     is built.  The search needs p^E <= max_degree, so max_degree >= 1.
@@ -520,10 +557,8 @@ def diff_candidates(n: int, p: int, max_degree: int,
             if off:
                 continue
             for right in rights[kind]:
-                totals, sums = tables[length - 2].get(right, ((), ()))
-                i = bisect_left(totals, rest)
-                if (i < len(totals) and totals[i] == rest
-                        and sums[i] <= budget - k):
+                runs = tables[length - 2].get(right, ())
+                if _holds(runs[:budget - k + 1], rest):
                     found += [(letter,) + u for u in
                               solve(rest, right, budget - k, length - 1)]
         return found
@@ -532,11 +567,10 @@ def diff_candidates(n: int, p: int, max_degree: int,
     heads = [(kind, *move) for kind, ladder in letters.items()
              for move in ladder]
 
-    def stream(group):  # the totals that heads of group lead, repeats kept
-        return map(itemgetter(0), merge(*(
-            _image(tables[-1][r], a, b, k, bound)
-            for kind, _l, a, b, k in group for r in rights[kind]
-            if r in tables[-1])))
+    def rows(group, aim=0):  # the rows (a + aim, b, run, aim) group leads
+        return [(a + aim, b, run, aim) for kind, _l, a, b, k in group
+                for r in rights[kind] if r in tables[-1]
+                for run in tables[-1][r][:bound - k + 1] if run]
 
     # targets one total below a multiple of p: their heads have k = 0
     aims = [head for head in heads
@@ -548,7 +582,15 @@ def diff_candidates(n: int, p: int, max_degree: int,
                               []).append(head)
     found = []
     for targets, sources in groups.items():
-        for t in _hits(stream(sources), stream(targets)):
+        hits = set()  # a target of total v aims at v + 1; targets first
+        for window in _windows(rows(targets, 1) + rows(sources)):
+            aims_at = set()
+            for aim, image in window:
+                if aim:
+                    aims_at.update(image)
+                else:
+                    hits.update(aims_at.intersection(image))
+        for t in hits:
             hit = [(v, a) for kind, letter, a, b, k in targets
                    for v in solve(t - 1, kind, bound, n, ((letter, a, b, k),))]
             for kind, letter, a, b, k in sources:

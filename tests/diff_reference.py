@@ -7,15 +7,23 @@ with the targets one degree below it.  It holds the whole length-n
 level in memory, so it serves only small cases; the shipping search in
 hochhom.words never builds that level, and this oracle shares neither
 its level step, its letter moves nor its letter rule.
+
+``merge_total_tables`` is the earlier join of the search's total tables,
+kept to check the layout by least exponent sum: it shares the search's
+level step and letter moves, and merges every letter's image of a table
+as one sorted stream of (total, least sum).
 """
 
+from array import array
 from functools import lru_cache
+from heapq import merge
 from typing import Literal
 
 from hochhom.words import (
     Bidegree,
     DifferentialCandidate,
     Word,
+    _levels,
     canonical_key,
     exponent_bound,
     family_b,
@@ -74,3 +82,32 @@ def diff_candidates(n: int, p: int, max_degree: int,
                     w, Bidegree(hw, iw), v, Bidegree(hv, iv)))
     found.sort(key=lambda c: (canonical_key(c.source), canonical_key(c.target)))
     return found
+
+
+def _image(table, a, b, k, bound):
+    """The entries (t, s) of a sorted table with s + k <= bound, sent to
+    (a + b t, s + k): increasing, since b > 0."""
+    budget = bound - k
+    return ((a + b * t, s + k) for t, s in zip(*table) if s <= budget)
+
+
+def merge_total_tables(n, family, moves, bound):
+    """For each length 1..n and leading kind, the sorted totals of the
+    words with exponent sum <= bound, each with its least such sum, as
+    (totals, sums): a merge of every letter's image of the tables one
+    shorter, the first of each run of equal totals kept."""
+    def join(parts):
+        totals, sums, last = array("Q"), [], None
+        for t, s in merge(*parts):
+            if t != last:
+                try:
+                    totals.append(t)
+                except OverflowError:
+                    totals = [*totals, t]
+                sums.append(s)
+                last = t
+        return totals, sums
+
+    return _levels(n, family, moves, ([family.base_degree], [0]),
+                   lambda ladder, table: [_image(table, a, b, k, bound)
+                                          for _l, a, b, k in ladder], join)

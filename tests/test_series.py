@@ -88,6 +88,17 @@ def test_poincare_series_refuses_a_non_int_truncation():
             PoincareSeries({0: 1, 2: 1}, truncation)
 
 
+def test_products_build_what_the_checked_constructor_builds():
+    # _Product.series skips the per-coefficient checks of __post_init__
+    for s in (thh_fp(8, 5, 500), thh_fp(4, 3, 200),
+              hh_polynomial(3, 3, 100), family_series(family_b(), 3, 2, 16)):
+        again = PoincareSeries(dict(s.coeffs), s.truncation, s.basis_note,
+                               s.validity)
+        assert again == s and all(s.coeffs.values())
+        assert all(type(d) is int and type(c) is int and 0 <= d <= s.truncation
+                   for d, c in s.coeffs.items())
+
+
 def test_poincare_series_drops_beyond_truncation():
     s = PoincareSeries({0: 1, 5: 7}, 3)
     assert s.coeffs == {0: 1}

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -33,6 +34,7 @@ from hochhom.words import (
     verify_powerwords,
 )
 from diff_reference import diff_candidates as listing_candidates
+from diff_reference import merge_total_tables
 from word_reference import grid_cases, reference_words, sum_bounded_words
 
 
@@ -437,6 +439,16 @@ def test_prepending_a_letter_never_lowers_degree_or_exponent_sum():
 # has its first pairs at n = 9; p = 5 has none this short.
 DIFF_GRID = ((2, 8, 7), (2, 64, 6), (3, 26, 9), (3, 170, 7), (5, 124, 8),
              (5, 3125, 7))
+# (p, N, n): at p = 2^31 - 1, N = p^2 the totals of length 5 pass 2^64 - 1;
+# at N = 2^300 each table has 301 runs, most of one total
+BIG = 2 ** 31 - 1
+PAST_64_BITS = ((BIG, BIG ** 2, 5), (BIG, BIG ** 2, 6), (2, 2 ** 300, 4))
+
+
+@cache
+def listed(n, p, N, mode):
+    """listing_candidates, listed once per case for this module."""
+    return listing_candidates(n, p, N, mode)
 
 
 def test_diff_candidates_match_listing_reference():
@@ -446,23 +458,54 @@ def test_diff_candidates_match_listing_reference():
     # solver that only tries rho right of eps (enough for odd p) misses
     cases.append((2, 64, 7, "refined"))
     for p, N, n, mode in cases:
-        want = listing_candidates(n, p, N, mode)
+        want = listed(n, p, N, mode)
         assert diff_candidates(n, p, N, mode) == want, (p, N, n, mode)
     assert len(want) == 115
     assert sum(c.target[1][0] == "phi" for c in want) == 105
 
 
 def test_diff_candidates_keep_totals_past_64_bits():
-    # at p = 2^31 - 1, N = p^2 the totals of length 5 pass 2^64 - 1 and
-    # are held in lists, never truncated; E = 300 passes a byte's sums
-    big = 2 ** 31 - 1
-    for p, N, n in ((big, big ** 2, 5), (big, big ** 2, 6), (2, 2 ** 300, 4)):
+    # totals past 2^64 - 1 are held in lists, never truncated
+    for p, N, n in PAST_64_BITS:
         for mode in ("raw", "refined"):
-            assert diff_candidates(n, p, N, mode) == \
-                listing_candidates(n, p, N, mode), (p, N, n, mode)
+            assert diff_candidates(n, p, N, mode) == listed(n, p, N, mode), \
+                (p, N, n, mode)
     tables = words._total_tables(5, family_b(), words.letter_moves(
-        family_b(), big, big ** 2), 2)
-    assert max(tables[-1]["phi"][0]) >= 2 ** 64
+        family_b(), BIG, BIG ** 2), 2)
+    runs = tables[-1]["phi"]
+    assert max(max(run, default=0) for run in runs) >= 2 ** 64
+    assert any(isinstance(run, list) for run in runs)
+
+
+@cache
+def merged_tables(p, N, n):
+    """Letter moves, exponent bound and the merge join's tables of lengths
+    1..n - 1, each kind's as runs: run s holds, increasing, the totals of
+    least exponent sum s."""
+    moves, bound = words.letter_moves(family_b(), p, N), exponent_bound(N, p)
+    return moves, bound, [
+        {kind: [[t for t, s in zip(totals, sums) if s == least]
+                for least in range(bound + 1)]
+         for kind, (totals, sums) in level.items()}
+        for level in merge_total_tables(n - 1, family_b(), moves, bound)]
+
+
+@pytest.mark.parametrize("window", (1, 2, 3))
+def test_window_cuts_keep_the_search_and_its_tables(monkeypatch, window):
+    # the shipped window is too wide for any case here to cross a cut
+    monkeypatch.setattr(words, "_WINDOW", window)
+    for p, N, n in DIFF_GRID + PAST_64_BITS:
+        # at E = 300 each length-4 row holds one total, so no window cuts
+        # that search; its tables are still checked
+        for mode in ("raw", "refined") if N < 2 ** 300 else ():
+            assert diff_candidates(n, p, N, mode) == listed(n, p, N, mode), \
+                (window, p, N, n, mode)
+        moves, bound, merged = merged_tables(p, N, n)
+        assert [{kind: [list(run) for run in runs]
+                 for kind, runs in level.items()}
+                for level in words._total_tables(n - 1, family_b(), moves,
+                                                 bound)] == merged, \
+            (window, p, N, n)
 
 
 def test_word_counts_match_grown_level_sizes():
