@@ -36,8 +36,8 @@ the total degree.  diff_candidates bounds the exponent sum but builds no
 word of length n: the same step counts the words of each length by
 (leading kind, exponent sum), to refuse a search too large, and tables
 the totals by leading kind below length n, as one increasing run per
-least exponent sum; the search intersects sets of length-n totals, one
-window of totals at a time, and solves only the hits back into words.  A
+exponent sum; the search intersects sets of length-n totals, one window
+of totals at a time, and solves only the hits back into words.  A
 separate scalar recursion for |w| (total_degree) is kept as an
 independent cross-check of the fold.
 """
@@ -454,28 +454,23 @@ def _holds(runs, total: int) -> bool:
 def _total_tables(n: int, family: WordFamily, moves: dict,
                   bound: int) -> list[dict]:
     """For each length 1..n and leading kind, the totals of the words with
-    exponent sum <= bound as runs by least sum: run s holds, increasing,
-    the totals whose least exponent sum is s.  A letter (a, b) of
-    exponent k sends run s to run s + k by t -> a + b t, so its image
-    reads only the runs s <= bound - k and filters nothing.  A table
-    joins the images one window of totals at a time (_windows): the
-    images landing on each sum, lowest sum first, are merged by sorted,
-    their repeats and the totals of lower runs dropped, and appended to
-    that sum's run, with no bytecode per entry."""
+    exponent sum <= bound as runs by sum: run s holds, increasing and
+    once each, the totals of the words of exponent sum exactly s (at
+    p = 2 a total may stand in several).  A letter (a, b) of exponent k
+    sends run s to run s + k by t -> a + b t, so its image reads only
+    the runs s <= bound - k and filters nothing.  A table joins the
+    images one window of totals at a time (_windows): the images landing
+    on each sum are merged by sorted, their repeats dropped, and
+    appended to that sum's run, with no bytecode per entry."""
     def join(parts):
         runs = [array("Q") for _ in range(bound + 1)]
         for window in _windows(parts):
             by_sum: dict[int, list] = {}
             for s, image in window:
                 by_sum.setdefault(s, []).extend(image)
-            seen: set[int] = set()
-            for s in sorted(by_sum):
+            for s, images in by_sum.items():
                 # sorted merges the increasing images; fromkeys drops repeats
-                new = dict.fromkeys(sorted(by_sum[s]))
-                for t in seen.intersection(new):
-                    del new[t]
-                seen.update(new)
-                runs[s] = _extend(runs[s], [*new])
+                runs[s] = _extend(runs[s], [*dict.fromkeys(sorted(images))])
         return runs
 
     def images(ladder, table):  # (a, b, source run, target sum)
@@ -513,8 +508,8 @@ def diff_candidates(n: int, p: int, max_degree: int,
     (_windows).  Each side of a hit is solved back to length 1: a
     letter heads a word of total T only when b divides T - a, the rest
     having total (T - a)/b, and a peel is taken only when a run of the
-    tables with a least sum inside the budget left holds that total, so
-    every branch yields a word.  Memory is the tables below length n,
+    tables with a sum inside the budget left holds that total, so every
+    branch yields a word.  Memory is the tables below length n,
     one window and the pairs.
     A search whose length-n level (_word_counts) holds more than
     _MAX_WORDS words raises ValueError with that count before any table

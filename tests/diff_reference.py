@@ -8,22 +8,18 @@ level in memory, so it serves only small cases; the shipping search in
 hochhom.words never builds that level, and this oracle shares neither
 its level step, its letter moves nor its letter rule.
 
-``merge_total_tables`` is the earlier join of the search's total tables,
-kept to check the layout by least exponent sum: it shares the search's
-level step and letter moves, and merges every letter's image of a table
-as one sorted stream of (total, least sum).
+``listed_total_tables`` tables the totals of the same listing by length,
+leading kind and exact exponent sum, the layout of the search's tables
+below length n, through the same fold and nothing of the search.
 """
 
-from array import array
 from functools import lru_cache
-from heapq import merge
 from typing import Literal
 
 from hochhom.words import (
     Bidegree,
     DifferentialCandidate,
     Word,
-    _levels,
     canonical_key,
     exponent_bound,
     family_b,
@@ -84,30 +80,17 @@ def diff_candidates(n: int, p: int, max_degree: int,
     return found
 
 
-def _image(table, a, b, k, bound):
-    """The entries (t, s) of a sorted table with s + k <= bound, sent to
-    (a + b t, s + k): increasing, since b > 0."""
-    budget = bound - k
-    return ((a + b * t, s + k) for t, s in zip(*table) if s <= budget)
-
-
-def merge_total_tables(n, family, moves, bound):
-    """For each length 1..n and leading kind, the sorted totals of the
-    words with exponent sum <= bound, each with its least such sum, as
-    (totals, sums): a merge of every letter's image of the tables one
-    shorter, the first of each run of equal totals kept."""
-    def join(parts):
-        totals, sums, last = array("Q"), [], None
-        for t, s in merge(*parts):
-            if t != last:
-                try:
-                    totals.append(t)
-                except OverflowError:
-                    totals = [*totals, t]
-                sums.append(s)
-                last = t
-        return totals, sums
-
-    return _levels(n, family, moves, ([family.base_degree], [0]),
-                   lambda ladder, table: [_image(table, a, b, k, bound)
-                                          for _l, a, b, k in ladder], join)
+def listed_total_tables(n, p, bound):
+    """For each length 1..n and leading kind, bound + 1 runs: run s holds,
+    sorted and once each, the totals of the listed family-B words of exponent
+    sum exactly s."""
+    levels = []
+    for length in range(1, n + 1):
+        runs: dict[str, list[set]] = {}
+        for word, hom, internal in _graded_words(length, p, bound):
+            s = sum(letter[1] for letter in word if len(letter) > 1)
+            runs.setdefault(word[0][0], [set() for _ in range(bound + 1)]
+                            )[s].add(hom + internal)
+        levels.append({kind: [sorted(run) for run in by_sum]
+                       for kind, by_sum in runs.items()})
+    return levels

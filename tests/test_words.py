@@ -34,7 +34,7 @@ from hochhom.words import (
     verify_powerwords,
 )
 from diff_reference import diff_candidates as listing_candidates
-from diff_reference import merge_total_tables
+from diff_reference import listed_total_tables
 from word_reference import grid_cases, reference_words, sum_bounded_words
 
 
@@ -436,9 +436,10 @@ def test_prepending_a_letter_never_lowers_degree_or_exponent_sum():
 
 
 # (p, N, longest n), run in both modes: exponent bounds E = 2..6.  p = 3
-# has its first pairs at n = 9; p = 5 has none this short.
-DIFF_GRID = ((2, 8, 7), (2, 64, 6), (3, 26, 9), (3, 170, 7), (5, 124, 8),
-             (5, 3125, 7))
+# has its first pairs at n = 9; p = 5 has none this short.  At p = 2,
+# N = 64 the length-7 tables hold 35 totals in two runs each.
+DIFF_GRID = ((2, 8, 7), (2, 64, 6), (2, 64, 8), (3, 26, 9), (3, 170, 7),
+             (5, 124, 8), (5, 3125, 7))
 # (p, N, n): at p = 2^31 - 1, N = p^2 the totals of length 5 pass 2^64 - 1;
 # at N = 2^300 each table has 301 runs, most of one total
 BIG = 2 ** 31 - 1
@@ -452,14 +453,15 @@ def listed(n, p, N, mode):
 
 
 def test_diff_candidates_match_listing_reference():
-    cases = [(p, N, n, mode) for p, N, longest in DIFF_GRID
-             for n in range(2, longest + 1) for mode in ("raw", "refined")]
+    cases = dict.fromkeys((p, N, n, mode) for p, N, longest in DIFF_GRID
+                          for n in range(2, longest + 1)
+                          for mode in ("raw", "refined"))
+    for p, N, n, mode in cases:
+        assert diff_candidates(n, p, N, mode) == listed(n, p, N, mode), \
+            (p, N, n, mode)
     # p = 2 refined: 105 of these 115 targets are eps phi^k ..., which a
     # solver that only tries rho right of eps (enough for odd p) misses
-    cases.append((2, 64, 7, "refined"))
-    for p, N, n, mode in cases:
-        want = listed(n, p, N, mode)
-        assert diff_candidates(n, p, N, mode) == want, (p, N, n, mode)
+    want = listed(7, 2, 64, "refined")
     assert len(want) == 115
     assert sum(c.target[1][0] == "phi" for c in want) == 105
 
@@ -478,34 +480,34 @@ def test_diff_candidates_keep_totals_past_64_bits():
 
 
 @cache
-def merged_tables(p, N, n):
-    """Letter moves, exponent bound and the merge join's tables of lengths
-    1..n - 1, each kind's as runs: run s holds, increasing, the totals of
-    least exponent sum s."""
-    moves, bound = words.letter_moves(family_b(), p, N), exponent_bound(N, p)
-    return moves, bound, [
-        {kind: [[t for t, s in zip(totals, sums) if s == least]
-                for least in range(bound + 1)]
-         for kind, (totals, sums) in level.items()}
-        for level in merge_total_tables(n - 1, family_b(), moves, bound)]
+def reference_tables(p, N, n):
+    """Letter moves, exponent bound and the listing's tables of lengths
+    1..n - 1: run s of a kind holds, sorted, the totals of exponent sum s."""
+    bound = exponent_bound(N, p)
+    return (words.letter_moves(family_b(), p, N), bound,
+            listed_total_tables(n - 1, p, bound))
 
 
 @pytest.mark.parametrize("window", (1, 2, 3))
 def test_window_cuts_keep_the_search_and_its_tables(monkeypatch, window):
     # the shipped window is too wide for any case here to cross a cut
     monkeypatch.setattr(words, "_WINDOW", window)
+    in_two_runs = 0
     for p, N, n in DIFF_GRID + PAST_64_BITS:
         # at E = 300 each length-4 row holds one total, so no window cuts
         # that search; its tables are still checked
         for mode in ("raw", "refined") if N < 2 ** 300 else ():
             assert diff_candidates(n, p, N, mode) == listed(n, p, N, mode), \
                 (window, p, N, n, mode)
-        moves, bound, merged = merged_tables(p, N, n)
+        moves, bound, want = reference_tables(p, N, n)
         assert [{kind: [list(run) for run in runs]
                  for kind, runs in level.items()}
                 for level in words._total_tables(n - 1, family_b(), moves,
-                                                 bound)] == merged, \
+                                                 bound)] == want, \
             (window, p, N, n)
+        in_two_runs += sum(sum(map(len, runs)) - len(set().union(*runs))
+                           for level in want for runs in level.values())
+    assert in_two_runs > 0  # the grid keeps a total that two sums reach
 
 
 def test_word_counts_match_grown_level_sizes():

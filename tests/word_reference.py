@@ -68,12 +68,27 @@ def fill_exponents(shape, exps):
 def sum_bounded_words(n, family, bound):
     """Every admissible length-n word with exponent sum <= bound: shapes x
     sum-bounded exponent tuples x fill, shape by shape."""
+    return _filled_shapes(tuple(enumerate_shapes(n, family)), bound)
+
+
+@lru_cache(maxsize=None)
+def _filled_shapes(shapes, bound):
+    """The shapes filled with every exponent tuple of sum <= bound, once
+    for all the families that share these shapes."""
     out = []
-    for shape in enumerate_shapes(n, family):
+    for shape in shapes:
         slots = sum(1 for letter in shape if letter[0] in ("rho", "phi"))
         out += [fill_exponents(shape, exps)
                 for exps in sum_bounded_tuples(slots, bound)]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def word_degree(word, p, family):
+    """The checked total_degree, once per (word, p, family): the grids list
+    the same words under several degree bounds, and the series product
+    reads the degrees that the filter computed."""
+    return total_degree(word, p, family)
 
 
 @lru_cache(maxsize=None)
@@ -82,7 +97,7 @@ def reference_words(n, family, p, max_degree):
     series grids share one enumeration."""
     bound = exponent_bound(max_degree, p)
     return tuple(sorted((w for w in sum_bounded_words(n, family, bound)
-                         if total_degree(w, p, family) <= max_degree),
+                         if word_degree(w, p, family) <= max_degree),
                         key=canonical_key))
 
 
@@ -92,8 +107,7 @@ def reference_series(family, n, p, max_degree):
     for w in reference_words(n, family, p, max_degree):
         if w == (X,):
             continue  # the bare x belongs to the base ring
-        d = total_degree(w, p, family)
-        kind = classify(w, family)
+        d, kind = word_degree(w, p, family), classify(w, family)
         if kind == "free":
             terms = range(0, max_degree + 1, d)
         elif kind == "exterior":
