@@ -25,6 +25,15 @@ finding each face's row by shifts on the code.  Bottom-up in s along
 each (internal, weight) chain, from its lowest block to its top one, the
 build ranks delta^s with the leads of delta^{s-1} cleared, once
 delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
+
+bar_homology computes the same table on a smaller complex: the Morse
+complex of the Anick-chain matching on the bar tensors (_AnickMatching;
+E. Sköldberg, Trans. AMS 358 (2006); M. Jöllenbeck and V. Welker, Mem.
+AMS 197 (2009)), which holds only the critical cells, Anick chains, and
+is chain homotopy equivalent to the bar complex (_reduced_homology).
+BarComplex stays the unreduced complex: verify_quasi_iso reads its basis,
+and the tests compare bar_homology with its homology.
+
 The shuffle product satisfies the graded Leibniz rule for this sign
 choice (property-tested).  One enumeration of shuffles (_shuffles)
 serves the shuffle product and the check that pi is multiplicative,
@@ -557,9 +566,250 @@ class BarComplex:
         return self._homology
 
 
+class _AnickMatching:
+    """The Anick-chain Morse matching on the bar tensors of one window.
+
+    A tensor is a cell, a tuple of indices into monos.  Letters are
+    generator indices; a monomial's word lists its letters in increasing
+    order, with multiplicity.  The tips are the words (j, i) with j > i and
+    x^(cap+1) for each capped x.  match walks a cell's factors left to
+    right, keeping the last link word prev.  The link length L of a factor
+    w is 1 for the first factor and when w's lowest letter lies below
+    prev's highest; when both are the same capped x, it is cap + 1 - c, c
+    the power of x in prev, and w must hold x at least L times; otherwise
+    w has no link.  The first factor that is not a link decides the cell:
+    with no link it is merged into prev (matched down), with L below its
+    length it is split into x^L (or its first letter) and the rest
+    (matched up).  A cell of links only is critical: an Anick chain,
+    which critical() lists without walking the basis.  Matched faces have
+    coefficient +-1, the merged words' letters being in order.
+    """
+
+    def __init__(self, presentation: AlgebraPresentation, max_internal: int,
+                 max_weight: Optional[int]):
+        P = self.presentation = presentation
+        monos = self.monos = P.augmentation_monomials(max_internal, max_weight)
+        self.max_internal, self.max_weight = max_internal, max_weight
+        self._index = {m: i for i, m in enumerate(monos)}
+        self.totals = [P.mono_total(m) for m in monos]
+        self.weights = [P.mono_weight(m) for m in monos]
+        self._caps = P._caps
+        # (letter, power) of each word's lowest and highest letter, and its
+        # number of letters
+        self._low, self._high, self._size = [], [], []
+        for m in monos:
+            letters = [(x, e) for x, e in enumerate(m) if e]
+            self._low.append(letters[0])
+            self._high.append(letters[-1])
+            self._size.append(sum(m))
+        self._products: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+
+    def tensor(self, cell: tuple[int, ...]) -> Tensor:
+        return tuple(self.monos[i] for i in cell)
+
+    def _power(self, x: int, e: int) -> Optional[int]:
+        """The index of x^e, None outside the window."""
+        m = [0] * len(self._caps)
+        m[x] = e
+        return self._index.get(tuple(m))
+
+    def product(self, a: int, b: int) -> Optional[tuple[int, int]]:
+        """(sign, index) of monos[a] monos[b], None when it is 0."""
+        key = (a, b)
+        if key not in self._products:
+            res = self.presentation.multiply(self.monos[a], self.monos[b])
+            self._products[key] = (None if res is None
+                                   else (res[0], self._index[res[1]]))
+        return self._products[key]
+
+    def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+        """(face, +-1) for each nonzero face of d(cell), with the signs of
+        BarChain.boundary; distinct positions give distinct faces."""
+        out, totals, prefix = [], self.totals, 0  # sum of (|a_j| + 1), j < i
+        for i in range(len(cell) - 1):
+            a = cell[i]
+            res = self.product(a, cell[i + 1])
+            if res is not None:
+                sign, ab = res
+                if (prefix + totals[a]) % 2:
+                    sign = -sign
+                out.append((cell[:i] + (ab,) + cell[i + 2:], sign))
+            prefix += totals[a] + 1
+        return out
+
+    def _link(self, prev: Optional[int], w: int) -> Optional[int]:
+        """The link length of factor w after the link word prev (None for
+        the first factor), None when w does not link."""
+        if prev is None:
+            return 1
+        (y, run), (x, c) = self._low[w], self._high[prev]
+        if y < x:
+            return 1
+        cap = self._caps[x]
+        if y == x and cap is not None and run > cap - c:
+            return cap + 1 - c
+        return None
+
+    def match(self, cell: tuple[int, ...]
+              ) -> Optional[tuple[tuple[int, ...], bool]]:
+        """(partner, True) when cell is matched up, (partner, False) when
+        it is matched down, None when it is critical."""
+        prev = None
+        for i, w in enumerate(cell):
+            L = self._link(prev, w)
+            if L is None:
+                res = self.product(prev, w)
+                if res is None:
+                    raise ArithmeticError(
+                        f"{self.tensor(cell)}: factor {i} has no link, yet "
+                        f"its product with the one before is 0")
+                return cell[:i - 1] + (res[1],) + cell[i + 1:], False
+            if L < self._size[w]:
+                x = self._low[w][0]
+                rest = list(self.monos[w])
+                rest[x] -= L
+                return (cell[:i] + (self._power(x, L), self._index[tuple(rest)])
+                        + cell[i + 1:], True)
+            prev = w
+        return None
+
+    def critical(self, max_s: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+        """(cell, internal, weight) of every critical cell of length <= max_s
+        in the window, by depth-first search over the Anick chains: the
+        first factor is a letter, and each later one a letter below the
+        highest letter x of the one before, or x^(cap+1-c) when x is capped
+        and the one before holds x^c."""
+        W = self.max_weight
+        if W is not None and W < 0:
+            return
+        yield (), 0, 0
+        letters = [self._power(x, 1) for x in range(len(self._caps))]
+        stack = [((i,), self.totals[i], self.weights[i])
+                 for i in letters if i is not None]
+        while stack:
+            cell, t, w = stack.pop()
+            yield cell, t, w
+            if len(cell) < max_s:
+                x, c = self._high[cell[-1]]
+                cap = self._caps[x]
+                links = letters[:x] + ([] if cap is None
+                                       else [self._power(x, cap + 1 - c)])
+                for i in links:
+                    if i is None:
+                        continue
+                    t2, w2 = t + self.totals[i], w + self.weights[i]
+                    if t2 <= self.max_internal and (W is None or w2 <= W):
+                        stack.append((cell + (i,), t2, w2))
+
+
+def _reduced_homology(matching: _AnickMatching, max_s: int, t: int, w: int,
+                      cells: dict[int, list[tuple[int, ...]]]
+                      ) -> dict[tuple[int, int, int], int]:
+    """Homology of the (t, w) chain for s <= max_s from its Morse complex,
+    whose basis in length s is cells[s], the critical cells.
+
+    d_M(c) is the sum over the faces b of c of phi(b): b itself when b is
+    critical, 0 when b is matched down, and when b is matched up with b',
+    -[d b' : b]^-1 times the sum of [d b' : b2] phi(b2) over the other faces
+    b2 of b'.  phi is memoised for the chain; re-entering a cell whose phi
+    is still in progress means the matching is not acyclic, and raises.
+    d o d = 0 is checked on every cell whose faces are read: each critical
+    cell and each up-partner.  Each transpose delta_M^s is then ranked as
+    BarComplex ranks delta^s, and rank(after) checks d_M o d_M = 0.
+    """
+    p = matching.presentation.p
+    faces = matching.faces
+    memo: dict[tuple[int, ...], Optional[dict]] = {}
+
+    def checked_faces(cell):
+        out = faces(cell)
+        acc: dict[tuple[int, ...], int] = {}
+        for f, e in out:
+            for g, e2 in faces(f):
+                acc[g] = acc.get(g, 0) + e * e2
+        if any(v % p for v in acc.values()):
+            raise CompositionError(
+                f"d o d != 0 on {matching.tensor(cell)} in stratum "
+                f"(s={len(cell)}, t={t}, w={w})")
+        return out
+
+    def reduced(terms, skip=None):
+        """The sum of e phi(b) over (b, e) in terms, b != skip."""
+        acc: dict[tuple[int, ...], int] = {}
+        for b, e in terms:
+            if b != skip:
+                for c, v in phi(b).items():
+                    acc[c] = acc.get(c, 0) + e * v
+        return acc
+
+    def phi(b):
+        if b in memo:
+            if memo[b] is None:
+                raise ArithmeticError(
+                    f"the matching has a cycle through {matching.tensor(b)}")
+            return memo[b]
+        partner = matching.match(b)
+        if partner is None:
+            return {b: 1}
+        if not partner[1]:
+            return {}
+        memo[b] = None
+        terms = checked_faces(partner[0])
+        coeff = next((e for f, e in terms if f == b), 0) % p
+        if not coeff:
+            raise ArithmeticError(
+                f"{matching.tensor(b)} is not a face of its partner")
+        scale = -pow(coeff, -1, p)
+        memo[b] = {c: v * scale % p
+                   for c, v in reduced(terms, b).items() if v % p}
+        return memo[b]
+
+    index = {s: {c: i for i, c in enumerate(sorted(cs))}
+             for s, cs in cells.items()}
+
+    def coboundary(s):
+        """delta_M^s = d_{M, s+1}^T: M^s -> M^{s+1}."""
+        cols, rows = index.get(s, {}), index.get(s + 1, {})
+        columns: dict[int, dict[int, int]] = {}
+        for v, r in rows.items():
+            for u, c in reduced(checked_faces(v)).items():
+                columns.setdefault(cols[u], {})[r] = c
+        return SparseFpMatrix(p, len(rows), len(cols), columns)
+
+    levels = [s for s in index if s <= max_s]
+    dims = {}
+    if levels:
+        d_in = coboundary(min(levels) - 1)
+        for s in range(min(levels), max(levels) + 1):
+            d_out = coboundary(s)
+            if s in index:
+                try:
+                    dims[(s, t, w)] = homology_dim(d_in, d_out)
+                except CompositionError as exc:
+                    raise CompositionError(
+                        f"d_M o d_M != 0 from stratum (s={s + 1}, t={t}, "
+                        f"w={w})") from exc
+            d_in = d_out
+    return dims
+
+
 def bar_homology(presentation: AlgebraPresentation, max_s: int,
                  max_degree: int, max_weight: Optional[int] = None) -> BigradedDims:
-    return BarComplex(presentation, max_s, max_degree, max_weight).homology()
+    """The homology table of BarComplex(presentation, max_s, max_degree,
+    max_weight), computed on the Morse complex of the Anick-chain matching
+    (Sköldberg; Jöllenbeck-Welker), one (internal, weight) chain at a
+    time: the reduction is a chain homotopy equivalence, and its complex
+    holds only the critical cells of length <= max_s + 1."""
+    if max_s < 0:
+        raise ValueError("max_s must be >= 0")
+    matching = _AnickMatching(presentation, max_degree, max_weight)
+    chains: dict[tuple[int, int], dict[int, list]] = {}
+    for cell, t, w in matching.critical(max_s + 1):
+        chains.setdefault((t, w), {}).setdefault(len(cell), []).append(cell)
+    dims = {}
+    for (t, w), cells in chains.items():
+        dims.update(_reduced_homology(matching, max_s, t, w, cells))
+    return BigradedDims(dict(sorted(dims.items())))
 
 
 def presentation_dims(presentation: AlgebraPresentation, max_total: int,

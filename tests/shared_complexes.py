@@ -2,12 +2,15 @@
 
 ``weight_graded_complex(p)`` is the bar complex of F_p[x]/x^p with
 |x| = 0 and weight 1, for s <= 13 and weight <= 13 (p - 1): C5 compares
-its homology with the closed form, and the rank test compares the rank
-of each of its differentials with the Markowitz reference.
+its homology with the closed form, the rank test compares the rank
+of each of its differentials with the Markowitz reference, and the
+Morse-reduced ``bar_homology`` is compared with its homology.
 
 ``grid_complexes(p)`` are the bar complexes of GRID at p, on which
 ``tests/test_bar.py`` checks the build: the differentials column by
 column, the basis order, and the homology against the top-down pass.
+It also checks ``bar_homology`` against their homology, and the
+Anick-chain matching on every tensor of their bases.
 
 The complexes are read, never changed, so the tests can share them.
 """

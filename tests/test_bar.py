@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -236,6 +237,119 @@ def test_cohomology_pass_matches_the_top_down_reference():
     for cx in complexes:
         assert cx.homology() == reference_homology(cx), (
             cx.presentation, cx.max_s)
+
+
+def _pair(p=3):
+    # F_3[x]/x^3 (x) Lambda(y), x in degree 0, both of weight 1
+    return AlgebraPresentation(p, (truncated("x", 3, 0, weight=1),
+                                   exterior("y", 1, weight=1)))
+
+
+def test_bar_homology_matches_the_unreduced_build():
+    # the Morse complex of the Anick-chain matching against BarComplex: on
+    # the grid at p = 2, 3, 5, 7, on the C5 complexes, and on the three
+    # bar jobs of the bar-oracle benchmark at one internal bound each
+    complexes = [cx for p in (2, 3, 5, 7) for cx in grid_complexes(p)]
+    complexes += [weight_graded_complex(p) for p in (2, 3)]
+    complexes += [
+        BarComplex(AlgebraPresentation(5, (truncated("x", 5, 0, weight=1),)),
+                   6, 1, 24),
+        BarComplex(_pair(), 6, 7, 9),
+    ]
+    for cx in complexes:
+        got = bar_homology(cx.presentation, cx.max_s, cx.max_internal,
+                           cx.max_weight)
+        assert got == cx.homology(), (cx.presentation, cx.max_s)
+
+
+def test_anick_matching_is_a_morse_matching_on_the_grid():
+    # on every basis cell: the partner's partner is the cell, in the other
+    # direction, through a face of coefficient +-1; the cells the matching
+    # leaves unmatched are the ones the search lists
+    for p in (2, 3, 5, 7):
+        for cx in grid_complexes(p):
+            matching = bar._AnickMatching(cx.presentation, cx.max_internal,
+                                          cx.max_weight)
+            index = {m: i for i, m in enumerate(matching.monos)}
+            unmatched = set()
+            for s in range(cx.max_s + 2):
+                for t, w in cx.strata(s):
+                    for tensor in cx.basis(s, t, w):
+                        cell = tuple(index[m] for m in tensor)
+                        found = matching.match(cell)
+                        if found is None:
+                            unmatched.add((cell, t, w))
+                            continue
+                        partner, up = found
+                        assert matching.match(partner) == (cell, not up)
+                        high, low = (partner, cell) if up else (cell, partner)
+                        coeffs = [e for f, e in matching.faces(high) if f == low]
+                        assert coeffs in ([1], [-1]), (tensor, coeffs)
+            assert set(matching.critical(cx.max_s + 1)) == unmatched, \
+                (cx.presentation, cx.max_s)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((trunc_algebra(3, 3), -1, 6), "max_s must be >= 0"),
+    ((trunc_algebra(3, 3), 2, -1), "degree bound must be nonnegative"),
+    ((AlgebraPresentation(3, (polynomial("x", 0, weight=1),)), 2, 0),
+     "generator x has degree 0: a weight bound is required"),
+])
+def test_bar_homology_refuses_what_the_unreduced_build_refuses(args, message):
+    for route in (bar_homology, BarComplex):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            route(*args)
+
+
+def _three_polynomials():
+    return AlgebraPresentation(3, (polynomial("x", 2), polynomial("y", 2),
+                                   polynomial("z", 2)))
+
+
+def test_reduced_route_checks_d_squared(monkeypatch):
+    # x * m picks up a wrong sign; d o d is checked on each cell whose
+    # faces the reduction reads, and y|x|z, an up-partner on the way from
+    # the critical z|y|x, is the first to fail
+    honest = AlgebraPresentation.multiply
+
+    def broken(self, m1, m2):
+        res = honest(self, m1, m2)
+        if res is None or m1 != (1, 0, 0):
+            return res
+        return -res[0], res[1]
+
+    monkeypatch.setattr(AlgebraPresentation, "multiply", broken)
+    with pytest.raises(CompositionError, match=re.escape(
+            "d o d != 0 on ((0, 1, 0), (1, 0, 0), (0, 0, 1)) in stratum "
+            "(s=3, t=6, w=0)")):
+        bar_homology(_three_polynomials(), 3, 6)
+
+
+def test_reduced_route_raises_on_a_cyclic_matching(monkeypatch):
+    # matching x|yz up with x|z|y closes a cycle x|yz -> x|z|y -> xz|y ->
+    # x|z|y, which the reduction of z|y|x walks into
+    honest = bar._AnickMatching.match
+
+    def cyclic(self, cell):
+        if self.tensor(cell) == ((1, 0, 0), (0, 1, 1)):
+            return cell[:1] + (self.monos.index((0, 0, 1)),
+                               self.monos.index((0, 1, 0))), True
+        return honest(self, cell)
+
+    monkeypatch.setattr(bar._AnickMatching, "match", cyclic)
+    with pytest.raises(ArithmeticError, match="the matching has a cycle"):
+        bar_homology(_three_polynomials(), 3, 6)
+
+
+def test_bar_homology_reaches_two_generators_at_s_nine():
+    # the unreduced build holds 2.1M tensors in B_0..B_9 here; the Morse
+    # complex holds only the Anick chains
+    S, N, W = 9, 9, 18
+    predicted = presentation_dims(tor_presentation(_pair(), N + S, W),
+                                  N + S, W).restrict(max_hom=S, max_internal=N)
+    dims = bar_homology(_pair(), S, N, W)
+    assert dims == predicted
+    assert sum(dims.as_dict().values()) == 55
 
 
 def test_homology_entries_come_out_sorted():
