@@ -341,6 +341,23 @@ def test_reduced_route_raises_on_a_cyclic_matching(monkeypatch):
         bar_homology(_three_polynomials(), 3, 6)
 
 
+def test_reduced_route_checks_that_d_M_vanishes(monkeypatch):
+    # the face y|xy of the critical y|y|x read as critical gives d_M(y|y|x)
+    # a term, which the minimality check must refuse
+    honest = bar._AnickMatching.match
+
+    def broken(self, cell):
+        if self.tensor(cell) == ((0, 1), (1, 1)):
+            return None
+        return honest(self, cell)
+
+    monkeypatch.setattr(bar._AnickMatching, "match", broken)
+    alg = AlgebraPresentation(3, (truncated("x", 3, 2), exterior("y", 3)))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "d_M(((0, 1), (0, 1), (1, 0))) != 0 in stratum (s=3, t=8, w=0)")):
+        bar_homology(alg, 3, 12)
+
+
 def test_bar_homology_reaches_two_generators_at_s_nine():
     # the unreduced build holds 2.1M tensors in B_0..B_9 here; the Morse
     # complex holds only the Anick chains
@@ -872,6 +889,24 @@ def test_iterated_tor_against_bar_oracle():
                 assert bar_homology(stage, S, N, W) == predicted, \
                     (p, start, level)
                 stage = rewritten
+
+
+def test_bar_oracle_matches_the_rewrite_on_random_presentations():
+    # one rewrite step against the bar homology of random presentations
+    # of up to five generators, with hom splits and degree-0 weights
+    S, N, W = 5, 12, 8
+    rng = random.Random(20261020)
+    wide = 0
+    for p in (2, 3, 5):
+        for _ in range(25):
+            P = _random_presentation(rng, p)
+            predicted = presentation_dims(tor_presentation(P, N + S, W),
+                                          N + S, W).restrict(max_hom=S,
+                                                             max_internal=N)
+            dims = bar_homology(P, S, N, W)
+            assert dims == predicted, P
+            wide += len(dims.as_dict()) > 5
+    assert wide > 30
 
 
 def test_iterated_tor_total_series():
