@@ -29,11 +29,14 @@ delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
 bar_homology reads the same table off the Morse complex of the
 Anick-chain matching on the bar tensors (_AnickMatching; E. Sköldberg,
 Trans. AMS 358 (2006); M. Jöllenbeck and V. Welker, Mem. AMS 197
-(2009)), whose cells are Anick chains.  That complex is minimal, so
-bar_homology counts the critical cells once it has checked that the
-Morse differential vanishes on them (_critical_counts).  BarComplex
-stays the unreduced complex: verify_quasi_iso reads its basis, and the
-tests compare bar_homology with its homology.
+(2009)), whose cells are Anick chains.  Its cells are the tensors of
+monomials that BarChain keys on, and its faces are the terms of
+BarChain.boundary, so it lists no monomial of the window.  That complex
+is minimal, so bar_homology counts the critical cells once it has
+checked that the Morse differential vanishes on them (_critical_counts).
+BarComplex stays the unreduced complex, with its own int codes and
+coboundaries: verify_quasi_iso reads its basis, and the tests compare
+bar_homology with its homology.
 
 The shuffle product satisfies the graded Leibniz rule for this sign
 choice (property-tested).  One enumeration of shuffles (_shuffles)
@@ -171,8 +174,24 @@ class AlgebraPresentation:
     def unit(self) -> Monomial:
         return (0,) * len(self.generators)
 
+    # mono_total's and multiply's results: BarChain.boundary asks for the
+    # same ones on every chain of a window
+    @cached_property
+    def _mono_totals(self) -> dict[Monomial, int]:
+        return {}
+
+    @cached_property
+    def _products(self) -> dict[tuple[Monomial, Monomial],
+                                Optional[tuple[int, Monomial]]]:
+        return {}
+
     def mono_total(self, m: Monomial) -> int:
-        return sum(e * t for e, t in zip(m, self._totals))
+        try:
+            return self._mono_totals[m]
+        except KeyError:
+            t = self._mono_totals[m] = sum(e * t for e, t in
+                                           zip(m, self._totals))
+            return t
 
     def mono_hom(self, m: Monomial) -> int:
         return sum(e * g.hom for e, g in zip(m, self.generators))
@@ -186,6 +205,13 @@ class AlgebraPresentation:
     def multiply(self, m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
         """(sign, product) with the Koszul sign, or None when truncation
         kills the product."""
+        try:
+            return self._products[m1, m2]
+        except KeyError:
+            res = self._products[m1, m2] = self._multiply(m1, m2)
+            return res
+
+    def _multiply(self, m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
         out = []
         for e1, e2, cap in zip(m1, m2, self._caps):
             e = e1 + e2
@@ -395,20 +421,18 @@ class BarChain:
     def boundary(self) -> "BarChain":
         """The inner-face alternating sum with suspension Koszul signs."""
         P = self.presentation
+        multiply, total = P.multiply, P.mono_total
         acc: dict[Tensor, int] = {}
         for tensor, coeff in self.terms.items():
-            totals = [P.mono_total(m) for m in tensor]
-            prefix = 0  # sum of (|a_j| + 1) for j < i
+            e = 0  # sum of (|a_j| + 1) for j < i, plus |a_i|
             for i in range(len(tensor) - 1):
-                res = P.multiply(tensor[i], tensor[i + 1])
-                if res is not None:
-                    sign, prod = res
-                    if any(prod):
-                        e = prefix + totals[i]
-                        s = sign * (-1 if e % 2 else 1)
-                        key = tensor[:i] + (prod,) + tensor[i + 2:]
-                        acc[key] = acc.get(key, 0) + coeff * s
-                prefix += totals[i] + 1
+                e += total(tensor[i])
+                res = multiply(tensor[i], tensor[i + 1])
+                if res is not None and any(res[1]):
+                    key = tensor[:i] + (res[1],) + tensor[i + 2:]
+                    c = -coeff if e % 2 else coeff
+                    acc[key] = acc.get(key, 0) + c * res[0]
+                e += 1
         return BarChain(P, acc)
 
     def __repr__(self) -> str:
@@ -567,114 +591,95 @@ class BarComplex:
         return self._homology
 
 
+def _low(m: Monomial) -> int:
+    """The lowest letter of a non-unit monomial."""
+    for x, e in enumerate(m):
+        if e:
+            return x
+
+
+def _high(m: Monomial) -> int:
+    """The highest letter of a non-unit monomial."""
+    for x in range(len(m) - 1, -1, -1):
+        if m[x]:
+            return x
+
+
 class _AnickMatching:
     """The Anick-chain Morse matching on the bar tensors of one window.
 
-    A tensor is a cell, a tuple of indices into monos.  Letters are
-    generator indices; a monomial's word lists its letters in increasing
-    order, with multiplicity.  The tips are the words (j, i) with j > i and
-    x^(cap+1) for each capped x.  match walks a cell's factors left to
-    right, keeping the last link word prev.  The link length L of a factor
-    w is 1 for the first factor and when w's lowest letter lies below
-    prev's highest; when both are the same capped x, it is cap + 1 - c, c
-    the power of x in prev, and w must hold x at least L times; otherwise
-    w has no link.  The first factor that is not a link decides the cell:
-    with no link it is merged into prev (matched down), with L below its
-    length it is split into x^L (or its first letter) and the rest
-    (matched up).  A cell of links only is critical: an Anick chain,
+    A cell is a tensor of augmentation monomials, as BarChain keys it.
+    Letters are generator indices; a monomial's word lists its letters in
+    increasing order, with multiplicity.  The tips are the words (j, i)
+    with j > i and x^(cap+1) for each capped x.  match walks a cell's
+    factors left to right, keeping the last link word prev.  The link
+    length L of a factor w is 1 for the first factor and when w's lowest
+    letter lies below prev's highest; when both are the same capped x, it
+    is cap + 1 - c, c the power of x in prev, and w must hold x at least L
+    times; otherwise w has no link.  The first factor that is not a link
+    decides the cell: with no link it is merged into prev by multiply
+    (matched down), with L below its length it is split into x^L and the
+    rest (matched up).  A cell of links only is critical: an Anick chain,
     which critical() lists without walking the basis.  Matched faces have
     coefficient +-1, the merged words' letters being in order.
+
+    Letters and powers are read off the monomials themselves, and x^e
+    lies in the window when _exponents allows the power e of x; the
+    window's monomials are never listed.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_internal: int,
                  max_weight: Optional[int]):
-        P = self.presentation = presentation
-        monos = self.monos = P.augmentation_monomials(max_internal, max_weight)
+        if max_internal < 0:
+            raise ValueError("degree bound must be nonnegative")
+        self.presentation = presentation
         self.max_internal, self.max_weight = max_internal, max_weight
-        self._index = {m: i for i, m in enumerate(monos)}
-        self.totals = [P.mono_total(m) for m in monos]
-        self.weights = [P.mono_weight(m) for m in monos]
-        self._caps = P._caps
-        # (letter, power) of each word's lowest and highest letter, and its
-        # number of letters
-        self._low, self._high, self._size = [], [], []
-        for m in monos:
-            letters = [(x, e) for x, e in enumerate(m) if e]
-            self._low.append(letters[0])
-            self._high.append(letters[-1])
-            self._size.append(sum(m))
-        self._products: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+        self._powers = [_exponents(g, max_internal, max_weight)
+                        for g in presentation.generators]
 
-    def tensor(self, cell: tuple[int, ...]) -> Tensor:
-        return tuple(self.monos[i] for i in cell)
-
-    def _power(self, x: int, e: int) -> Optional[int]:
-        """The index of x^e, None outside the window."""
-        m = [0] * len(self._caps)
+    def _power(self, x: int, e: int) -> Optional[tuple[Monomial, int, int]]:
+        """(x^e, its total, its weight), None outside the window."""
+        if e not in self._powers[x]:
+            return None
+        g, m = self.presentation.generators[x], [0] * len(self._powers)
         m[x] = e
-        return self._index.get(tuple(m))
+        return tuple(m), e * g.total, e * g.weight
 
-    def product(self, a: int, b: int) -> Optional[tuple[int, int]]:
-        """(sign, index) of monos[a] monos[b], None when it is 0."""
-        key = (a, b)
-        if key not in self._products:
-            res = self.presentation.multiply(self.monos[a], self.monos[b])
-            self._products[key] = (None if res is None
-                                   else (res[0], self._index[res[1]]))
-        return self._products[key]
-
-    def faces(self, cell: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-        """(face, +-1) for each nonzero face of d(cell), with the signs of
-        BarChain.boundary; distinct positions give distinct faces."""
-        out, totals, prefix = [], self.totals, 0  # sum of (|a_j| + 1), j < i
-        for i in range(len(cell) - 1):
-            a = cell[i]
-            res = self.product(a, cell[i + 1])
-            if res is not None:
-                sign, ab = res
-                if (prefix + totals[a]) % 2:
-                    sign = -sign
-                out.append((cell[:i] + (ab,) + cell[i + 2:], sign))
-            prefix += totals[a] + 1
-        return out
-
-    def _link(self, prev: Optional[int], w: int) -> Optional[int]:
+    def _link(self, prev: Optional[Monomial], w: Monomial) -> Optional[int]:
         """The link length of factor w after the link word prev (None for
         the first factor), None when w does not link."""
         if prev is None:
             return 1
-        (y, run), (x, c) = self._low[w], self._high[prev]
+        y, x = _low(w), _high(prev)
         if y < x:
             return 1
-        cap = self._caps[x]
-        if y == x and cap is not None and run > cap - c:
-            return cap + 1 - c
+        cap = self.presentation._caps[x]
+        if y == x and cap is not None and w[x] > cap - prev[x]:
+            return cap + 1 - prev[x]
         return None
 
-    def match(self, cell: tuple[int, ...]
-              ) -> Optional[tuple[tuple[int, ...], bool]]:
+    def match(self, cell: Tensor) -> Optional[tuple[Tensor, bool]]:
         """(partner, True) when cell is matched up, (partner, False) when
         it is matched down, None when it is critical."""
         prev = None
         for i, w in enumerate(cell):
             L = self._link(prev, w)
             if L is None:
-                res = self.product(prev, w)
+                res = self.presentation.multiply(prev, w)
                 if res is None:
                     raise ArithmeticError(
-                        f"{self.tensor(cell)}: factor {i} has no link, yet "
-                        f"its product with the one before is 0")
+                        f"{cell}: factor {i} has no link, yet its product "
+                        f"with the one before is 0")
                 return cell[:i - 1] + (res[1],) + cell[i + 1:], False
-            if L < self._size[w]:
-                x = self._low[w][0]
-                rest = list(self.monos[w])
-                rest[x] -= L
-                return (cell[:i] + (self._power(x, L), self._index[tuple(rest)])
-                        + cell[i + 1:], True)
+            if L < sum(w):
+                x = _low(w)
+                head, rest = [0] * len(w), list(w)
+                head[x], rest[x] = L, w[x] - L
+                return cell[:i] + (tuple(head), tuple(rest)) + cell[i + 1:], True
             prev = w
         return None
 
-    def critical(self, max_s: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    def critical(self, max_s: int) -> Iterator[tuple[Tensor, int, int]]:
         """(cell, internal, weight) of every critical cell of length <= max_s
         in the window, by depth-first search over the Anick chains: the
         first factor is a letter, and each later one a letter below the
@@ -684,28 +689,24 @@ class _AnickMatching:
         if W is not None and W < 0:
             return
         yield (), 0, 0
-        letters = [self._power(x, 1) for x in range(len(self._caps))]
-        stack = [((i,), self.totals[i], self.weights[i])
-                 for i in letters if i is not None]
+        letters = [self._power(x, 1) for x in range(len(self._powers))]
+        stack = [((m,), t, w) for m, t, w in filter(None, letters)]
         while stack:
             cell, t, w = stack.pop()
             yield cell, t, w
             if len(cell) < max_s:
-                x, c = self._high[cell[-1]]
-                cap = self._caps[x]
-                links = letters[:x] + ([] if cap is None
-                                       else [self._power(x, cap + 1 - c)])
-                for i in links:
-                    if i is None:
-                        continue
-                    t2, w2 = t + self.totals[i], w + self.weights[i]
-                    if t2 <= self.max_internal and (W is None or w2 <= W):
-                        stack.append((cell + (i,), t2, w2))
+                x = _high(cell[-1])
+                cap = self.presentation._caps[x]
+                links = letters[:x] + ([] if cap is None else
+                                       [self._power(x, cap + 1 - cell[-1][x])])
+                for m, dt, dw in filter(None, links):
+                    if t + dt <= self.max_internal and (W is None
+                                                        or w + dw <= W):
+                        stack.append((cell + (m,), t + dt, w + dw))
 
 
 def _critical_counts(matching: _AnickMatching, max_s: int, t: int, w: int,
-                     cells: list[tuple[int, ...]]
-                     ) -> dict[tuple[int, int, int], int]:
+                     cells: list[Tensor]) -> dict[tuple[int, int, int], int]:
     """The (t, w) chain's homology for s <= max_s: its number of critical
     cells of each length, once d_M(c) = 0 mod p is checked on each c in
     cells, the chain's critical cells.
@@ -723,65 +724,55 @@ def _critical_counts(matching: _AnickMatching, max_s: int, t: int, w: int,
     d_M(c) is the sum over the faces b of c of phi(b): b itself when b is
     critical, 0 when b is matched down, and when b is matched up with b',
     -[d b' : b]^-1 times the sum of [d b' : b2] phi(b2) over the other faces
-    b2 of b'.  phi is memoised for the chain; re-entering a cell whose phi
-    is still in progress means the matching is not acyclic, and raises.
-    d o d = 0 is checked on every cell whose faces are read: each critical
-    cell and each up-partner.
+    b2 of b'.  Faces and their coefficients are the terms of
+    BarChain.boundary, and phi's values are BarChains.  phi keeps the set
+    of cells whose value it is still computing; re-entering one means the
+    matching is not acyclic, and raises.  d o d = 0 is checked on every
+    cell whose faces are read: each critical cell and each up-partner.
     """
-    p = matching.presentation.p
-    faces = matching.faces
-    memo: dict[tuple[int, ...], Optional[dict]] = {}
+    P = matching.presentation
+    in_progress: set[Tensor] = set()
 
-    def checked_faces(cell):
-        out = faces(cell)
-        acc: dict[tuple[int, ...], int] = {}
-        for f, e in out:
-            for g, e2 in faces(f):
-                acc[g] = acc.get(g, 0) + e * e2
-        if any(v % p for v in acc.values()):
+    def checked_boundary(cell):
+        d = BarChain(P, {cell: 1}).boundary()
+        if not d.boundary().is_zero():
             raise CompositionError(
-                f"d o d != 0 on {matching.tensor(cell)} in stratum "
-                f"(s={len(cell)}, t={t}, w={w})")
-        return out
+                f"d o d != 0 on {cell} in stratum (s={len(cell)}, t={t}, "
+                f"w={w})")
+        return d
 
-    def reduced(terms, skip=None):
-        """The sum of e phi(b) over (b, e) in terms, b != skip."""
-        acc: dict[tuple[int, ...], int] = {}
-        for b, e in terms:
+    def reduced(d, skip=None):
+        """The sum of e phi(b) over the terms e b of d, b != skip."""
+        acc: dict[Tensor, int] = {}
+        for b, e in d.terms.items():
             if b != skip:
-                for c, v in phi(b).items():
+                for c, v in phi(b).terms.items():
                     acc[c] = acc.get(c, 0) + e * v
-        return acc
+        return BarChain(P, acc)
 
     def phi(b):
-        if b in memo:
-            if memo[b] is None:
-                raise ArithmeticError(
-                    f"the matching has a cycle through {matching.tensor(b)}")
-            return memo[b]
         partner = matching.match(b)
         if partner is None:
-            return {b: 1}
+            return BarChain(P, {b: 1})
         if not partner[1]:
-            return {}
-        memo[b] = None
-        terms = checked_faces(partner[0])
-        coeff = next((e for f, e in terms if f == b), 0) % p
-        if not coeff:
-            raise ArithmeticError(
-                f"{matching.tensor(b)} is not a face of its partner")
-        scale = -pow(coeff, -1, p)
-        memo[b] = {c: v * scale % p
-                   for c, v in reduced(terms, b).items() if v % p}
-        return memo[b]
+            return BarChain(P)
+        if b in in_progress:
+            raise ArithmeticError(f"the matching has a cycle through {b}")
+        in_progress.add(b)
+        d = checked_boundary(partner[0])
+        if b not in d.terms:
+            raise ArithmeticError(f"{b} is not a face of its partner")
+        out = reduced(d, b).scale(-pow(d.terms[b], -1, P.p))
+        in_progress.remove(b)
+        return out
 
     dims: dict[tuple[int, int, int], int] = {}
     for c in cells:
-        if any(v % p for v in reduced(checked_faces(c)).values()):
+        if not reduced(checked_boundary(c)).is_zero():
             raise ArithmeticError(
-                f"d_M({matching.tensor(c)}) != 0 in stratum (s={len(c)}, "
-                f"t={t}, w={w}): the Anick-chain Morse complex is minimal, "
-                f"so match, critical or faces is wrong")
+                f"d_M({c}) != 0 in stratum (s={len(c)}, t={t}, w={w}): the "
+                f"Anick-chain Morse complex is minimal, so match, critical "
+                f"or faces is wrong")
         if len(c) <= max_s:
             dims[(len(c), t, w)] = dims.get((len(c), t, w), 0) + 1
     return dims

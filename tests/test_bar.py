@@ -270,12 +270,10 @@ def test_anick_matching_is_a_morse_matching_on_the_grid():
         for cx in grid_complexes(p):
             matching = bar._AnickMatching(cx.presentation, cx.max_internal,
                                           cx.max_weight)
-            index = {m: i for i, m in enumerate(matching.monos)}
             unmatched = set()
             for s in range(cx.max_s + 2):
                 for t, w in cx.strata(s):
-                    for tensor in cx.basis(s, t, w):
-                        cell = tuple(index[m] for m in tensor)
+                    for cell in cx.basis(s, t, w):
                         found = matching.match(cell)
                         if found is None:
                             unmatched.add((cell, t, w))
@@ -283,8 +281,9 @@ def test_anick_matching_is_a_morse_matching_on_the_grid():
                         partner, up = found
                         assert matching.match(partner) == (cell, not up)
                         high, low = (partner, cell) if up else (cell, partner)
-                        coeffs = [e for f, e in matching.faces(high) if f == low]
-                        assert coeffs in ([1], [-1]), (tensor, coeffs)
+                        coeff = BarChain(cx.presentation,
+                                         {high: 1}).boundary().terms.get(low)
+                        assert coeff in (1, p - 1), (cell, coeff)
             assert set(matching.critical(cx.max_s + 1)) == unmatched, \
                 (cx.presentation, cx.max_s)
 
@@ -331,9 +330,8 @@ def test_reduced_route_raises_on_a_cyclic_matching(monkeypatch):
     honest = bar._AnickMatching.match
 
     def cyclic(self, cell):
-        if self.tensor(cell) == ((1, 0, 0), (0, 1, 1)):
-            return cell[:1] + (self.monos.index((0, 0, 1)),
-                               self.monos.index((0, 1, 0))), True
+        if cell == ((1, 0, 0), (0, 1, 1)):
+            return cell[:1] + ((0, 0, 1), (0, 1, 0)), True
         return honest(self, cell)
 
     monkeypatch.setattr(bar._AnickMatching, "match", cyclic)
@@ -347,7 +345,7 @@ def test_reduced_route_checks_that_d_M_vanishes(monkeypatch):
     honest = bar._AnickMatching.match
 
     def broken(self, cell):
-        if self.tensor(cell) == ((0, 1), (1, 1)):
+        if cell == ((0, 1), (1, 1)):
             return None
         return honest(self, cell)
 
@@ -355,6 +353,41 @@ def test_reduced_route_checks_that_d_M_vanishes(monkeypatch):
     alg = AlgebraPresentation(3, (truncated("x", 3, 2), exterior("y", 3)))
     with pytest.raises(ArithmeticError, match=re.escape(
             "d_M(((0, 1), (0, 1), (1, 0))) != 0 in stratum (s=3, t=8, w=0)")):
+        bar_homology(alg, 3, 12)
+
+
+def test_reduced_route_raises_when_a_cell_is_not_a_face_of_its_partner(
+        monkeypatch):
+    # x|yz matched up with z|x|y, whose faces are zx|y and z|xy
+    honest = bar._AnickMatching.match
+
+    def stray(self, cell):
+        if cell == ((1, 0, 0), (0, 1, 1)):
+            return ((0, 0, 1), (1, 0, 0), (0, 1, 0)), True
+        return honest(self, cell)
+
+    monkeypatch.setattr(bar._AnickMatching, "match", stray)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "((1, 0, 0), (0, 1, 1)) is not a face of its partner")):
+        bar_homology(_three_polynomials(), 3, 6)
+
+
+def test_match_raises_on_a_factor_with_no_link_and_a_zero_product(
+        monkeypatch):
+    # without the lower-letter rule xy does not link after y, and merging
+    # it into y meets y^2 = 0
+    honest = bar._AnickMatching._link
+
+    def no_lower_letter_rule(self, prev, w):
+        if prev is not None and bar._low(w) < bar._high(prev):
+            return None
+        return honest(self, prev, w)
+
+    monkeypatch.setattr(bar._AnickMatching, "_link", no_lower_letter_rule)
+    alg = AlgebraPresentation(3, (truncated("x", 3, 2), exterior("y", 3)))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "((0, 1), (1, 1)): factor 1 has no link, yet its product with "
+            "the one before is 0")):
         bar_homology(alg, 3, 12)
 
 
@@ -367,6 +400,22 @@ def test_bar_homology_reaches_two_generators_at_s_nine():
     dims = bar_homology(_pair(), S, N, W)
     assert dims == predicted
     assert sum(dims.as_dict().values()) == 55
+
+
+def test_bar_homology_on_a_wide_tor_stage_lists_no_window(monkeypatch):
+    # the fifth Tor stage of F_3[x]/x^3, |x| = 2, has 56 generators and
+    # 256,172 augmentation monomials of degree <= 200; the route reads
+    # letters off the monomials and never lists them
+    P = iterated_tor_presentation(trunc_algebra(3, 3), 5, 200)
+    assert len(P.generators) == 56
+    predicted = presentation_dims(tor_presentation(P, 201), 201).restrict(
+        max_hom=1, max_internal=200)
+
+    def refuse(self, max_total, max_weight=None):
+        raise AssertionError("the window's monomials were listed")
+
+    monkeypatch.setattr(AlgebraPresentation, "augmentation_monomials", refuse)
+    assert bar_homology(P, 1, 200) == predicted
 
 
 def test_homology_entries_come_out_sorted():
@@ -929,6 +978,7 @@ def test_bigraded_dims_helpers():
     assert dims.by_bidegree() == {(0, 0): 1, (1, 2): 2, (2, 2): 3}
     cut = dims.restrict(max_hom=1, max_internal=4)
     assert cut.as_dict() == {(0, 0, 0): 1, (1, 2, 0): 2}
+    assert repr(cut) == "BigradedDims({(0, 0, 0): 1, (1, 2, 0): 2})"
 
 
 def test_json_round_trips():
@@ -949,6 +999,13 @@ def test_weight_graded_bar_homology_truncated_degree_zero():
             assert i == 0
             totals[h] = totals.get(h, 0) + d
         assert totals == {h: 1 for h in range(7)}
+
+
+def test_bar_chain_repr():
+    P = AlgebraPresentation(3, (truncated("x", 3, 2), exterior("y", 3)))
+    assert repr(BarChain(P)) == "BarChain(0)"
+    chain = BarChain(P, {((2, 0), (0, 1)): 1, ((1, 1),): 5})
+    assert repr(chain) == "BarChain(2*[x*y] + 1*[(x)^2|y])"
 
 
 def test_chains_over_different_presentations_do_not_mix():

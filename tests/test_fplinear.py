@@ -78,6 +78,7 @@ def test_matrix_construction():
     assert entries[(0, 1)] == 2
     z = SparseFpMatrix(5, 3, 4)
     assert list(z.items()) == [] and z.nnz == 0
+    assert repr(m) == "SparseFpMatrix(p=3, 2x2, nnz=4)"
     eye = SparseFpMatrix(2, 3, 3, {i: {i: 1} for i in range(3)})
     assert eye.rank() == 3
     # entries reduced mod p, zeros dropped

@@ -68,6 +68,7 @@ def test_poincare_series_basics():
     with pytest.raises(ValueError):
         s.coefficient(11)
     assert str(s) == "1 + t^3"
+    assert str(PoincareSeries({}, 4)) == "0"
     t = PoincareSeries({0: 1, 2: 2}, 4)
     prod = convolve_lists(as_list(s, 4), as_list(t, 4), 4)
     assert prod == [1, 0, 2, 1, 0]
@@ -108,6 +109,18 @@ def test_poincare_series_drops_beyond_truncation():
 def test_family_series_frozen_b_p2():
     s = family_series(family_b(), 3, 2, 16)
     assert dict(s.coeffs) == {0: 1, 4: 1, 8: 1, 12: 1, 16: 1}
+
+
+def test_family_series_checks_the_constant_term(monkeypatch):
+    # every factor starts with 1, so a product whose constant term is not 1
+    # was built wrong
+    def off_by_one(product, family, n, p):
+        product.value += 1
+
+    monkeypatch.setattr("hochhom.series._words_times", off_by_one)
+    with pytest.raises(ArithmeticError,
+                       match="series has constant term 2, not 1"):
+        family_series(family_b(), 3, 2, 16)
 
 
 def test_family_series_bdoubleprime_frozen():
