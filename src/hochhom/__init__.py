@@ -4,7 +4,7 @@ homology over prime fields.
 Four layers, each usable on its own:
 
 - ``fplinear``: exact sparse linear algebra over F_p (ranks and
-  homology dimensions).
+  homology dimensions) for the unreduced ``bar.BarComplex``.
 - ``words``: admissible word families, their bidegrees, and the search
   for degree-adjacent word pairs.
 - ``bar``: the reduced bar construction with shuffle product, explicit

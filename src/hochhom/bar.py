@@ -18,15 +18,10 @@ with only the inner face maps surviving,
     d(a_1 | ... | a_s) = sum_i (-1)^(e_i) a_1 | ... | a_i a_{i+1} | ... | a_s,
     e_i = sum_{j<i} (|a_j| + 1) + |a_i|,
 
-the Koszul convention induced by suspending each factor.  BarComplex
-stores each tensor of monomial indices as one int, B bits per index, and
-its homology; coboundary() builds delta^s = d_{s+1}^T on each call,
-finding each face's row by shifts on the code.  Bottom-up in s along
-each (internal, weight) chain, from its lowest block to its top one, the
-build ranks delta^s with the leads of delta^{s-1} cleared, once
-delta^s o delta^{s-1} = (d_s o d_{s+1})^T = 0 is verified.
+the Koszul convention induced by suspending each factor.  _faces is
+the one place that forms faces; BarChain.boundary sums them.
 
-bar_homology reads the same table off the Morse complex of the
+bar_homology reads the homology off the Morse complex of the
 Anick-chain matching on the bar tensors (_AnickMatching; E. Sköldberg,
 Trans. AMS 358 (2006); M. Jöllenbeck and V. Welker, Mem. AMS 197
 (2009)), whose cells are Anick chains.  Its cells are the tensors of
@@ -34,9 +29,9 @@ monomials that BarChain keys on, and its faces are the terms of
 BarChain.boundary, so it lists no monomial of the window.  That complex
 is minimal, so bar_homology counts the critical cells once it has
 checked that the Morse differential vanishes on them (_critical_counts).
-BarComplex stays the unreduced complex, with its own int codes and
-coboundaries: verify_quasi_iso reads its basis, and the tests compare
-bar_homology with its homology.
+BarComplex, the unreduced complex, is the tests' reference for it: its
+basis is the level build _bar_levels, which verify_quasi_iso reads too,
+and its coboundaries delta^s = d_{s+1}^T transpose _faces.
 
 The shuffle product satisfies the graded Leibniz rule for this sign
 choice (property-tested).  One enumeration of shuffles (_shuffles)
@@ -276,6 +271,24 @@ def _extend(level: list, pieces: list, max_total: int,
             and (max_weight is None or w + dw <= max_weight)]
 
 
+def _bar_levels(presentation: AlgebraPresentation, top_s: int,
+                max_total: int, max_weight: Optional[int]
+                ) -> Iterator[list[tuple[Tensor, int, int]]]:
+    """Levels s = 0, ..., top_s of the window's bar tensors, each a list
+    of (tensor, total, weight) in increasing tensor order: a sorted level
+    extended by the increasing augmentation monomials stays sorted.  B_0
+    is empty when weight 0 lies outside the window."""
+    pieces = [(m, presentation.mono_total(m), presentation.mono_weight(m))
+              for m in presentation.augmentation_monomials(max_total,
+                                                           max_weight)]
+    level = [((), 0, 0)] if max_weight is None or max_weight >= 0 else []
+    yield level
+    for _ in range(top_s):
+        level = _extend(level, pieces, max_total, max_weight,
+                        lambda tensor, m: tensor + (m,))
+        yield level
+
+
 @cache
 def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
     """(order, crossings) of each shuffle of la >= 1 factors a_i into
@@ -362,6 +375,20 @@ class BigradedDims:
         return f"BigradedDims({self._entries!r})"
 
 
+def _faces(presentation: AlgebraPresentation,
+           tensor: Tensor) -> Iterator[tuple[Tensor, int]]:
+    """The nonzero inner faces of one tensor, each with its sign +-1."""
+    multiply, total = presentation.multiply, presentation.mono_total
+    e = 0  # sum of (|a_j| + 1) for j < i, plus |a_i|
+    for i in range(len(tensor) - 1):
+        e += total(tensor[i])
+        res = multiply(tensor[i], tensor[i + 1])
+        if res is not None and any(res[1]):
+            yield (tensor[:i] + (res[1],) + tensor[i + 2:],
+                   -res[0] if e % 2 else res[0])
+        e += 1
+
+
 class BarChain:
     """An element of the reduced bar complex: a finite sum of tensors of
     augmentation-ideal monomials with coefficients in F_p."""
@@ -421,18 +448,10 @@ class BarChain:
     def boundary(self) -> "BarChain":
         """The inner-face alternating sum with suspension Koszul signs."""
         P = self.presentation
-        multiply, total = P.multiply, P.mono_total
         acc: dict[Tensor, int] = {}
         for tensor, coeff in self.terms.items():
-            e = 0  # sum of (|a_j| + 1) for j < i, plus |a_i|
-            for i in range(len(tensor) - 1):
-                e += total(tensor[i])
-                res = multiply(tensor[i], tensor[i + 1])
-                if res is not None and any(res[1]):
-                    key = tensor[:i] + (res[1],) + tensor[i + 2:]
-                    c = -coeff if e % 2 else coeff
-                    acc[key] = acc.get(key, 0) + c * res[0]
-                e += 1
+            for face, sign in _faces(P, tensor):
+                acc[face] = acc.get(face, 0) + sign * coeff
         return BarChain(P, acc)
 
     def __repr__(self) -> str:
@@ -453,14 +472,11 @@ class BarComplex:
 
     Homology is exact for s <= max_s: each stratum is finite and complete
     within the bounds, and B_{max_s + 1} is the target of delta^{max_s}.
-    A tensor (v_1, ..., v_s) of monomial indices is stored as one int, its
-    code, B = len(monos).bit_length() bits per index: v_s in the lowest B
-    bits, v_1 in the highest.  basis() decodes codes into tensors of
-    monomials.  The homology is computed once, at the end of construction,
-    chain by chain and bottom-up in s; that pass verifies d o d = 0 once
-    for every composable pair of blocks before it clears delta^s by the
-    leads of delta^{s-1}, so a presentation whose products are not
-    associative raises here.
+    The homology is computed once, at the end of construction, chain by
+    chain and bottom-up in s; that pass verifies d o d = 0 once for every
+    composable pair of blocks before it clears delta^s by the leads of
+    delta^{s-1}, so a presentation whose products are not associative
+    raises here.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_s: int,
@@ -472,46 +488,12 @@ class BarComplex:
         self.max_internal = max_internal
         self.max_weight = max_weight
 
-        # monos is increasing and B bits hold any index, so the codes of
-        # one stratum, all of length s, sort like its monomial tensors
-        monos = self._monos = presentation.augmentation_monomials(
-            max_internal, max_weight)
-        B = self._digit_bits = len(monos).bit_length()
-        totals = [presentation.mono_total(m) for m in monos]
-        pieces = [(i, totals[i], presentation.mono_weight(m))
-                  for i, m in enumerate(monos)]
-
-        # basis[(s, t, w)] = codes, built level by level; a sorted level
-        # extended by pieces in index order stays sorted.  B_0 is the empty
-        # tensor, code 0, and is empty when weight 0 lies outside the window.
-        self._basis: dict[tuple[int, int, int], list[int]] = {}
-        if max_weight is None or max_weight >= 0:
-            self._basis[(0, 0, 0)] = [0]
-        level: list[tuple[int, int, int]] = [(0, 0, 0)]
-        for s in range(1, max_s + 2):
-            level = _extend(level, pieces, max_internal, max_weight,
-                            lambda code, i: (code << B) | i)
-            for code, t, w in level:
-                self._basis.setdefault((s, t, w), []).append(code)
-        # the last level lists B_{max_s+1} again, which _basis holds; drop
-        # it so that the walk below does not keep the top block twice
-        del level
-
-        # splits[c] lists ((a << B) | b, multiply's sign times (-1)^|a|)
-        # for 0 < a < c, the exponent ranges' product minus its ends, so no
-        # face is 0
-        mono_index = {m: i for i, m in enumerate(monos)}
-
-        def split(c: Monomial) -> Iterator[tuple[int, int]]:
-            powers = [range(e + 1) for e in c]
-            for a in list(itertools.product(*powers))[1:-1]:
-                b = tuple(e - f for e, f in zip(c, a))
-                yield ((mono_index[a] << B) | mono_index[b],
-                       presentation.multiply(a, b)[0]
-                       * (-1) ** presentation.mono_total(a))
-
-        self._totals = totals
-        self._splits = [list(split(c)) for c in monos]
+        # basis[(s, t, w)] = tensors, in increasing order as the levels are
+        self._basis: dict[tuple[int, int, int], list[Tensor]] = {}
+        for s, level in enumerate(_bar_levels(presentation, max_s + 1,
+                                              max_internal, max_weight)):
+            for tensor, t, w in level:
+                self._basis.setdefault((s, t, w), []).append(tensor)
 
         # each (t, w) is one cochain complex in s, walked bottom-up from its
         # lowest block to its top block at s <= max_s, holding only
@@ -537,16 +519,9 @@ class BarComplex:
                 d_in = d_out
         self._homology = BigradedDims(dict(sorted(dims.items())))
 
-    def _shifts(self, s: int) -> list[int]:
-        """Where v_1, ..., v_s sit in the code of a length-s tensor."""
-        return [k * self._digit_bits for k in reversed(range(s))]
-
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:
         """The stratum's tensors of monomials, in increasing order."""
-        monos, digit = self._monos, (1 << self._digit_bits) - 1
-        shifts = self._shifts(s)
-        return [tuple(monos[(code >> sh) & digit] for sh in shifts)
-                for code in self._basis.get((s, internal, weight), ())]
+        return list(self._basis.get((s, internal, weight), ()))
 
     def strata(self, s: int) -> list[tuple[int, int]]:
         return sorted((t, w) for (s2, t, w) in self._basis if s2 == s)
@@ -554,37 +529,21 @@ class BarComplex:
     def coboundary(self, s: int, internal: int,
                    weight: int = 0) -> SparseFpMatrix:
         """delta^s = d_{s+1}^T : C^s -> C^{s+1} on one stratum, for
-        -1 <= s <= max_s, built afresh on each call.  Column v holds each
-        u whose face i is v, u splitting v_i into (a, b) with the sign of
-        BarChain.boundary.  With v_i at shift sh of v's code, u's code is
-        v's bits below sh, then (a << B) | b at sh, then v's bits above
-        v_i moved up by B."""
+        -1 <= s <= max_s, built afresh on each call: row u holds the
+        faces of u (_faces)."""
         if s > self.max_s:
             raise ValueError(f"delta^{s} lies past max_s = {self.max_s}")
         if s < -1:
             raise ValueError(f"delta^{s} lies below delta^-1")
-        tensors = self._basis.get((s, internal, weight), ())
+        P = self.presentation
+        sources = self._basis.get((s, internal, weight), ())
         targets = self._basis.get((s + 1, internal, weight), ())
-        row = {u: i for i, u in enumerate(targets)}
-        B, splits, totals = self._digit_bits, self._splits, self._totals
-        digit, shifts = (1 << B) - 1, self._shifts(s)
-        # distinct splits of one tensor give distinct tensors, so every row
-        # of a column is written at most once
+        col = {v: i for i, v in enumerate(sources)}
         columns: dict[int, dict[int, int]] = {}
-        for col, v in enumerate(tensors):
-            column = columns[col] = {}
-            prefix = 0  # sum of (|v_j| + 1) for j < i
-            for sh in shifts:
-                c = (v >> sh) & digit
-                if splits[c]:
-                    base = (((v >> (sh + B)) << (sh + 2 * B))
-                            | (v & ((1 << sh) - 1)))
-                    face_sign = -1 if prefix % 2 else 1
-                    for ab, sign in splits[c]:
-                        column[row[base | (ab << sh)]] = sign * face_sign
-                prefix += totals[c] + 1
-        return SparseFpMatrix(self.presentation.p, len(targets), len(tensors),
-                              columns)
+        for row, u in enumerate(targets):
+            for v, sign in _faces(P, u):
+                columns.setdefault(col[v], {})[row] = sign
+        return SparseFpMatrix(P.p, len(targets), len(sources), columns)
 
     def homology(self) -> BigradedDims:
         """Per-stratum homology dimensions for s <= max_s."""
@@ -1119,12 +1078,12 @@ class QuasiIsoReport:
 def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
                      max_s: int = 5, max_internal: int = 16) -> QuasiIsoReport:
     """Check the explicit maps between the bar complex of a one-generator
-    algebra and its small model: both are chain maps, pi o inc = id, the
-    homology dimension tables agree on the bounded window, and both maps
-    are multiplicative for the shuffle product.  Each check reports its
-    first failure as the witness."""
+    algebra and its small model: both are chain maps, pi o inc = id,
+    bar_homology agrees with the model's table on the bounded window, and
+    both maps are multiplicative for the shuffle product.  Each check
+    reports its first failure as the witness."""
     qc = _QuasiIsoCase(case, x_degree, p, m, max_s, max_internal)
-    complex_ = BarComplex(qc.algebra, max_s, max_internal)
+    bar_dims = bar_homology(qc.algebra, max_s, max_internal)
     model = qc.model
     name = model.monomial_str
 
@@ -1132,15 +1091,16 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
         return sum((qc.inc(mono).scale(c) for mono, c in element.items()),
                    BarChain(qc.algebra))
 
-    # (tensor, s, internal, suspended degrees, pi of it) ordered by s;
-    # upto[k] counts the tensors with s <= k, so a pair loop walks only
-    # the prefix with sa + sb <= max_s
+    # (tensor, s, internal, suspended degrees, pi of it) ordered by s, then
+    # internal degree, then tensor (every weight is 0); upto[k] counts the
+    # tensors with s <= k, so a pair loop walks only the prefix with
+    # sa + sb <= max_s
     bar_tensors = []
-    for s in range(max_s + 1):
-        for t, w in complex_.strata(s):
-            for tensor in complex_.basis(s, t, w):
-                e = [qc.algebra.mono_total(m) + 1 for m in tensor]
-                bar_tensors.append((tensor, s, t, e, qc._pi_memo(tensor)))
+    for s, level in enumerate(_bar_levels(qc.algebra, max_s, max_internal,
+                                          None)):
+        for tensor, t, _w in sorted(level, key=itemgetter(1)):
+            e = [qc.algebra.mono_total(m) + 1 for m in tensor]
+            bar_tensors.append((tensor, s, t, e, qc._pi_memo(tensor)))
     upto = [sum(s <= k for _, s, *_ in bar_tensors) for k in range(max_s + 1)]
     # the (s, internal) strata where pi is not 0 on every basis tensor; a
     # boundary or a shuffle product that lands outside them has pi = 0
@@ -1149,7 +1109,6 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
                    + model.augmentation_monomials(max_s + max_internal)
                    if model.mono_hom(mb) <= max_s
                    and model.mono_internal(mb) <= max_internal]
-    bar_dims = complex_.homology()
     model_dims = presentation_dims(model, max_s + max_internal).restrict(
         max_hom=max_s, max_internal=max_internal)
 

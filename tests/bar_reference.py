@@ -6,11 +6,12 @@ each slot against the set of positions chosen for the left factors and
 carrying a running parity of the right factors already placed.
 ``reference_pi_tensor`` treats the poly, exterior and truncated cases
 separately, and the truncated case splits again by the parity of the
-length.  ``reference_homology`` builds the differentials d_s from the
-adjacent factors of each basis tensor and ranks them top-down in s, d_s
-with the leads of d_{s+1} cleared.  ``bar.BarChain.__mul__``,
-``bar._QuasiIsoCase._pi_tensor`` and the bottom-up coboundary pass of
-``bar.BarComplex`` are compared with them.
+length.  ``reference_differential`` builds a differential d_s from the
+adjacent factors of each basis tensor, with its own sign rule, and
+``reference_homology`` ranks the d_s top-down in s, d_s with the leads
+of d_{s+1} cleared.  ``bar.BarChain.__mul__``,
+``bar._QuasiIsoCase._pi_tensor``, the coboundaries of ``bar.BarComplex``
+and its bottom-up pass are compared with them.
 """
 
 import itertools
@@ -77,33 +78,37 @@ def reference_pi_tensor(qc, tensor):
     return None
 
 
+def reference_differential(cx, s, t, w):
+    """d_s of the BarComplex cx on one stratum, read from the adjacent
+    factors of each basis tensor of monomials."""
+    P = cx.presentation
+    rows = {u: i for i, u in enumerate(cx.basis(s - 1, t, w))}
+    sources = cx.basis(s, t, w)
+    columns = {}
+    for col, tensor in enumerate(sources):
+        column = columns[col] = {}
+        prefix = 0  # sum of (|a_j| + 1) for j < i
+        for i in range(s - 1):
+            a = tensor[i]
+            res = P.multiply(a, tensor[i + 1])
+            if res is not None:
+                sign, ab = res
+                if (prefix + P.mono_total(a)) % 2:
+                    sign = -sign
+                column[rows[tensor[:i] + (ab,) + tensor[i + 2:]]] = sign
+            prefix += P.mono_total(a) + 1
+    return SparseFpMatrix(P.p, len(rows), len(sources), columns)
+
+
 def reference_homology(cx):
     """Homology of the BarComplex cx by the top-down pass over the
-    differentials d_s, read from its basis tensors of monomials."""
-    P, p = cx.presentation, cx.presentation.p
-    face, total = cache(P.multiply), cache(P.mono_total)
-
-    def differential(s, t, w):
-        rows = {u: i for i, u in enumerate(cx.basis(s - 1, t, w))}
-        sources = cx.basis(s, t, w)
-        columns = {}
-        for col, tensor in enumerate(sources):
-            column = columns[col] = {}
-            prefix = 0  # sum of (|a_j| + 1) for j < i
-            for i in range(s - 1):
-                a = tensor[i]
-                res = face(a, tensor[i + 1])
-                if res is not None:
-                    sign, ab = res
-                    if (prefix + total(a)) % 2:
-                        sign = -sign
-                    column[rows[tensor[:i] + (ab,) + tensor[i + 2:]]] = sign
-                prefix += total(a) + 1
-        return SparseFpMatrix(p, len(rows), len(sources), columns)
-
+    differentials d_s."""
     # each d_s is built once, so d_{s+1} keeps the leads its own ranking
     # found when d_s is cleared by them
-    diffs = cache(differential)
+    @cache
+    def diffs(s, t, w):
+        return reference_differential(cx, s, t, w)
+
     dims = {}
     for s in range(cx.max_s, -1, -1):
         for t, w in cx.strata(s):

@@ -12,7 +12,7 @@ from hochhom import (EPS, MU, AlgebraPresentation, BarComplex, Bidegree,
                      bidegree, enumerate_shapes, family_b, hh_group_algebra,
                      hh_poly_gens, hh_polynomial, hh_truncated,
                      hh_truncated_words, is_admissible, rho, thh_fp,
-                     truncated, verify_powerwords)
+                     truncated, verify_powerwords, verify_quasi_iso)
 from hochhom.bar import _QuasiIsoCase
 
 
@@ -50,6 +50,10 @@ def test_bad_input_raises_its_own_error():
          "max_s must be >= 0"),
         (lambda: bar_cx.coboundary(3, 6), ValueError,
          "delta^3 lies past max_s = 2"),
+        (lambda: verify_quasi_iso("truncated", 2, 3, 3, -1, 6), ValueError,
+         "max_s must be >= 0"),
+        (lambda: verify_quasi_iso("truncated", 2, 3, 3, 2, -1), ValueError,
+         "degree bound must be nonnegative"),
         (lambda: no_gamma._gamma_element(1), ValueError, gamma_beyond),
         (lambda: no_gamma._gamma_element(0, 1), ValueError, gamma_beyond),
         (lambda: SparseFpMatrix(3, -1, 2), ValueError,

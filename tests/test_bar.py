@@ -29,8 +29,8 @@ from hochhom.bar import (
     verify_quasi_iso,
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
-from bar_reference import (reference_homology, reference_pi_tensor,
-                           reference_shuffle)
+from bar_reference import (reference_differential, reference_homology,
+                           reference_pi_tensor, reference_shuffle)
 from shared_complexes import grid_complexes, weight_graded_complex
 from tor_reference import reference_presentation_dims
 
@@ -125,19 +125,6 @@ def test_bar_complex_d_squared_checked_at_build():
         assert cx.homology().as_dict()[(0, 0, 0)] == 1
 
 
-def _boundary_matrix(cx, s, internal, weight):
-    """The differential of one stratum built column by column from
-    BarChain.boundary."""
-    P = cx.presentation
-    rows = {t: i for i, t in enumerate(cx.basis(s - 1, internal, weight))}
-    sources = cx.basis(s, internal, weight)
-    columns = {}
-    for col, tensor in enumerate(sources):
-        image = BarChain(P, {tensor: 1}).boundary()
-        columns[col] = {rows[t]: coeff for t, coeff in image.terms.items()}
-    return SparseFpMatrix(P.p, len(rows), len(sources), columns)
-
-
 def _transpose(m):
     columns = {}
     for (r, c), v in m.items():
@@ -146,19 +133,20 @@ def _transpose(m):
 
 
 def test_differentials_match_boundary_column_by_column():
-    # the coboundary delta^{s-1} is the transpose of d_s
+    # the coboundary delta^{s-1} is the transpose of d_s, built entry by
+    # entry by the reference's own face rule
     for p in (2, 3, 5):
         for cx in grid_complexes(p):
             for s in range(1, cx.max_s + 2):
                 for t, w in cx.strata(s):
-                    expected = _transpose(_boundary_matrix(cx, s, t, w))
+                    expected = _transpose(reference_differential(cx, s, t, w))
                     assert cx.coboundary(s - 1, t, w) == expected, \
                         (cx.presentation, s, t, w)
 
 
 def test_basis_strata_come_out_sorted():
-    # the basis is built in index order and never sorted, and index order
-    # must be the order of the monomial tensors
+    # the basis is built level by level and never sorted, and each level
+    # must come out in the order of its monomial tensors
     for p in (2, 3, 5):
         for cx in grid_complexes(p):
             for s in range(cx.max_s + 2):
@@ -192,7 +180,7 @@ def _window_tensors(P, s, max_total, max_weight):
 
 
 def test_packed_basis_matches_an_independent_enumeration():
-    # the decoded codes of every stratum against the tensors that
+    # the tensors of every stratum against the tensors that
     # itertools.product finds in the window
     for p in (2, 3, 5):
         for cx in grid_complexes(p):
@@ -206,16 +194,16 @@ def test_packed_basis_matches_an_independent_enumeration():
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 9, 17])
-def test_coboundary_matches_boundary_at_a_tight_digit_width(m):
-    # x, ..., x^m are the m monomials, and a code spends m.bit_length()
-    # bits on each index; with m - 1 a power of two the top index m - 1
-    # needs every one of them, so a digit one bit short overlaps factors
+def test_coboundary_matches_the_reference_on_a_polynomial_window(m):
+    # x, ..., x^m are the m monomials; a factor x^k of a source tensor is
+    # split k - 1 ways, so one column of delta^{s-1} gathers up to m - 1
+    # entries from each factor
     P = poly_algebra(3)
     assert len(P.augmentation_monomials(2 * m)) == m
     cx = BarComplex(P, 3, 2 * m)
     for s in range(1, cx.max_s + 2):
         for t, w in cx.strata(s):
-            expected = _transpose(_boundary_matrix(cx, s, t, w))
+            expected = _transpose(reference_differential(cx, s, t, w))
             assert cx.coboundary(s - 1, t, w) == expected, (m, s, t)
 
 
@@ -256,6 +244,11 @@ def test_bar_homology_matches_the_unreduced_build():
                    6, 1, 24),
         BarComplex(_pair(), 6, 7, 9),
     ]
+    # verify_quasi_iso reads its homology check from bar_homology: the
+    # algebra and window of each of its cases and of the four verify bar
+    # jobs of that benchmark
+    complexes += [BarComplex(_QuasiIsoCase(*case).algebra, *case[4:])
+                  for case in QUASI_ISO_CASES + BENCH_QUASI_ISO_WINDOWS]
     for cx in complexes:
         got = bar_homology(cx.presentation, cx.max_s, cx.max_internal,
                            cx.max_weight)
@@ -566,7 +559,21 @@ QUASI_ISO_CASES = (
 )
 
 
-def test_quasi_iso_all_cases():
+# the four verify bar windows of the bar-oracle benchmark
+BENCH_QUASI_ISO_WINDOWS = (
+    ("poly", 2, 3, None, 6, 24), ("poly", 4, 3, None, 6, 48),
+    ("truncated", 2, 3, 3, 8, 24), ("truncated", 4, 3, 3, 8, 48),
+)
+
+
+def test_quasi_iso_all_cases(monkeypatch):
+    # every check passes with no BarComplex, homology_dim or matrix built
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_quasi_iso reached the unreduced build")
+
+    monkeypatch.setattr(BarComplex, "__init__", refuse)
+    monkeypatch.setattr(bar, "homology_dim", refuse)
+    monkeypatch.setattr(SparseFpMatrix, "__init__", refuse)
     for case in QUASI_ISO_CASES:
         assert verify_quasi_iso(*case).ok, case
 
@@ -956,6 +963,27 @@ def test_bar_oracle_matches_the_rewrite_on_random_presentations():
             assert dims == predicted, P
             wide += len(dims.as_dict()) > 5
     assert wide > 30
+
+
+def test_bar_oracle_matches_the_paper_towers_stage_by_stage():
+    # THH^[n](F_p) for n <= 2p + 2 rests on the iterated Tor stages P_k of
+    # F_p[mu], |mu| = 2; at s <= 2 each stage's bar homology must equal the
+    # next rewrite.  A class of hom 2 and internal N has total N + 2, so
+    # the rewrite runs there
+    for p, stages, N in ((5, 12, 120), (3, 8, 90)):
+        start = AlgebraPresentation(p, (polynomial("μ", 2),))
+        for k in range(stages):
+            P = iterated_tor_presentation(start, k, N)
+            predicted = presentation_dims(tor_presentation(P, N + 2),
+                                          N + 2).restrict(2, N)
+            assert bar_homology(P, 2, N) == predicted, (p, k)
+    # cut at N + 1, the rewrite loses the two classes at (2, 60, 0) of the
+    # F_3 stage 4 at N = 60
+    P = iterated_tor_presentation(
+        AlgebraPresentation(3, (polynomial("μ", 2),)), 4, 60)
+    assert bar_homology(P, 2, 60).as_dict()[(2, 60, 0)] == 2
+    short = presentation_dims(tor_presentation(P, 61), 61).restrict(2, 60)
+    assert (2, 60, 0) not in short.as_dict()
 
 
 def test_iterated_tor_total_series():

@@ -366,6 +366,28 @@ def test_verify_bar_catches_a_wrong_tor_rewrite(capsys, monkeypatch):
     assert "result: FAILED" in out
 
 
+def test_verify_bar_catches_an_extra_bar_class(capsys, monkeypatch):
+    # the homology check reads bar_homology, so one class too many in its
+    # table must fail that check alone
+    honest = bar.bar_homology
+
+    def one_more(presentation, max_s, max_degree, max_weight=None):
+        dims = honest(presentation, max_s, max_degree, max_weight).as_dict()
+        dims[(0, 0, 0)] += 1
+        return bar.BigradedDims(dims)
+
+    monkeypatch.setattr(bar, "bar_homology", one_more)
+    report = bar.verify_quasi_iso("truncated", 2, 3, 3, max_s=6,
+                                  max_internal=18)
+    assert [name for name, ok, _ in report.checks if not ok] == [
+        "homology dimensions match the small model"]
+    code, out, _ = run(["verify", "bar", "--case", "truncated",
+                        "--x-degree", "2", "--p", "3", "--m", "3",
+                        "--max-s", "6", "--max-degree", "18"], capsys)
+    assert code == 1
+    assert "result: FAILED" in out
+
+
 def test_verify_oracle_cross(capsys):
     code, out, _ = run(["verify", "oracle-cross", "--family", "B", "--n", "3",
                         "--p", "2", "--max-degree", "20"], capsys)
