@@ -9,14 +9,18 @@ separately, and the truncated case splits again by the parity of the
 length.  ``reference_differential`` builds a differential d_s from the
 adjacent factors of each basis tensor, with its own sign rule, and
 ``reference_homology`` ranks the d_s top-down in s, d_s with the leads
-of d_{s+1} cleared.  ``bar.BarChain.__mul__``,
-``bar._QuasiIsoCase._pi_tensor``, the coboundaries of ``bar.BarComplex``
-and its bottom-up pass are compared with them.
+of d_{s+1} cleared.  ``reference_multiplicativity_witness`` is the full
+prefix walk of the check that pi is multiplicative.
+``bar.BarChain.__mul__``, ``bar._QuasiIsoCase._pi_tensor``, the
+coboundaries of ``bar.BarComplex``, its bottom-up pass and the pair walk
+of ``bar.verify_quasi_iso`` are compared with them.
 """
 
 import itertools
 from functools import cache
+from operator import itemgetter
 
+from hochhom import bar
 from hochhom.bar import BarChain, BigradedDims
 from hochhom.fplinear import SparseFpMatrix, homology_dim
 
@@ -114,3 +118,24 @@ def reference_homology(cx):
         for t, w in cx.strata(s):
             dims[(s, t, w)] = homology_dim(diffs(s + 1, t, w), diffs(s, t, w))
     return BigradedDims(dims)
+
+
+def reference_multiplicativity_witness(qc, max_s, max_internal):
+    """The first failure of "pi is multiplicative" for the _QuasiIsoCase
+    qc, or None.  Each basis tensor ta, ordered by s, internal degree and
+    tensor, meets every tb of the prefix of that order with s_a + s_b <=
+    max_s, and every pair whose internal degrees sum to <= max_internal
+    compares pi(ta * tb) with pi(ta) pi(tb); no pair is skipped."""
+    rows = []
+    for s, level in enumerate(bar._bar_levels(qc.algebra, max_s,
+                                              max_internal, None)):
+        for tensor, t, _w in sorted(level, key=itemgetter(1)):
+            e = [qc.algebra.mono_total(m) + 1 for m in tensor]
+            rows.append((tensor, s, t, e, qc._pi_tensor(tensor)))
+    upto = [sum(s <= k for _, s, *_ in rows) for k in range(max_s + 1)]
+    for ta, sa, ia, ea, pa in rows:
+        for tb, sb, ib, eb, pb in itertools.islice(rows, upto[max_s - sa]):
+            if (ia + ib <= max_internal and qc.pi_product(ta, ea, tb, eb)
+                    != bar._model_mul(qc.model, pa, pb)):
+                return f"pi({ta} * {tb})"
+    return None

@@ -30,6 +30,7 @@ from hochhom.bar import (
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
 from bar_reference import (reference_differential, reference_homology,
+                           reference_multiplicativity_witness,
                            reference_pi_tensor, reference_shuffle)
 from shared_complexes import grid_complexes, weight_graded_complex
 from tor_reference import reference_presentation_dims
@@ -611,52 +612,125 @@ def _reference_pi(qc, chain):
 
 
 def test_pi_product_matches_pi_of_the_shuffle_product():
-    # every pair of basis tensors the multiplicativity check visits:
+    # every pair of basis tensors the multiplicativity check can visit:
     # s_a + s_b <= max_s and internal degrees summing to <= max_internal.
     # The memo-free reference side catches a memo that mixes up tensors.
     # verify_quasi_iso skips the (s, internal) strata where pi is 0 on
     # every basis tensor: the pairs whose shuffles land there, and the
-    # tensors whose boundary lands there.  pi of each of them is 0.
-    for case in QUASI_ISO_CASES:
+    # tensors whose boundary lands there.  pi of each of them is 0.  Of
+    # the pairs landing there it walks only those with pi(ta) and pi(tb)
+    # both nonzero, as pi(ta) pi(tb) = 0 when either is 0: that skip is
+    # checked on the benchmark's windows too, the products on the small
+    # cases only.
+    for case in QUASI_ISO_CASES + BENCH_QUASI_ISO_WINDOWS:
         qc = _QuasiIsoCase(*case)
         _, _, _, _, max_s, max_internal = case
         P = qc.algebra
-        cx = BarComplex(P, max_s, max_internal)
-        tensors = [(t, s, internal, [P.mono_total(m) + 1 for m in t])
-                   for s in range(max_s + 1)
-                   for internal, w in cx.strata(s)
-                   for t in cx.basis(s, internal, w)]
-        live = {(s, internal) for t, s, internal, _ in tensors
-                if qc.pi(BarChain(P, {t: 1}))}
-        for ta, sa, ia, ea in tensors:
-            if (sa - 1, ia) not in live:
-                assert qc.pi(BarChain(P, {ta: 1}).boundary()) == {}, (
-                    case, ta)
-            for tb, sb, ib, eb in tensors:
-                if sa + sb <= max_s and ia + ib <= max_internal:
+        strata = {}
+        for s, level in enumerate(bar._bar_levels(P, max_s, max_internal,
+                                                  None)):
+            for t, internal, _w in level:
+                strata.setdefault((s, internal), []).append(
+                    (t, [P.mono_total(m) + 1 for m in t],
+                     reference_pi_tensor(qc, t) or {}))
+        live = {st for st, rows in strata.items()
+                if any(pi for _, _, pi in rows)}
+        small = case in QUASI_ISO_CASES
+        for (sa, ia), rows_a in strata.items():
+            for ta, _, _ in rows_a if small else ():
+                if (sa - 1, ia) not in live:
+                    assert qc.pi(BarChain(P, {ta: 1}).boundary()) == {}, (
+                        case, ta)
+            for (sb, ib), rows_b in strata.items():
+                if sa + sb > max_s or ia + ib > max_internal:
+                    continue
+                lands_live = (sa + sb, ia + ib) in live
+                for (ta, ea, pa), (tb, eb, pb) in itertools.product(
+                        rows_a, rows_b):
+                    if not lands_live and not (pa and pb):
+                        assert bar._model_mul(qc.model, pa, pb) == {}, (
+                            case, ta, tb)
+                    if not small:
+                        continue
                     a, b = BarChain(P, {ta: 1}), BarChain(P, {tb: 1})
                     got = qc.pi_product(ta, ea, tb, eb)
                     assert got == qc.pi(a * b), (case, ta, tb)
                     assert got == _reference_pi(qc, reference_shuffle(a, b)), (
                         case, ta, tb)
-                    if (sa + sb, ia + ib) not in live:
+                    if not lands_live:
                         assert got == {}, (case, ta, tb)
+
+
+def _bend_shuffle_signs(monkeypatch, bend):
+    """Replace the sign parity of every shuffle of two nonempty tensors
+    by bend(parity)."""
+    honest = bar._shuffles
+
+    def bent(ta, ea, tb, eb):
+        for tensor, odd in honest(ta, ea, tb, eb):
+            yield tensor, bend(odd) if ta and tb else odd
+
+    monkeypatch.setattr(bar, "_shuffles", bent)
+
+
+def _bend_one_model_product(monkeypatch, window):
+    """Make pi(ta) pi(tb) nonzero on the first pair of the window with
+    pi(ta), pi(tb) both nonzero and ta tb off the strata where pi is not
+    0, where pi(ta * tb) is 0."""
+    qc = _QuasiIsoCase(*window)
+    max_s, max_internal = window[4:]
+    rows = [(s, t, pi) for s, level in enumerate(
+        bar._bar_levels(qc.algebra, max_s, max_internal, None))
+        for tensor, t, _w in level if (pi := qc._pi_tensor(tensor))]
+    live = {(s, t) for s, t, _ in rows}
+    pa, pb = next(
+        (pa, pb) for sa, ia, pa in rows for sb, ib, pb in rows
+        if sa + sb <= max_s and ia + ib <= max_internal
+        and (sa + sb, ia + ib) not in live)
+    honest = bar._model_mul
+
+    def bent(model, a, b):
+        return {model.unit: 1} if (a, b) == (pa, pb) else honest(model, a, b)
+
+    monkeypatch.setattr(bar, "_model_mul", bent)
 
 
 def test_pi_multiplicativity_check_still_sees_a_flipped_shuffle_sign(
         monkeypatch):
-    # the sign of every shuffle of two nonempty tensors is flipped; pi
-    # is 0 on most strata, which the check skips, but not on all of them
-    honest = bar._shuffles
-
-    def flipped(ta, ea, tb, eb):
-        for tensor, odd in honest(ta, ea, tb, eb):
-            yield tensor, odd ^ bool(ta and tb)
-
-    monkeypatch.setattr(bar, "_shuffles", flipped)
+    # pi is 0 on most strata, where the check walks only the pairs with
+    # pi(ta) and pi(tb) both nonzero, but it walks every pair that lands
+    # where pi is not 0, and there the flipped sign shows
+    _bend_shuffle_signs(monkeypatch, lambda odd: not odd)
     report = verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
     assert not dict((name, ok) for name, ok, _ in report.checks)[
         "pi is multiplicative"]
+
+
+WITNESS_WINDOW = ("truncated", 2, 3, 3, 5, 16)
+
+
+@pytest.mark.parametrize("mutation", [
+    # first fails on pi((x) * (x | x^2)), pi of both factors nonzero
+    lambda mp: _bend_shuffle_signs(mp, lambda odd: not odd),
+    # first fails on pi((x) * (x^2)), pi((x^2)) = 0: the check must walk
+    # every row of a stratum where pi is not 0
+    lambda mp: _bend_shuffle_signs(mp, lambda odd: False),
+    # fails only off the strata where pi is not 0: the check must walk the
+    # pairs with pi of both factors nonzero there
+    lambda mp: _bend_one_model_product(mp, WITNESS_WINDOW),
+], ids=["flipped-sign", "unsigned", "model-product"])
+def test_pi_multiplicativity_witness_matches_the_full_walk(monkeypatch,
+                                                          mutation):
+    # the check drops only pairs that cannot fail, so its first witness
+    # is the full prefix walk's first failing pair
+    qc = _QuasiIsoCase(*WITNESS_WINDOW)
+    assert reference_multiplicativity_witness(qc, *WITNESS_WINDOW[4:]) is None
+    mutation(monkeypatch)
+    want = reference_multiplicativity_witness(qc, *WITNESS_WINDOW[4:])
+    assert want is not None
+    report = verify_quasi_iso(*WITNESS_WINDOW)
+    assert dict((name, witness) for name, _, witness in report.checks)[
+        "pi is multiplicative"] == want
 
 
 def test_shuffle_patterns_have_one_process_wide_cache():
