@@ -30,18 +30,20 @@ BarChain.boundary, so it lists no monomial of the window.  That complex
 is minimal, so bar_homology counts the critical cells once it has
 checked that the Morse differential vanishes on them (_critical_counts).
 BarComplex, the unreduced complex, is the tests' reference for it: its
-basis is the level build _bar_levels, which verify_quasi_iso reads too,
-and its coboundaries delta^s = d_{s+1}^T transpose _faces.
+basis is the stratum table _bar_strata, which verify_quasi_iso reads
+too, and its coboundaries delta^s = d_{s+1}^T transpose _faces.
 
 The shuffle product satisfies the graded Leibniz rule for this sign
-choice (property-tested).  One enumeration of shuffles (_shuffles)
-serves the shuffle product and the check that pi is multiplicative,
-which sums pi over it without building the product.  That check skips
-two kinds of pair, both exactly: where the shuffles land in a stratum
-on which pi is 0 it takes pi(a b) = 0 without summing, and there it
-walks only the pairs with pi(a) and pi(b) both nonzero, as pi(a) pi(b)
-= 0 otherwise.  So the pairs it drops compare 0 with 0, and its first
-witness is that of the walk over every pair.
+choice (property-tested).  One enumeration of shuffles (_shuffles),
+which alone reads the parities of the suspended degrees, serves the
+shuffle product and the check that pi is multiplicative, which sums pi
+over it without building the product.  That check walks two sets of
+pairs: every pair whose product lands in a live stratum, one where pi
+is not 0 on every tensor, and off the live strata only the pairs with
+pi(a) and pi(b) both nonzero.  The pairs it drops compare 0 with 0: off
+the live strata pi(a b) = 0, and pi(a) pi(b) = 0 unless both factors
+are nonzero.  So its witness, the least failing pair in (s, internal,
+tensor) order, is that of the walk over every pair.
 
 Homology of Tor^A(k, k) in the three one-generator cases has explicit
 small models:
@@ -275,22 +277,26 @@ def _extend(level: list, pieces: list, max_total: int,
             and (max_weight is None or w + dw <= max_weight)]
 
 
-def _bar_levels(presentation: AlgebraPresentation, top_s: int,
+def _bar_strata(presentation: AlgebraPresentation, top_s: int,
                 max_total: int, max_weight: Optional[int]
-                ) -> Iterator[list[tuple[Tensor, int, int]]]:
-    """Levels s = 0, ..., top_s of the window's bar tensors, each a list
-    of (tensor, total, weight) in increasing tensor order: a sorted level
-    extended by the increasing augmentation monomials stays sorted.  B_0
-    is empty when weight 0 lies outside the window."""
+                ) -> dict[tuple[int, int, int], list[Tensor]]:
+    """The window's bar tensors of length s = 0, ..., top_s by stratum
+    (s, total, weight), keys in increasing s, each list in increasing
+    tensor order: a sorted level extended by the increasing augmentation
+    monomials stays sorted.  B_0 is empty when weight 0 lies outside the
+    window."""
     pieces = [(m, presentation.mono_total(m), presentation.mono_weight(m))
               for m in presentation.augmentation_monomials(max_total,
                                                            max_weight)]
     level = [((), 0, 0)] if max_weight is None or max_weight >= 0 else []
-    yield level
-    for _ in range(top_s):
-        level = _extend(level, pieces, max_total, max_weight,
-                        lambda tensor, m: tensor + (m,))
-        yield level
+    strata: dict[tuple[int, int, int], list[Tensor]] = {}
+    for s in range(top_s + 1):
+        if s:
+            level = _extend(level, pieces, max_total, max_weight,
+                            lambda tensor, m: tensor + (m,))
+        for tensor, t, w in level:
+            strata.setdefault((s, t, w), []).append(tensor)
+    return strata
 
 
 @cache
@@ -308,17 +314,18 @@ def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
     return out
 
 
-def _shuffles(ta: Tensor, ea: list[int], tb: Tensor,
-              eb: list[int]) -> Iterator[tuple[Tensor, int]]:
-    """Every shuffle of ta into tb as (merged tensor, sign parity); ea, eb
-    are the suspended degrees |a| + 1 of the factors.  The sign counts the
-    crossings of a_i over b_j where both suspended degrees are odd."""
+def _shuffles(presentation: AlgebraPresentation, ta: Tensor,
+              tb: Tensor) -> Iterator[tuple[Tensor, int]]:
+    """Every shuffle of ta into tb as (merged tensor, sign parity).  The
+    sign counts the crossings of a_i over b_j where both suspended degrees
+    |a_i| + 1 and |b_j| + 1 are odd, that is both totals even."""
     if not ta or not tb:
         yield ta + tb, 0
         return
-    lb = len(tb)
-    odd_b = sum(1 << j for j, e in enumerate(eb) if e % 2)
-    odd = sum(odd_b << (i * lb) for i, e in enumerate(ea) if e % 2)
+    total, lb = presentation.mono_total, len(tb)
+    odd_b = sum(1 << j for j, m in enumerate(tb) if not total(m) % 2)
+    odd = sum(odd_b << (i * lb) for i, m in enumerate(ta)
+              if not total(m) % 2)
     factors = ta + tb
     for order, crossings in _shuffle_patterns(len(ta), lb):
         yield order(factors), (crossings & odd).bit_count() % 2
@@ -439,13 +446,11 @@ class BarChain:
         terms, self's factors inserted into other's."""
         self._check_compatible(other)
         P = self.presentation
-        e = {t: [P.mono_total(m) + 1 for m in t]
-             for t in (*self.terms, *other.terms)}
         acc: dict[Tensor, int] = {}
         for ta, ca in self.terms.items():
             for tb, cb in other.terms.items():
                 c = ca * cb
-                for key, odd in _shuffles(ta, e[ta], tb, e[tb]):
+                for key, odd in _shuffles(P, ta, tb):
                     acc[key] = acc.get(key, 0) + (-c if odd else c)
         return BarChain(P, acc)
 
@@ -492,12 +497,8 @@ class BarComplex:
         self.max_internal = max_internal
         self.max_weight = max_weight
 
-        # basis[(s, t, w)] = tensors, in increasing order as the levels are
-        self._basis: dict[tuple[int, int, int], list[Tensor]] = {}
-        for s, level in enumerate(_bar_levels(presentation, max_s + 1,
-                                              max_internal, max_weight)):
-            for tensor, t, w in level:
-                self._basis.setdefault((s, t, w), []).append(tensor)
+        self._basis = _bar_strata(presentation, max_s + 1, max_internal,
+                                  max_weight)
 
         # each (t, w) is one cochain complex in s, walked bottom-up from its
         # lowest block to its top block at s <= max_s, holding only
@@ -1018,12 +1019,11 @@ class _QuasiIsoCase:
                 out[m] = out.get(m, 0) + v * coeff
         return {m: v % p for m, v in out.items() if v % p}
 
-    def pi_product(self, ta: Tensor, ea: list[int], tb: Tensor,
-                   eb: list[int]) -> ModelElement:
-        """pi(ta * tb), ea and eb the suspended degrees: pi is linear, so
-        this sums +-pi over the shuffles without building the product."""
+    def pi_product(self, ta: Tensor, tb: Tensor) -> ModelElement:
+        """pi(ta * tb): pi is linear, so this sums +-pi over the shuffles
+        without building the product."""
         memo, p, out = self._pi_memo, self.p, {}
-        for tensor, odd in _shuffles(ta, ea, tb, eb):
+        for tensor, odd in _shuffles(self.algebra, ta, tb):
             image = memo(tensor)
             if image:
                 for m, v in image.items():
@@ -1096,50 +1096,42 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
         return sum((qc.inc(mono).scale(c) for mono, c in element.items()),
                    BarChain(qc.algebra))
 
-    # (tensor, s, internal, suspended degrees, pi of it) ordered by s, then
-    # internal degree, then tensor (every weight is 0).  strata[s] holds
-    # the rows of level s as (internal, rows, rows with pi != 0) by
-    # internal degree, so a pair walk meets only the pairs of the window
-    bar_tensors = []
-    strata: list[list[tuple[int, list, list]]] = []
-    for s, level in enumerate(_bar_levels(qc.algebra, max_s, max_internal,
-                                          None)):
-        groups: list[tuple[int, list, list]] = []
-        for tensor, t, _w in sorted(level, key=itemgetter(1)):
-            e = [qc.algebra.mono_total(m) + 1 for m in tensor]
-            pi = qc._pi_memo(tensor)
-            row = (tensor, s, t, e, pi)
-            bar_tensors.append(row)
-            if not groups or groups[-1][0] != t:
-                groups.append((t, [], []))
-            groups[-1][1].append(row)
-            if pi:
-                groups[-1][2].append(row)
-        strata.append(groups)
-    # the (s, internal) strata where pi is not 0 on every basis tensor; a
+    # the window's bar tensors by (s, internal) stratum (every weight is
+    # 0), and the live strata, where pi is not 0 on every tensor; a
     # boundary or a shuffle product that lands outside them has pi = 0
-    live = {(s, t) for _, s, t, _, pi in bar_tensors if pi}
+    memo = qc._pi_memo
+    strata = {(s, t): tensors for (s, t, _w), tensors in
+              _bar_strata(qc.algebra, max_s, max_internal, None).items()}
+    nonzero = [(s, t, tensor) for (s, t), tensors in strata.items()
+               for tensor in tensors if memo(tensor)]
+    live = {(s, t) for s, t, _ in nonzero}
 
-    def product_pairs() -> Iterator[tuple[tuple, tuple, bool]]:
-        """(a, b, whether a b lands in a live stratum) for the pairs with
-        sa + sb <= max_s and internal degrees summing to <= max_internal,
-        in the order of bar_tensors, less pairs that cannot fail.  Off the
-        live strata pi(a b) = 0, as every shuffle of a and b lies in the
-        stratum of a b, so pi(a b) is not computed there; and pi(a) pi(b)
-        is 0 there unless pi(a) and pi(b) are both nonzero, so only those
-        pairs are walked there.  Every pair landing in a live stratum is
-        walked.  The pairs dropped compare {} with {}, so the first
-        failing pair is the first of the full walk."""
-        for a in bar_tensors:
-            _, sa, ia, _, pa = a
-            for sb in range(max_s - sa + 1):
-                for ib, rows, nonzero in strata[sb]:
-                    if ia + ib > max_internal:
-                        break
-                    if (sa + sb, ia + ib) in live:
-                        yield from ((a, b, True) for b in rows)
-                    elif pa:
-                        yield from ((a, b, False) for b in nonzero)
+    def product_failures() -> Iterator[tuple]:
+        """(sa, ia, a, sb, ib, b) of each failing pair among those that can
+        fail: every pair landing in a live stratum, and off them the pairs
+        with pi(a) and pi(b) both nonzero.  Off the live strata pi(a b) =
+        0, as every shuffle of a and b lies in the stratum of a b, and
+        pi(a) pi(b) = 0 unless both are nonzero, so the pairs dropped
+        compare {} with {}."""
+        for s, t in live:
+            for (sa, ia), tas in strata.items():
+                tbs = strata.get((s - sa, t - ia), ())
+                for ta, tb in itertools.product(tas, tbs):
+                    if qc.pi_product(ta, tb) != _model_mul(model, memo(ta),
+                                                           memo(tb)):
+                        yield sa, ia, ta, s - sa, t - ia, tb
+        for (sa, ia, ta), (sb, ib, tb) in itertools.product(nonzero, repeat=2):
+            if (sa + sb <= max_s and ia + ib <= max_internal
+                    and (sa + sb, ia + ib) not in live
+                    and _model_mul(model, memo(ta), memo(tb))):
+                yield sa, ia, ta, sb, ib, tb
+
+    def least_product_failure() -> Iterator[str]:
+        """The least failing pair in (s, internal, tensor) order, which is
+        the order of the keys product_failures yields."""
+        least = min(product_failures(), default=None)
+        if least:
+            yield f"pi({least[2]} * {least[5]})"
 
     model_basis = [mb for mb in [model.unit]
                    + model.augmentation_monomials(max_s + max_internal)
@@ -1152,9 +1144,9 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
     # differential is zero, so a chain map kills every boundary
     witnesses = (
         ("pi is a chain map",
-         (f"pi(d{t}) != 0" for t, s, tt, *_ in bar_tensors
-          if (s - 1, tt) in live
-          and qc.pi(BarChain(qc.algebra, {t: 1}).boundary()))),
+         (f"pi(d{t}) != 0" for s, tt in sorted(strata) if (s - 1, tt) in live
+          for t in strata[s, tt]
+          if qc.pi(BarChain(qc.algebra, {t: 1}).boundary()))),
         ("inc is a chain map",
          (f"d(inc({name(mb)})) != 0" for mb in model_basis
           if not qc.inc(mb).boundary().is_zero())),
@@ -1164,12 +1156,7 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
         ("homology dimensions match the small model",
          iter([] if bar_dims == model_dims else
               [f"bar {bar_dims.as_dict()} vs model {model_dims.as_dict()}"])),
-        ("pi is multiplicative",
-         (f"pi({ta} * {tb})"
-          for (ta, _, _, ea, pa), (tb, _, _, eb, pb), lands_live
-          in product_pairs()
-          if (qc.pi_product(ta, ea, tb, eb) if lands_live else {})
-          != _model_mul(model, pa, pb))),
+        ("pi is multiplicative", least_product_failure()),
         ("inc is multiplicative",
          (f"inc({name(ma)} * {name(mb)})"
           for ma in model_basis for mb in model_basis

@@ -10,15 +10,16 @@ length.  ``reference_differential`` builds a differential d_s from the
 adjacent factors of each basis tensor, with its own sign rule, and
 ``reference_homology`` ranks the d_s top-down in s, d_s with the leads
 of d_{s+1} cleared.  ``reference_multiplicativity_witness`` is the full
-prefix walk of the check that pi is multiplicative.
-``bar.BarChain.__mul__``, ``bar._QuasiIsoCase._pi_tensor``, the
-coboundaries of ``bar.BarComplex``, its bottom-up pass and the pair walk
-of ``bar.verify_quasi_iso`` are compared with them.
+prefix walk of the check that pi is multiplicative, and
+``reference_chain_map_failures`` the full walk of the check that pi is a
+chain map, neither skipping a stratum.  ``bar.BarChain.__mul__``,
+``bar._QuasiIsoCase._pi_tensor``, the coboundaries of
+``bar.BarComplex``, its bottom-up pass, and the pair walk and the
+boundary walk of ``bar.verify_quasi_iso`` are compared with them.
 """
 
 import itertools
 from functools import cache
-from operator import itemgetter
 
 from hochhom import bar
 from hochhom.bar import BarChain, BigradedDims
@@ -120,22 +121,34 @@ def reference_homology(cx):
     return BigradedDims(dims)
 
 
+def _rows(qc, max_s, max_internal):
+    """(tensor, s, internal, pi of it) of every bar tensor of the window
+    of the _QuasiIsoCase qc, ordered by s, internal degree and tensor."""
+    return [(tensor, s, t, qc._pi_tensor(tensor))
+            for (s, t, _w), tensors in sorted(bar._bar_strata(
+                qc.algebra, max_s, max_internal, None).items())
+            for tensor in tensors]
+
+
 def reference_multiplicativity_witness(qc, max_s, max_internal):
     """The first failure of "pi is multiplicative" for the _QuasiIsoCase
     qc, or None.  Each basis tensor ta, ordered by s, internal degree and
     tensor, meets every tb of the prefix of that order with s_a + s_b <=
     max_s, and every pair whose internal degrees sum to <= max_internal
     compares pi(ta * tb) with pi(ta) pi(tb); no pair is skipped."""
-    rows = []
-    for s, level in enumerate(bar._bar_levels(qc.algebra, max_s,
-                                              max_internal, None)):
-        for tensor, t, _w in sorted(level, key=itemgetter(1)):
-            e = [qc.algebra.mono_total(m) + 1 for m in tensor]
-            rows.append((tensor, s, t, e, qc._pi_tensor(tensor)))
+    rows = _rows(qc, max_s, max_internal)
     upto = [sum(s <= k for _, s, *_ in rows) for k in range(max_s + 1)]
-    for ta, sa, ia, ea, pa in rows:
-        for tb, sb, ib, eb, pb in itertools.islice(rows, upto[max_s - sa]):
-            if (ia + ib <= max_internal and qc.pi_product(ta, ea, tb, eb)
+    for ta, sa, ia, pa in rows:
+        for tb, sb, ib, pb in itertools.islice(rows, upto[max_s - sa]):
+            if (ia + ib <= max_internal and qc.pi_product(ta, tb)
                     != bar._model_mul(qc.model, pa, pb)):
                 return f"pi({ta} * {tb})"
     return None
+
+
+def reference_chain_map_failures(qc, max_s, max_internal):
+    """The tensors t of the window of the _QuasiIsoCase qc with pi(d t) !=
+    0, ordered by s, internal degree and tensor: every tensor is tried,
+    whatever stratum its boundary lands in."""
+    return [tensor for tensor, *_ in _rows(qc, max_s, max_internal)
+            if qc.pi(BarChain(qc.algebra, {tensor: 1}).boundary())]

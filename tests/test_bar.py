@@ -29,7 +29,8 @@ from hochhom.bar import (
     verify_quasi_iso,
 )
 from hochhom.fplinear import CompositionError, SparseFpMatrix
-from bar_reference import (reference_differential, reference_homology,
+from bar_reference import (reference_chain_map_failures,
+                           reference_differential, reference_homology,
                            reference_multiplicativity_witness,
                            reference_pi_tensor, reference_shuffle)
 from shared_complexes import grid_complexes, weight_graded_complex
@@ -192,6 +193,32 @@ def test_packed_basis_matches_an_independent_enumeration():
                 for (t, w), tensors in expected.items():
                     assert cx.basis(s, t, w) == tensors, \
                         (cx.presentation, s, t, w)
+
+
+def test_bar_strata_hold_the_levels_through_top_s(monkeypatch):
+    # keys in increasing s, each level s <= top_s against the tensors that
+    # itertools.product finds, and no level built past top_s: the tensor
+    # levels are extended top_s times
+    extended = []
+    honest = bar._extend
+
+    def counting(level, pieces, *rest):
+        if pieces and isinstance(pieces[0][0], tuple):
+            extended.append(len(level))
+        return honest(level, pieces, *rest)
+
+    monkeypatch.setattr(bar, "_extend", counting)
+    P = AlgebraPresentation(3, (exterior("a", 3), truncated("b", 3, 2)))
+    for top_s in (0, 1, 3):
+        extended.clear()
+        strata = bar._bar_strata(P, top_s, 10, None)
+        assert len(extended) == top_s
+        levels = [s for s, _, _ in strata]
+        assert levels == sorted(levels)
+        for s in range(top_s + 1):
+            assert {(t, w): tensors for (s2, t, w), tensors in strata.items()
+                    if s2 == s} == _window_tensors(P, s, 10, None), (top_s, s)
+        assert set(levels) == set(range(top_s + 1))
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 9, 17])
@@ -626,18 +653,15 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
         qc = _QuasiIsoCase(*case)
         _, _, _, _, max_s, max_internal = case
         P = qc.algebra
-        strata = {}
-        for s, level in enumerate(bar._bar_levels(P, max_s, max_internal,
-                                                  None)):
-            for t, internal, _w in level:
-                strata.setdefault((s, internal), []).append(
-                    (t, [P.mono_total(m) + 1 for m in t],
-                     reference_pi_tensor(qc, t) or {}))
+        strata = {(s, internal): [(t, reference_pi_tensor(qc, t) or {})
+                                  for t in tensors]
+                  for (s, internal, _w), tensors in bar._bar_strata(
+                      P, max_s, max_internal, None).items()}
         live = {st for st, rows in strata.items()
-                if any(pi for _, _, pi in rows)}
+                if any(pi for _, pi in rows)}
         small = case in QUASI_ISO_CASES
         for (sa, ia), rows_a in strata.items():
-            for ta, _, _ in rows_a if small else ():
+            for ta, _ in rows_a if small else ():
                 if (sa - 1, ia) not in live:
                     assert qc.pi(BarChain(P, {ta: 1}).boundary()) == {}, (
                         case, ta)
@@ -645,15 +669,14 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
                 if sa + sb > max_s or ia + ib > max_internal:
                     continue
                 lands_live = (sa + sb, ia + ib) in live
-                for (ta, ea, pa), (tb, eb, pb) in itertools.product(
-                        rows_a, rows_b):
+                for (ta, pa), (tb, pb) in itertools.product(rows_a, rows_b):
                     if not lands_live and not (pa and pb):
                         assert bar._model_mul(qc.model, pa, pb) == {}, (
                             case, ta, tb)
                     if not small:
                         continue
                     a, b = BarChain(P, {ta: 1}), BarChain(P, {tb: 1})
-                    got = qc.pi_product(ta, ea, tb, eb)
+                    got = qc.pi_product(ta, tb)
                     assert got == qc.pi(a * b), (case, ta, tb)
                     assert got == _reference_pi(qc, reference_shuffle(a, b)), (
                         case, ta, tb)
@@ -666,8 +689,8 @@ def _bend_shuffle_signs(monkeypatch, bend):
     by bend(parity)."""
     honest = bar._shuffles
 
-    def bent(ta, ea, tb, eb):
-        for tensor, odd in honest(ta, ea, tb, eb):
+    def bent(P, ta, tb):
+        for tensor, odd in honest(P, ta, tb):
             yield tensor, bend(odd) if ta and tb else odd
 
     monkeypatch.setattr(bar, "_shuffles", bent)
@@ -679,9 +702,9 @@ def _bend_one_model_product(monkeypatch, window):
     0, where pi(ta * tb) is 0."""
     qc = _QuasiIsoCase(*window)
     max_s, max_internal = window[4:]
-    rows = [(s, t, pi) for s, level in enumerate(
-        bar._bar_levels(qc.algebra, max_s, max_internal, None))
-        for tensor, t, _w in level if (pi := qc._pi_tensor(tensor))]
+    rows = [(s, t, pi) for (s, t, _w), tensors in bar._bar_strata(
+        qc.algebra, max_s, max_internal, None).items()
+        for tensor in tensors if (pi := qc._pi_tensor(tensor))]
     live = {(s, t) for s, t, _ in rows}
     pa, pb = next(
         (pa, pb) for sa, ia, pa in rows for sb, ib, pb in rows
@@ -731,6 +754,38 @@ def test_pi_multiplicativity_witness_matches_the_full_walk(monkeypatch,
     report = verify_quasi_iso(*WITNESS_WINDOW)
     assert dict((name, witness) for name, _, witness in report.checks)[
         "pi is multiplicative"] == want
+
+
+@pytest.mark.parametrize("reverse", [False, True],
+                         ids=["table-order", "reversed-table"])
+def test_pi_chain_map_witness_matches_the_full_walk(monkeypatch, reverse):
+    # pi doubled on the tensors of length >= 2 ending in (x) fails the
+    # chain-map check in several strata; the check walks only the strata
+    # whose boundaries land where pi is not 0, and its first witness is
+    # that of the walk over every tensor in (s, internal, tensor) order,
+    # whatever order the stratum table lists its keys in
+    if reverse:
+        strata = bar._bar_strata
+        monkeypatch.setattr(bar, "_bar_strata", lambda *window: dict(
+            reversed(strata(*window).items())))
+    qc = _QuasiIsoCase(*WITNESS_WINDOW)
+    assert reference_chain_map_failures(qc, *WITNESS_WINDOW[4:]) == []
+    honest = _QuasiIsoCase._pi_tensor
+
+    def bent(self, tensor):
+        image = honest(self, tensor)
+        if len(tensor) >= 2 and tensor[-1] == (1,):
+            return {m: 2 * v % self.p for m, v in image.items()}
+        return image
+
+    monkeypatch.setattr(_QuasiIsoCase, "_pi_tensor", bent)
+    qc = _QuasiIsoCase(*WITNESS_WINDOW)
+    failures = reference_chain_map_failures(qc, *WITNESS_WINDOW[4:])
+    P = qc.algebra
+    assert len({(len(t), sum(map(P.mono_total, t))) for t in failures}) > 1
+    report = verify_quasi_iso(*WITNESS_WINDOW)
+    assert dict((name, witness) for name, _, witness in report.checks)[
+        "pi is a chain map"] == f"pi(d{failures[0]}) != 0"
 
 
 def test_shuffle_patterns_have_one_process_wide_cache():
