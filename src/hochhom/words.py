@@ -37,9 +37,9 @@ word of length n: the same step counts the words of each length by
 (leading kind, exponent sum), to refuse a search too large, and tables
 the totals by leading kind below length n, as one increasing run per
 exponent sum; the search intersects sets of length-n totals, one window
-of totals at a time, and solves only the hits back into words.  A
-separate scalar recursion for |w| (total_degree) is kept as an
-independent cross-check of the fold.
+of totals at a time, and solves only the hits back into words, peeling
+each hit's head letter directly and memoising only the lengths below n.
+A scalar recursion for |w| (total_degree) cross-checks the fold.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
+from itertools import starmap
 from typing import Callable, Literal, Optional
 
 from .fplinear import _is_prime
@@ -147,8 +148,8 @@ def is_admissible(word: Word, family: WordFamily) -> bool:
         if left[0] != "eps":
             if len(left) != 2:
                 return False
-            k = left[1]
-            if k is not None and (not isinstance(k, int) or k < 0):
+            k = left[1]  # a bool is no exponent: True == 1
+            if k is not None and (type(k) is not int or k < 0):
                 return False
     return True
 
@@ -156,14 +157,15 @@ def is_admissible(word: Word, family: WordFamily) -> bool:
 _LETTER_RANK = {"eps": 0, "rho": 1, "phi": 2, "mu": 3, "x": 3}
 
 
-def _letter_key(letter: Letter) -> tuple[int, int]:
-    k = letter[1] if len(letter) > 1 and letter[1] is not None else -1
-    return (_LETTER_RANK[letter[0]], k)
+# one form per letter, typed: rho(True) == rho(1), with one hash
+@lru_cache(maxsize=None, typed=True)
+def _letter_key(kind: str, k=None, *_rest) -> tuple[int, int]:
+    return (_LETTER_RANK[kind], -1 if k is None else k)
 
 
 def canonical_key(word: Word) -> tuple:
     """Sort key: eps < rho < phi letterwise, exponents ascending, then tail."""
-    return tuple(_letter_key(l) for l in word)
+    return tuple(starmap(_letter_key, word))
 
 
 def enumerate_shapes(n: int, family: WordFamily) -> list[Word]:
@@ -329,17 +331,26 @@ _KEY_FORMS = {"mu": "u", "x": "x", "eps": "e", "rho": "r^", "phi": "l^"}
 _HUMAN_FORMS = {"mu": "μ", "x": "x", "eps": "ε", "rho": "ρ^", "phi": "φ^"}
 
 
+@lru_cache(maxsize=None, typed=True)
+def _key_form(kind: str, *ks) -> str:
+    return _KEY_FORMS[kind] + "".join(map(str, ks))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _human_form(kind: str, *ks) -> str:
+    return _HUMAN_FORMS[kind] + "".join("?" if k is None else str(k)
+                                        for k in ks)
+
+
 def render_key(word: Word) -> str:
     """Compact key syntax: u, e, r^k, l^k (l marks the phi letters)."""
-    return "".join(_KEY_FORMS[l[0]] + "".join(map(str, l[1:])) for l in word)
+    return "".join(starmap(_key_form, word))
 
 
 def render_human(word: Word) -> str:
     """Unicode math syntax, e.g. rho^1 eps mu as ρ^1εμ; ? marks a blank
     exponent."""
-    return "".join(_HUMAN_FORMS[l[0]] + "".join("?" if k is None else str(k)
-                                                for k in l[1:])
-                   for l in word)
+    return "".join(starmap(_human_form, word))
 
 
 @dataclass(frozen=True)
@@ -509,8 +520,9 @@ def diff_candidates(n: int, p: int, max_degree: int,
     letter heads a word of total T only when b divides T - a, the rest
     having total (T - a)/b, and a peel is taken only when a run of the
     tables with a sum inside the budget left holds that total, so every
-    branch yields a word.  Memory is the tables below length n,
-    one window and the pairs.
+    branch yields a word.  solve memoises the words below length n; a
+    hit's heads are peeled unmemoised, its sources only if a target
+    solved.  Memory is the tables below length n, one window and the pairs.
     A search whose length-n level (_word_counts) holds more than
     _MAX_WORDS words raises ValueError with that count before any table
     is built.  The search needs p^E <= max_degree, so max_degree >= 1.
@@ -536,20 +548,16 @@ def diff_candidates(n: int, p: int, max_degree: int,
     rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
                      if kind in _left_kinds(r, family)] for kind in letters}
 
-    @cache
-    def solve(total: int, kind: str, budget: int, length: int,
-              ladder: Optional[tuple] = None) -> list[Word]:
+    def peel(total: int, budget: int, length: int, kind: str,
+             moves) -> list[Word]:
         """The words of this length, total degree total and exponent sum
-        <= budget that lead with a letter of this kind (of ladder, if
-        given)."""
-        if length == 1:
-            return [(family.base_letter,)]
+        <= budget that lead with a letter of this kind, of moves."""
         found = []
-        for letter, a, b, k in ladder or letters[kind]:
+        for letter, a, b, k in moves:
             if k > budget or a > total:
                 break
             rest, off = divmod(total - a, b)
-            if off:
+            if off:  # b does not divide total - a
                 continue
             for right in rights[kind]:
                 runs = tables[length - 2].get(right, ())
@@ -557,6 +565,12 @@ def diff_candidates(n: int, p: int, max_degree: int,
                     found += [(letter,) + u for u in
                               solve(rest, right, budget - k, length - 1)]
         return found
+
+    @cache
+    def solve(total: int, kind: str, budget: int, length: int) -> list[Word]:
+        """peel with every letter of the kind; memoised, for lengths < n."""
+        return (peel(total, budget, length, kind, letters[kind]) if length > 1
+                else [(family.base_letter,)])
 
     # every letter as a head of length-n words: (kind, letter, a, b, k)
     heads = [(kind, *move) for kind, ladder in letters.items()
@@ -587,11 +601,11 @@ def diff_candidates(n: int, p: int, max_degree: int,
                     hits.update(aims_at.intersection(image))
         for t in hits:
             hit = [(v, a) for kind, letter, a, b, k in targets
-                   for v in solve(t - 1, kind, bound, n, ((letter, a, b, k),))]
-            for kind, letter, a, b, k in sources:
+                   for v in peel(t - 1, bound, n, kind, ((letter, a, b, k),))]
+            for kind, letter, a, b, k in sources if hit else ():
                 found += [DifferentialCandidate(
                     w, Bidegree(a, t - a), v, Bidegree(hv, t - 1 - hv))
-                    for w in solve(t, kind, bound, n, ((letter, a, b, k),))
+                    for w in peel(t, bound, n, kind, ((letter, a, b, k),))
                     for v, hv in hit]
     order = cache(canonical_key)
     found.sort(key=lambda c: (order(c.source), order(c.target)))

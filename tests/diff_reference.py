@@ -6,7 +6,7 @@ of its own, tables the targets by total degree and pairs each source
 with the targets one degree below it.  It holds the whole length-n
 level in memory, so it serves only small cases; the shipping search in
 hochhom.words never builds that level, and this oracle shares neither
-its level step, its letter moves nor its letter rule.
+its level step, its letter moves, its letter rule nor its letter memo.
 
 ``listed_total_tables`` tables the totals of the same listing by length,
 leading kind and exact exponent sum, the layout of the search's tables
@@ -20,11 +20,10 @@ from hochhom.words import (
     Bidegree,
     DifferentialCandidate,
     Word,
-    canonical_key,
     exponent_bound,
     family_b,
 )
-from word_reference import sum_bounded_words
+from word_reference import reference_canonical, sum_bounded_words
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +75,8 @@ def diff_candidates(n: int, p: int, max_degree: int,
             if hw - hv > 1:
                 found.append(DifferentialCandidate(
                     w, Bidegree(hw, iw), v, Bidegree(hv, iv)))
-    found.sort(key=lambda c: (canonical_key(c.source), canonical_key(c.target)))
+    found.sort(key=lambda c: (reference_canonical(c.source),
+                              reference_canonical(c.target)))
     return found
 
 

@@ -42,6 +42,12 @@ FROZEN_REPORTS = {
         "0:238d028731240918dfbfb4df930b16ae8c03d3399cead9ca1fb40341c2ad4b29",
         "0:7c83028946bb493bcf9bfdc8ef442961a42755fbf7f07bd0c6a52157d210e07b",
         "0:bd1ef5293db57fb9be53f07869531a14afc031e52b043ec9aada503b82135f5e"),
+    # odd p: 61 pairs with eps, rho^k and phi^k letters up to k = 4,
+    # recorded before the per-letter render memo
+    "diff-search --p 3 --n 10 --max-degree 120 --mode raw": (
+        "0:5d8141fad394ee772e2c9b366d76afad3c52702504aece28cfbc05c8a9d2fdb0",
+        "0:31ab9ad92d6ae8112d91d686bc0eea8c16bd627f01261d2787d89229f2bc298d",
+        "0:d74d72b1200c97223621292e3a5420b143aea518aa293994eb476f5ec71f5e3c"),
     "verify bar --case poly --x-degree 2 --p 2 --max-s 3 --max-degree 8": (
         "0:1371bef7d9732d593f92abbdeefc2c3ee8724a060d737b2b3e51eabcf67a50a6",
         "0:9bee1d9f18ee5dee9b653a1625d3718161e31442133065d777faa28ff94b5ab0",

@@ -35,7 +35,14 @@ from hochhom.words import (
 )
 from diff_reference import diff_candidates as listing_candidates
 from diff_reference import listed_total_tables
-from word_reference import grid_cases, reference_words, sum_bounded_words
+from word_reference import (
+    grid_cases,
+    reference_canonical,
+    reference_human,
+    reference_key,
+    reference_words,
+    sum_bounded_words,
+)
 
 
 def fold_bidegree(word, p, family):
@@ -282,6 +289,42 @@ def test_unknown_letter_raises_not_admissible():
                 check(word)
 
 
+def test_bool_exponent_is_inadmissible():
+    fam = family_b()
+    for word in ((("rho", True), EPS, MU), (("phi", False), rho(0), EPS, MU),
+                 (EPS, ("rho", True), EPS, MU)):
+        assert not is_admissible(word, fam), word
+        for check in (lambda w: bidegree(w, 3, fam),
+                      lambda w: total_degree(w, 3, fam),
+                      lambda w: classify(w, fam)):
+            with pytest.raises(ValueError, match="not admissible"):
+                check(word)
+
+
+def same_as_reference(word):
+    """The memoised renderers and sort key give the reference's values,
+    down to the type of each exponent in the key."""
+    return (render_key(word) == reference_key(word)
+            and render_human(word) == reference_human(word)
+            and repr(canonical_key(word)) == repr(reference_canonical(word)))
+
+
+@pytest.mark.parametrize("bool_first", (True, False))
+def test_letter_memo_keeps_bool_and_int_exponents_apart(bool_first):
+    # True == 1 and False == 0, with equal hashes: a memo keyed on the
+    # letter alone would render the second of the two as the first
+    for memo in (words._key_form, words._human_form, words._letter_key):
+        memo.cache_clear()
+    for ints, bools, keys in (
+            ((rho(1), EPS, MU), (("rho", True), EPS, MU),
+             ("r^1eu", "r^Trueeu")),
+            ((phi(0), rho(0), EPS, MU), (("phi", False), rho(0), EPS, MU),
+             ("l^0r^0eu", "l^Falser^0eu"))):
+        for word in (bools, ints) if bool_first else (ints, bools):
+            assert same_as_reference(word), word
+        assert (render_key(ints), render_key(bools)) == keys
+
+
 def test_xweight():
     # the weight graded_words reports, and the independent fold
     famp, famm = family_bprime(), family_bdoubleprime(4)
@@ -464,6 +507,22 @@ def test_diff_candidates_match_listing_reference():
     want = listed(7, 2, 64, "refined")
     assert len(want) == 115
     assert sum(c.target[1][0] == "phi" for c in want) == 105
+
+
+def test_memoised_renderers_match_the_reference():
+    fams = (family_b(), family_bprime(), family_bdoubleprime(3),
+            family_bdoubleprime(4))
+    listed_words = {w for fam in fams for p in (2, 3, 5) for n in range(1, 8)
+                    for w in enumerate_words(n, fam, p, 100)}
+    shapes = {w for fam in fams for n in range(1, 9)
+              for w in enumerate_shapes(n, fam)}
+    assert any(l[1:] == (None,) for w in shapes for l in w)
+    # raw pairs hold the refined ones
+    pairs = {w for p, N, longest in DIFF_GRID for n in range(2, longest + 1)
+             for c in diff_candidates(n, p, N, "raw")
+             for w in (c.source, c.target)}
+    for ws in (listed_words, shapes, pairs):
+        assert ws and all(map(same_as_reference, ws))
 
 
 def test_diff_candidates_keep_totals_past_64_bits():

@@ -1,18 +1,20 @@
-"""The first word enumerator and series product, kept as reference oracles.
+"""The first word enumerator, renderers and series product, kept as
+reference oracles.
 
 ``sum_bounded_words`` lists every admissible shape and fills its rho/phi
 slots with every exponent tuple of sum <= E; ``reference_words`` keeps
 those (E with p^E <= bound) whose scalar total degree is within the
 bound.  ``reference_series`` multiplies one class factor per listed
-word.  All are slow, and none shares the level step, the letter moves
-or the letter rule (_action) of the code they are compared with.
+word.  ``reference_key``, ``reference_human`` and ``reference_canonical``
+render and key a word letter by letter, with no memo.  All are slow, and
+none shares the level step, the letter moves, the letter rule (_action)
+or the letter memo of the code they are compared with.
 """
 
 from functools import lru_cache
 
 from hochhom.words import (
     X,
-    canonical_key,
     classify,
     enumerate_shapes,
     exponent_bound,
@@ -42,6 +44,30 @@ def grid_cases(families=GRID_FAMILIES):
     """Every (family, n, p, N) of the equivalence grid."""
     return [(fam, n, p, N) for p, rows in GRID.items() for N, longest in rows
             for fam in families for n in range(1, longest + 1)]
+
+
+KEY_FORMS = {"mu": "u", "x": "x", "eps": "e", "rho": "r^", "phi": "l^"}
+HUMAN_FORMS = {"mu": "μ", "x": "x", "eps": "ε", "rho": "ρ^", "phi": "φ^"}
+LETTER_RANK = {"eps": 0, "rho": 1, "phi": 2, "mu": 3, "x": 3}
+
+
+def reference_key(word):
+    """Compact key syntax, each letter formed afresh."""
+    return "".join(KEY_FORMS[l[0]] + "".join(map(str, l[1:])) for l in word)
+
+
+def reference_human(word):
+    """Unicode math syntax, ? for a blank exponent, each letter afresh."""
+    return "".join(HUMAN_FORMS[l[0]] + "".join("?" if k is None else str(k)
+                                               for k in l[1:])
+                   for l in word)
+
+
+def reference_canonical(word):
+    """The canonical sort key: (rank of the kind, exponent or -1) per letter."""
+    return tuple((LETTER_RANK[l[0]],
+                  l[1] if len(l) > 1 and l[1] is not None else -1)
+                 for l in word)
 
 
 def sum_bounded_tuples(length, bound):
@@ -98,7 +124,7 @@ def reference_words(n, family, p, max_degree):
     bound = exponent_bound(max_degree, p)
     return tuple(sorted((w for w in sum_bounded_words(n, family, bound)
                          if word_degree(w, p, family) <= max_degree),
-                        key=canonical_key))
+                        key=reference_canonical))
 
 
 def reference_series(family, n, p, max_degree):
