@@ -157,7 +157,7 @@ def is_admissible(word: Word, family: WordFamily) -> bool:
 _LETTER_RANK = {"eps": 0, "rho": 1, "phi": 2, "mu": 3, "x": 3}
 
 
-# one form per letter, typed: rho(True) == rho(1), with one hash
+# the letter memos are typed: rho(True) == rho(1), with one hash
 @lru_cache(maxsize=None, typed=True)
 def _letter_key(kind: str, k=None, *_rest) -> tuple[int, int]:
     return (_LETTER_RANK[kind], -1 if k is None else k)
