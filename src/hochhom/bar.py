@@ -34,16 +34,16 @@ basis is the stratum table _bar_strata, which verify_quasi_iso reads
 too, and its coboundaries delta^s = d_{s+1}^T transpose _faces.
 
 The shuffle product satisfies the graded Leibniz rule for this sign
-choice (property-tested).  One enumeration of shuffles (_shuffles),
-which alone reads the parities of the suspended degrees, serves the
-shuffle product and the check that pi is multiplicative, which sums pi
-over it without building the product.  That check walks two sets of
-pairs: every pair whose product lands in a live stratum, one where pi
-is not 0 on every tensor, and off the live strata only the pairs with
-pi(a) and pi(b) both nonzero.  The pairs it drops compare 0 with 0: off
-the live strata pi(a b) = 0, and pi(a) pi(b) = 0 unless both factors
-are nonzero.  So its witness, the least failing pair in (s, internal,
-tensor) order, is that of the walk over every pair.
+choice (property-tested).  _shuffles alone enumerates shuffles and
+_odd_factors alone reads the parities that sign them.  pi is 0 off one
+shape of tensor and on it depends only on the length, so the check that
+pi is multiplicative counts the signed shuffles of a and b of that shape
+(_QuasiIsoCase.pi_product) and enumerates none.  It walks every pair
+whose product lands in a live stratum, where pi is not 0 on every
+tensor, and elsewhere only the pairs with pi(a), pi(b) both nonzero:
+elsewhere pi(a b) = 0, as each shuffle of a and b lies in the stratum of
+a b, and pi(a) pi(b) = 0 unless both are nonzero.  So its witness, the
+least failing pair in (s, internal, tensor) order, is the full walk's.
 
 Homology of Tor^A(k, k) in the three one-generator cases has explicit
 small models:
@@ -314,18 +314,22 @@ def _shuffle_patterns(la: int, lb: int) -> list[tuple[itemgetter, int]]:
     return out
 
 
+def _odd_factors(presentation: AlgebraPresentation, tensor: Tensor) -> int:
+    """The mask of the factors with odd suspended degree |t_i| + 1: a
+    shuffle's sign counts its crossings of a_i over b_j with both set."""
+    total = presentation.mono_total
+    return sum(1 << i for i, m in enumerate(tensor) if not total(m) % 2)
+
+
 def _shuffles(presentation: AlgebraPresentation, ta: Tensor,
               tb: Tensor) -> Iterator[tuple[Tensor, int]]:
-    """Every shuffle of ta into tb as (merged tensor, sign parity).  The
-    sign counts the crossings of a_i over b_j where both suspended degrees
-    |a_i| + 1 and |b_j| + 1 are odd, that is both totals even."""
+    """Every shuffle of ta into tb as (merged tensor, sign parity)."""
     if not ta or not tb:
         yield ta + tb, 0
         return
-    total, lb = presentation.mono_total, len(tb)
-    odd_b = sum(1 << j for j, m in enumerate(tb) if not total(m) % 2)
-    odd = sum(odd_b << (i * lb) for i, m in enumerate(ta)
-              if not total(m) % 2)
+    P, lb = presentation, len(tb)
+    odd_a, odd_b = _odd_factors(P, ta), _odd_factors(P, tb)
+    odd = sum(odd_b << (i * lb) for i in range(len(ta)) if odd_a >> i & 1)
     factors = ta + tb
     for order, crossings in _shuffle_patterns(len(ta), lb):
         yield order(factors), (crossings & odd).bit_count() % 2
@@ -997,6 +1001,7 @@ class _QuasiIsoCase:
         self.model = tor_presentation(self.algebra, max_s + max_internal)
         self._offset = 0 if case == "exterior" else 1
         self._pi_memo = cache(self._pi_tensor)
+        self._parities = cache(self._parity_table)
 
     def _gamma_element(self, n: int, delta: int = 0) -> ModelElement:
         """gamma_n of the divided-power class, times (eps x)^delta."""
@@ -1020,31 +1025,49 @@ class _QuasiIsoCase:
         return {m: v % p for m, v in out.items() if v % p}
 
     def pi_product(self, ta: Tensor, tb: Tensor) -> ModelElement:
-        """pi(ta * tb): pi is linear, so this sums +-pi over the shuffles
-        without building the product."""
-        memo, p, out = self._pi_memo, self.p, {}
-        for tensor, odd in _shuffles(self.algebra, ta, tb):
-            image = memo(tensor)
-            if image:
-                for m, v in image.items():
-                    out[m] = out.get(m, 0) + (-v if odd else v)
-        return {m: v % p for m, v in out.items() if v % p}
+        """pi(ta * tb), with no product built.  pi is 0 off one shape of
+        tensor, (x) first when the length L is odd, then blocks (x^a | x^b)
+        with a + b = m (none in the poly case; every tensor for m = 2 in the
+        exterior case), and on it depends only on L.  So this is c pi_L, c
+        the signed number of shuffles of that shape, counted block by block
+        over i, the factors of ta placed."""
+        la, lb, L = len(ta), len(tb), len(ta) + len(tb)
+        m = 2 if self.case == "exterior" else self.m
+        if m is None and L > 1:
+            return {}
+        # a_i placed after b_0 .. b_{j-1} flips the sign when fa[i] & pb[j];
+        # with tb empty nothing crosses, and fa is never read
+        fa, pb = self._parities(ta)[0] if tb else None, self._parities(tb)[1]
+        level = {i: 1 for i, t in ((1, ta), (0, tb))
+                 if t[:1] == ((1,),)} if L % 2 else {0: 1}  # (x): a_0 or b_0
+        for pos in range(L % 2, L, 2):
+            nxt: dict[int, int] = {}
+            for i, c in level.items():
+                j = pos - i
+                if j + 1 < lb and tb[j][0] + tb[j + 1][0] == m:
+                    nxt[i] = nxt.get(i, 0) + c
+                if i < la and j < lb and ta[i][0] + tb[j][0] == m:  # ab, ba
+                    nxt[i + 1] = nxt.get(i + 1, 0) + 2 * c * (
+                        1 - (fa[i] & pb[j]) - (fa[i] & pb[j + 1]))
+                if i + 1 < la and ta[i][0] + ta[i + 1][0] == m:
+                    nxt[i + 2] = nxt.get(i + 2, 0) + (
+                        -c if pb[j] and fa[i] ^ fa[i + 1] else c)
+            level = nxt
+        if not (c := sum(level.values()) % self.p):
+            return {}
+        image = (self._gamma_element(L) if self.case == "exterior"
+                 else self._gamma_element(L // 2, L % 2))
+        return {mono: v * c % self.p for mono, v in image.items()}
+
+    def _parity_table(self, t: Tensor) -> tuple[list[int], list[int]]:
+        """odd[i] = bit i of _odd_factors, prefix[j] = parity of odd[:j]."""
+        mask = _odd_factors(self.algebra, t)
+        return ([mask >> i & 1 for i in range(len(t))],
+                [(mask % (1 << j)).bit_count() % 2 for j in range(len(t) + 1)])
 
     def _pi_tensor(self, tensor: Tensor) -> ModelElement:
-        """pi of one basis tensor, {} for 0.  Exterior case: [x|...|x]
-        of length s goes to gamma_s.  Otherwise an odd tensor must open
-        with (x), the eps x factor, and the rest must pair into n blocks
-        (x^a | x^b) with a + b = m; the poly case has no m, so no block.
-        The tensor goes to gamma_n, times eps x when its length is odd."""
-        if self.case == "exterior":
-            return self._gamma_element(len(tensor))
-        delta = len(tensor) % 2
-        if delta and tensor[0] != (1,):
-            return {}
-        for i in range(delta, len(tensor), 2):
-            if tensor[i][0] + tensor[i + 1][0] != self.m:
-                return {}
-        return self._gamma_element(len(tensor) // 2, delta)
+        """pi of one basis tensor, {} for 0: its only shuffle with ()."""
+        return self.pi_product(tensor, ())
 
     def inc(self, monomial: Monomial) -> BarChain:
         """Image of a small-model basis monomial in the bar complex."""
@@ -1108,11 +1131,8 @@ def verify_quasi_iso(case: str, x_degree: int, p: int, m: Optional[int] = None,
 
     def product_failures() -> Iterator[tuple]:
         """(sa, ia, a, sb, ib, b) of each failing pair among those that can
-        fail: every pair landing in a live stratum, and off them the pairs
-        with pi(a) and pi(b) both nonzero.  Off the live strata pi(a b) =
-        0, as every shuffle of a and b lies in the stratum of a b, and
-        pi(a) pi(b) = 0 unless both are nonzero, so the pairs dropped
-        compare {} with {}."""
+        fail (module docstring): every pair landing in a live stratum, and
+        off them the pairs with pi(a) and pi(b) both nonzero."""
         for s, t in live:
             for (sa, ia), tas in strata.items():
                 tbs = strata.get((s - sa, t - ia), ())

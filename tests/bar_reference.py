@@ -6,16 +6,18 @@ each slot against the set of positions chosen for the left factors and
 carrying a running parity of the right factors already placed.
 ``reference_pi_tensor`` treats the poly, exterior and truncated cases
 separately, and the truncated case splits again by the parity of the
-length.  ``reference_differential`` builds a differential d_s from the
+length; ``reference_pi_product`` sums it over every shuffle of a pair.
+``reference_differential`` builds a differential d_s from the
 adjacent factors of each basis tensor, with its own sign rule, and
 ``reference_homology`` ranks the d_s top-down in s, d_s with the leads
 of d_{s+1} cleared.  ``reference_multiplicativity_witness`` is the full
 prefix walk of the check that pi is multiplicative, and
 ``reference_chain_map_failures`` the full walk of the check that pi is a
 chain map, neither skipping a stratum.  ``bar.BarChain.__mul__``,
-``bar._QuasiIsoCase._pi_tensor``, the coboundaries of
-``bar.BarComplex``, its bottom-up pass, and the pair walk and the
-boundary walk of ``bar.verify_quasi_iso`` are compared with them.
+``bar._QuasiIsoCase._pi_tensor`` and its block count ``pi_product``,
+the coboundaries of ``bar.BarComplex``, its bottom-up pass, and the pair
+walk and the boundary walk of ``bar.verify_quasi_iso`` are compared with
+them.
 """
 
 import itertools
@@ -130,6 +132,16 @@ def _rows(qc, max_s, max_internal):
             for tensor in tensors]
 
 
+def reference_pi_product(qc, ta, tb):
+    """pi(ta * tb) for the _QuasiIsoCase qc: the signed sum of
+    reference_pi_tensor over every shuffle of bar._shuffles."""
+    out = {}
+    for tensor, odd in bar._shuffles(qc.algebra, ta, tb):
+        for m, v in (reference_pi_tensor(qc, tensor) or {}).items():
+            out[m] = out.get(m, 0) + (-v if odd else v)
+    return {m: v % qc.p for m, v in out.items() if v % qc.p}
+
+
 def reference_multiplicativity_witness(qc, max_s, max_internal):
     """The first failure of "pi is multiplicative" for the _QuasiIsoCase
     qc, or None.  Each basis tensor ta, ordered by s, internal degree and
@@ -140,7 +152,7 @@ def reference_multiplicativity_witness(qc, max_s, max_internal):
     upto = [sum(s <= k for _, s, *_ in rows) for k in range(max_s + 1)]
     for ta, sa, ia, pa in rows:
         for tb, sb, ib, pb in itertools.islice(rows, upto[max_s - sa]):
-            if (ia + ib <= max_internal and qc.pi_product(ta, tb)
+            if (ia + ib <= max_internal and reference_pi_product(qc, ta, tb)
                     != bar._model_mul(qc.model, pa, pb)):
                 return f"pi({ta} * {tb})"
     return None

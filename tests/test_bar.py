@@ -32,7 +32,8 @@ from hochhom.fplinear import CompositionError, SparseFpMatrix
 from bar_reference import (reference_chain_map_failures,
                            reference_differential, reference_homology,
                            reference_multiplicativity_witness,
-                           reference_pi_tensor, reference_shuffle)
+                           reference_pi_product, reference_pi_tensor,
+                           reference_shuffle)
 from shared_complexes import grid_complexes, weight_graded_complex
 from tor_reference import reference_presentation_dims
 
@@ -647,8 +648,9 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
     # tensors whose boundary lands there.  pi of each of them is 0.  Of
     # the pairs landing there it walks only those with pi(ta) and pi(tb)
     # both nonzero, as pi(ta) pi(tb) = 0 when either is 0: that skip is
-    # checked on the benchmark's windows too, the products on the small
-    # cases only.
+    # checked on the benchmark's windows too, and so is the block count
+    # against the sum over every shuffle on the pairs landing in the
+    # other strata; the products are built on the small cases only.
     for case in QUASI_ISO_CASES + BENCH_QUASI_ISO_WINDOWS:
         qc = _QuasiIsoCase(*case)
         _, _, _, _, max_s, max_internal = case
@@ -673,10 +675,14 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
                     if not lands_live and not (pa and pb):
                         assert bar._model_mul(qc.model, pa, pb) == {}, (
                             case, ta, tb)
+                    if not (small or lands_live):
+                        continue
+                    got = qc.pi_product(ta, tb)
+                    assert got == reference_pi_product(qc, ta, tb), (
+                        case, ta, tb)
                     if not small:
                         continue
                     a, b = BarChain(P, {ta: 1}), BarChain(P, {tb: 1})
-                    got = qc.pi_product(ta, tb)
                     assert got == qc.pi(a * b), (case, ta, tb)
                     assert got == _reference_pi(qc, reference_shuffle(a, b)), (
                         case, ta, tb)
@@ -684,16 +690,19 @@ def test_pi_product_matches_pi_of_the_shuffle_product():
                         assert got == {}, (case, ta, tb)
 
 
-def _bend_shuffle_signs(monkeypatch, bend):
-    """Replace the sign parity of every shuffle of two nonempty tensors
-    by bend(parity)."""
-    honest = bar._shuffles
+def _bend_odd_factors(monkeypatch, bend):
+    """Replace the odd-factor mask of every tensor t by bend(mask, len(t)):
+    the signs of _shuffles and of the block count in pi_product both read
+    it."""
+    honest = bar._odd_factors
+    monkeypatch.setattr(bar, "_odd_factors",
+                        lambda P, t: bend(honest(P, t), len(t)))
 
-    def bent(P, ta, tb):
-        for tensor, odd in honest(P, ta, tb):
-            yield tensor, bend(odd) if ta and tb else odd
 
-    monkeypatch.setattr(bar, "_shuffles", bent)
+def _flip_past_the_first(mask, length):
+    """The parity of every factor but the first flipped: products of
+    one-factor tensors keep their signs."""
+    return mask ^ (((1 << length) - 1) & ~1)
 
 
 def _bend_one_model_product(monkeypatch, window):
@@ -718,12 +727,84 @@ def _bend_one_model_product(monkeypatch, window):
     monkeypatch.setattr(bar, "_model_mul", bent)
 
 
+# (case, |x|, p, m) of the long-pair comparison of the block count
+LONG_PAIR_CASES = (
+    ("truncated", 1, 2, 2), ("truncated", 1, 2, 3), ("truncated", 2, 3, 3),
+    ("truncated", 2, 3, 4), ("truncated", 2, 3, 9), ("truncated", 2, 5, 4),
+    ("truncated", 2, 5, 5), ("exterior", 1, 2, None),
+    ("exterior", 3, 3, None), ("exterior", 3, 5, None), ("poly", 2, 3, None),
+)
+
+
+def _long_pairs(case, rng, count, max_length):
+    """count seeded pairs (ta, tb), 2 <= |ta| + |tb| <= max_length, in
+    turn: random tensors; a tensor of the shape pi keeps ((x) first at odd
+    length, then blocks with exponent sum m) split in two; two tensors of
+    that shape."""
+    kind, _, _, m = case
+    top = m - 1 if kind == "truncated" else 1 if kind == "exterior" else 3
+
+    def scattered(length):
+        return [rng.randint(1, top) for _ in range(length)]
+
+    def shaped(length):
+        if kind != "truncated":
+            return scattered(length)
+        exps = [1] * (length % 2)
+        for _ in range(length // 2):
+            a = rng.randint(1, m - 1)
+            exps += [a, m - a]
+        return exps
+
+    pairs = []
+    for k in range(count):
+        length = rng.randint(2, max_length)
+        if k % 3 == 2:
+            la = rng.randint(1, length - 1)
+            ea, eb = shaped(la), shaped(length - la)
+        else:
+            exps = (shaped if k % 3 else scattered)(length)
+            left = set(rng.sample(range(length), rng.randint(1, length - 1)))
+            ea = [e for i, e in enumerate(exps) if i in left]
+            eb = [e for i, e in enumerate(exps) if i not in left]
+        pairs.append((tuple((e,) for e in ea), tuple((e,) for e in eb)))
+    return pairs
+
+
+def _mix_parities(mask, length):
+    """Every other factor's parity flipped."""
+    return (mask ^ 0x555) & ((1 << length) - 1)
+
+
+@pytest.mark.parametrize("bend", [None, _mix_parities],
+                         ids=["honest", "mixed-parities"])
+def test_pi_product_matches_the_reference_on_long_pairs(monkeypatch, bend):
+    # pairs up to 12 factors, far past the windows verify bar checks.  At
+    # odd p every factor of a one-generator algebra has odd suspended
+    # degree, so only mixed parities put signed and unsigned crossings in
+    # one pair, and only they keep a block (a_i | b_j) from cancelling
+    # against (b_j | a_i)
+    if bend:
+        _bend_odd_factors(monkeypatch, bend)
+    rng = random.Random(2013)
+    for case in LONG_PAIR_CASES:
+        kind, xd, p, m = case
+        qc = _QuasiIsoCase(kind, xd, p, m, 12, 12 * (m or 2) * xd)
+        nonzero = 0
+        for ta, tb in _long_pairs(case, rng, 24, 12):
+            got = qc.pi_product(ta, tb)
+            assert got == reference_pi_product(qc, ta, tb), (case, ta, tb)
+            nonzero += bool(got)
+        # poly: pi is 0 on every tensor of two or more factors
+        assert (nonzero > 0) == (kind != "poly"), case
+
+
 def test_pi_multiplicativity_check_still_sees_a_flipped_shuffle_sign(
         monkeypatch):
     # pi is 0 on most strata, where the check walks only the pairs with
     # pi(ta) and pi(tb) both nonzero, but it walks every pair that lands
-    # where pi is not 0, and there the flipped sign shows
-    _bend_shuffle_signs(monkeypatch, lambda odd: not odd)
+    # where pi is not 0, and there the flipped signs show
+    _bend_odd_factors(monkeypatch, _flip_past_the_first)
     report = verify_quasi_iso("truncated", 2, 3, 3, 5, 16)
     assert not dict((name, ok) for name, ok, _ in report.checks)[
         "pi is multiplicative"]
@@ -734,10 +815,10 @@ WITNESS_WINDOW = ("truncated", 2, 3, 3, 5, 16)
 
 @pytest.mark.parametrize("mutation", [
     # first fails on pi((x) * (x | x^2)), pi of both factors nonzero
-    lambda mp: _bend_shuffle_signs(mp, lambda odd: not odd),
-    # first fails on pi((x) * (x^2)), pi((x^2)) = 0: the check must walk
-    # every row of a stratum where pi is not 0
-    lambda mp: _bend_shuffle_signs(mp, lambda odd: False),
+    lambda mp: _bend_odd_factors(mp, _flip_past_the_first),
+    # no shuffle signed: first fails on pi((x) * (x^2)), pi((x^2)) = 0,
+    # so the check must walk every row of a stratum where pi is not 0
+    lambda mp: _bend_odd_factors(mp, lambda mask, length: 0),
     # fails only off the strata where pi is not 0: the check must walk the
     # pairs with pi of both factors nonzero there
     lambda mp: _bend_one_model_product(mp, WITNESS_WINDOW),
