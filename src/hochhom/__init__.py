@@ -18,11 +18,7 @@ floating point anywhere in the homological core.
 
 from types import ModuleType as _ModuleType
 
-from .fplinear import (
-    CompositionError,
-    SparseFpMatrix,
-    homology_dim,
-)
+from .fplinear import CompositionError
 from .words import (
     EPS,
     MU,
@@ -52,7 +48,6 @@ from .words import (
 from .bar import (
     AlgebraPresentation,
     BarChain,
-    BarComplex,
     BigradedDims,
     Generator,
     QuasiIsoReport,

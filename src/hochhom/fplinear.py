@@ -6,10 +6,10 @@ row index (computed once per matrix), and homology dimensions for
 composable pairs of differentials.  Everything is integer arithmetic mod
 p; no floating point and no normal-form machinery.
 
-rank(after) clears ("twist", Chen-Kerber 2011) once self o after = 0 is
-checked: self kills each reduced column of after, whose largest row is
-its lead i, so column i of self lies in the span of self's lower-index
-columns, and self is reduced without the columns at after's leads.  The
+homology_dim clears ("twist", Chen-Kerber 2011) once d_out o d_in = 0 is
+checked: d_out kills each reduced column of d_in, whose largest row is
+its lead i, so column i of d_out lies in the span of its lower-index
+columns, and d_out is reduced without the columns at d_in's leads.  The
 check reads the integer sums of the product column by column (_products,
 which compose also wraps into a matrix) and stops at the first sum that
 is not 0 mod p; it builds no product matrix.
@@ -17,7 +17,7 @@ is not 0 mod p; it builds no product matrix.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional
+from typing import Container, Iterator, Mapping, Optional
 
 
 def _is_prime(n: int) -> bool:
@@ -105,32 +105,17 @@ class SparseFpMatrix:
                         acc[r] = acc.get(r, 0) + v * w
             yield c, acc
 
-    def rank(self, after: Optional["SparseFpMatrix"] = None) -> int:
-        """Rank by column echelon form, computed once per matrix.
+    def rank(self) -> int:
+        """Rank by column echelon form, computed once per matrix."""
+        return len(self._pivot_leads(()))
 
-        Given the incoming differential after, self o after = 0 is checked
-        on every call, sum by sum without building the product, and
-        CompositionError raised otherwise; only then may the columns at
-        after's pivot leads be skipped.
-        """
-        p = self.modulus
-        if after is not None and any(
-                v % p
-                for _, acc in self._products(after) for v in acc.values()):
-            raise CompositionError("self o after != 0: not a complex")
-        return len(self._pivot_leads(after))
-
-    def _pivot_leads(self, after: Optional[SparseFpMatrix]) -> frozenset[int]:
-        """Leads of the pivots, memoised; rank() has checked after.
-
-        Each column is reduced against a pivot table keyed by leading
-        (largest) row index until it is zero or leads at a new index,
-        where it becomes a pivot.  The leads depend only on the column
-        space, so skipping the columns at after's leads, which lie in the
-        span of the others, keeps them.
-        """
+    def _pivot_leads(self, cleared: Container[int]) -> frozenset[int]:
+        """Leads of the pivots of the columns not in cleared, memoised: each
+        is reduced against a pivot table keyed by leading (largest) row
+        index until it is zero or leads at a new index.  The leads depend
+        only on the column space, so the memo holds if every cleared column
+        lies in the span of the others, as homology_dim checks first."""
         if self._leads is None:
-            cleared = after._pivot_leads(None) if after is not None else ()
             p = self.modulus
             pivots: dict[int, dict[int, int]] = {}  # lead -> column, lead 1
             todo = (dict(v) for c, v in self._columns.items() if c not in cleared)
@@ -166,6 +151,10 @@ class SparseFpMatrix:
 def homology_dim(d_in: SparseFpMatrix, d_out: SparseFpMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for C_in --d_in--> C_mid --d_out--> C_out.
 
-    d_out.rank(d_in) verifies that d_out o d_in vanishes before it clears.
+    CompositionError unless d_out o d_in = 0, checked before any clearing.
     """
-    return d_out.cols - d_out.rank(d_in) - d_in.rank()
+    p = d_out.modulus
+    if any(v % p for _, acc in d_out._products(d_in) for v in acc.values()):
+        raise CompositionError("d_out o d_in != 0: not a complex")
+    r_in = d_in.rank()
+    return d_out.cols - len(d_out._pivot_leads(d_in._pivot_leads(()))) - r_in

@@ -40,13 +40,13 @@ class PoincareSeries:
     validity: Optional[str] = None
 
     def __post_init__(self):
-        if not isinstance(self.truncation, int):
+        if type(self.truncation) is not int:
             raise TypeError(f"truncation {self.truncation!r} is not an int")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
         clean = {}
         for d, c in self.coeffs.items():
-            if not (isinstance(d, int) and isinstance(c, int)):
+            if not (type(d) is int and type(c) is int):
                 raise TypeError(
                     f"degree {d!r} and coefficient {c!r} must both be ints")
             if d < 0:

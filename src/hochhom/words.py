@@ -331,19 +331,22 @@ _KEY_FORMS = {"mu": "u", "x": "x", "eps": "e", "rho": "r^", "phi": "l^"}
 _HUMAN_FORMS = {"mu": "μ", "x": "x", "eps": "ε", "rho": "ρ^", "phi": "φ^"}
 
 
+def _exponents(ks) -> str:
+    return "".join("?" if k is None else str(k) for k in ks)
+
+
 @lru_cache(maxsize=None, typed=True)
 def _key_form(kind: str, *ks) -> str:
-    return _KEY_FORMS[kind] + "".join(map(str, ks))
+    return _KEY_FORMS[kind] + _exponents(ks)
 
 
 @lru_cache(maxsize=None, typed=True)
 def _human_form(kind: str, *ks) -> str:
-    return _HUMAN_FORMS[kind] + "".join("?" if k is None else str(k)
-                                        for k in ks)
+    return _HUMAN_FORMS[kind] + _exponents(ks)
 
 
 def render_key(word: Word) -> str:
-    """Compact key syntax: u, e, r^k, l^k (l marks the phi letters)."""
+    """Compact key syntax: u, e, r^k, l^k (l for phi); ? marks a blank k."""
     return "".join(starmap(_key_form, word))
 
 

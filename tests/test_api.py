@@ -6,14 +6,14 @@ listed) passes ``import hochhom`` and fails only on a star import."""
 import pytest
 
 import hochhom
-from hochhom import (EPS, MU, AlgebraPresentation, BarComplex, Bidegree,
-                     BigradedDims, DifferentialCandidate, Generator,
-                     GroupSpec, PoincareSeries, SparseFpMatrix, WordFamily,
-                     bidegree, enumerate_shapes, family_b, hh_group_algebra,
-                     hh_poly_gens, hh_polynomial, hh_truncated,
-                     hh_truncated_words, is_admissible, rho, thh_fp,
-                     truncated, verify_powerwords, verify_quasi_iso)
-from hochhom.bar import _QuasiIsoCase
+from hochhom import (EPS, MU, AlgebraPresentation, Bidegree, BigradedDims,
+                     DifferentialCandidate, Generator, GroupSpec,
+                     PoincareSeries, WordFamily, bidegree, enumerate_shapes,
+                     family_b, hh_group_algebra, hh_poly_gens, hh_polynomial,
+                     hh_truncated, hh_truncated_words, is_admissible, rho,
+                     thh_fp, truncated, verify_powerwords, verify_quasi_iso)
+from hochhom.bar import BarComplex, _QuasiIsoCase
+from hochhom.fplinear import SparseFpMatrix
 
 
 def test_star_import_binds_every_public_name():

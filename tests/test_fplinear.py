@@ -219,73 +219,76 @@ def test_homology_dim_checks_the_composite_before_clearing():
     assert d_out.rank() == 1
 
 
-def test_rank_after_checks_the_composite_on_every_call():
-    # rank(after) clears only once self o after = 0 is checked, so no
-    # argument can store a wrong rank, and a stored rank skips no check
+def test_homology_dim_checks_the_composite_on_every_call():
+    # homology_dim clears only once d_out o d_in = 0 is checked, so no
+    # pair can store a wrong rank, and a stored rank skips no check
     eye = SparseFpMatrix(3, 2, 2, {0: {0: 1}, 1: {1: 1}})
     with pytest.raises(CompositionError):
-        eye.rank(after=eye)
+        homology_dim(eye, eye)
     assert eye._leads is None
-    assert eye.rank(after=SparseFpMatrix(3, 2, 4)) == 2
+    assert homology_dim(SparseFpMatrix(3, 2, 4), eye) == 0  # 2 - 2 - 0
     assert eye.rank() == 2
     with pytest.raises(CompositionError):
-        eye.rank(after=eye)
+        homology_dim(eye, eye)
     with pytest.raises(ValueError):
-        eye.rank(after=SparseFpMatrix(5, 2, 1))
+        homology_dim(SparseFpMatrix(5, 2, 1), eye)
     assert eye.rank() == 2
     # [1 1] o (1, 2)^T = 0 mod 3: column 1 is cleared, the rank stays 1
     d_out = dense(3, [[1, 1]])
-    assert d_out.rank(after=dense(3, [[1], [2]])) == 1
+    assert homology_dim(dense(3, [[1], [2]]), d_out) == 0  # 2 - 1 - 1
     assert d_out.rank() == 1 == dense(3, [[1, 1]]).rank()
 
 
-def test_rank_after_raises_exactly_when_the_product_is_nonzero():
-    # random small pairs, half of them with self's rows in the left kernel
-    # of after, where the integer sums of the product are often nonzero
+def test_homology_dim_raises_exactly_when_the_product_is_nonzero():
+    # random small pairs, half of them with d_out's rows in the left kernel
+    # of d_in, where the integer sums of the product are often nonzero
     # multiples of p; the product-free check must agree with compose
     rng = random.Random(2024)
     seen = {"nonzero": 0, "multiple of p": 0, "zero": 0}
     for p in (2, 3, 5):
         for trial in range(60):
             inner, ncols = rng.randint(1, 3), rng.randint(1, 3)
-            after_rows = [[rng.randint(0, p - 1) for _ in range(ncols)]
-                          for _ in range(inner)]
+            in_rows = [[rng.randint(0, p - 1) for _ in range(ncols)]
+                       for _ in range(inner)]
             candidates = list(_all_vectors(p, inner))
             if trial % 2:
                 candidates = [v for v in candidates
-                              if all(sum(v[k] * after_rows[k][c]
+                              if all(sum(v[k] * in_rows[k][c]
                                          for k in range(inner)) % p == 0
                                      for c in range(ncols))]
-            self_rows = [list(rng.choice(candidates))
-                         for _ in range(rng.randint(1, 3))]
-            sums = [sum(row[k] * after_rows[k][c] for k in range(inner))
-                    for row in self_rows for c in range(ncols)]
+            out_rows = [list(rng.choice(candidates))
+                        for _ in range(rng.randint(1, 3))]
+            sums = [sum(row[k] * in_rows[k][c] for k in range(inner))
+                    for row in out_rows for c in range(ncols)]
             kind = ("nonzero" if any(v % p for v in sums) else
                     "multiple of p" if any(sums) else "zero")
             seen[kind] += 1
-            mat, after = dense(p, self_rows), dense(p, after_rows)
-            empty = SparseFpMatrix(p, mat.rows, after.cols)
-            assert (mat.compose(after) == empty) == (kind != "nonzero")
+            d_out, d_in = dense(p, out_rows), dense(p, in_rows)
+            empty = SparseFpMatrix(p, d_out.rows, d_in.cols)
+            assert (d_out.compose(d_in) == empty) == (kind != "nonzero")
             if kind == "nonzero":
                 with pytest.raises(CompositionError):
-                    mat.rank(after)
-                assert mat._leads is None
+                    homology_dim(d_in, d_out)
+                assert d_out._leads is None and d_in._leads is None
             else:
-                assert mat.rank(after) == dense_rank_modp(self_rows, p)
+                r_out = dense_rank_modp(out_rows, p)
+                r_in = dense_rank_modp(in_rows, p)
+                assert homology_dim(d_in, d_out) == inner - r_out - r_in
+                assert d_out.rank() == r_out  # the cleared rank, memoised
     assert min(seen.values()) > 10, seen
 
 
 def test_product_free_check_keeps_the_compose_errors():
     # mixed moduli and shapes raise the plain ValueError of compose, not
-    # CompositionError, from rank(after) as from compose
+    # CompositionError, from homology_dim as from compose
     m3 = dense(3, [[1, 0], [0, 1]])
     bad = [(dense(5, [[1], [1]]), "cannot compose matrices over different "
                                   "primes"),
            (dense(3, [[1], [1], [1]]), r"shape mismatch: 2x2 o 3x1")]
-    for after, message in bad:
-        for call in (m3.compose, m3.rank):
+    for d_in, message in bad:
+        for call in (m3.compose, lambda d_in: homology_dim(d_in, m3)):
             with pytest.raises(ValueError, match=message) as exc:
-                call(after)
+                call(d_in)
             assert type(exc.value) is ValueError
 
 

@@ -75,16 +75,19 @@ def test_poincare_series_basics():
 
 
 def test_poincare_series_refuses_non_int_terms():
-    # an int() cast would read {1.5: 1.7, 2: 1} as {1: 1, 2: 1}
+    # an int() cast would read {1.5: 1.7, 2: 1} as {1: 1, 2: 1}, and a
+    # bool, an int subclass, would print as True
     for coeffs in ({1.5: 1.7, 2: 1}, {2: 1, 1.5: 1}, {1: 1.7}, {1: "1"},
-                   {"1": 1}):
+                   {"1": 1}, {0: True}, {True: 1}, {2: 1, 1: False}):
         with pytest.raises(TypeError):
             PoincareSeries(coeffs, 3)
+    with pytest.raises(TypeError):
+        etale_finite(True)
 
 
 def test_poincare_series_refuses_a_non_int_truncation():
     # a float truncation was kept, and printed as if it were int(2.5)
-    for truncation in (2.5, 2.0, "2", None):
+    for truncation in (2.5, 2.0, "2", None, True):
         with pytest.raises(TypeError):
             PoincareSeries({0: 1, 2: 1}, truncation)
 

@@ -248,6 +248,9 @@ def test_render_round_trip_and_canonical_order():
     w = (phi(2), rho(1), EPS, MU)
     assert render_key(w) == "l^2r^1eu"
     assert render_human(w) == "φ^2ρ^1εμ"
+    # a shape's blank exponent reads ? in both syntaxes
+    shape = enumerate_shapes(3, fam)[0]
+    assert (render_key(shape), render_human(shape)) == ("r^?eu", "ρ^?εμ")
 
 
 def test_inadmissible_rejected():

@@ -52,8 +52,10 @@ LETTER_RANK = {"eps": 0, "rho": 1, "phi": 2, "mu": 3, "x": 3}
 
 
 def reference_key(word):
-    """Compact key syntax, each letter formed afresh."""
-    return "".join(KEY_FORMS[l[0]] + "".join(map(str, l[1:])) for l in word)
+    """Compact key syntax, ? for a blank exponent, each letter afresh."""
+    return "".join(KEY_FORMS[l[0]] + "".join("?" if k is None else str(k)
+                                             for k in l[1:])
+                   for l in word)
 
 
 def reference_human(word):
