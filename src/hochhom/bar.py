@@ -93,6 +93,10 @@ class Generator:
     def __post_init__(self):
         if self.kind not in ("exterior", "truncated", "polynomial"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for field in ("height", "hom", "internal", "weight"):
+            v = getattr(self, field)
+            if type(v) is not int and (field != "height" or v is not None):
+                raise TypeError(f"{field} {v!r} is not an int")
         if self.kind == "truncated":
             if self.height is None or self.height < 2:
                 raise ValueError("truncated generators need height >= 2")
@@ -135,6 +139,8 @@ class AlgebraPresentation:
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
+        if type(self.p) is not int:
+            raise TypeError(f"p {self.p!r} is not an int")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not a prime")
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -486,10 +492,10 @@ class BarComplex:
     Homology is exact for s <= max_s: each stratum is finite and complete
     within the bounds, and B_{max_s + 1} is the target of delta^{max_s}.
     The homology is computed once, at the end of construction, chain by
-    chain and bottom-up in s; that pass verifies d o d = 0 once for every
-    composable pair of blocks before it clears delta^s by the leads of
-    delta^{s-1}, so a presentation whose products are not associative
-    raises here.
+    chain and bottom-up in s, so each delta^s is built and ranked once;
+    that pass verifies d o d = 0 for every composable pair of blocks
+    before it ranks them, so a presentation whose products are not
+    associative raises here.
     """
 
     def __init__(self, presentation: AlgebraPresentation, max_s: int,
@@ -506,9 +512,9 @@ class BarComplex:
 
         # each (t, w) is one cochain complex in s, walked bottom-up from its
         # lowest block to its top block at s <= max_s, holding only
-        # delta^{s-1}, ranked with its leads kept, and delta^s, cleared by
-        # them; the first delta^{s-1} and a gap's delta^s have no columns.
-        # The basis lists its strata by increasing s.
+        # delta^{s-1}, whose rank is memoised from the step before, and
+        # delta^s; the first delta^{s-1} and a gap's delta^s have no
+        # columns.  The basis lists its strata by increasing s.
         walks: dict[tuple[int, int], list[int]] = {}
         for s, t, w in self._basis:
             if s <= max_s:

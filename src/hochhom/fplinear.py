@@ -6,10 +6,7 @@ row index (computed once per matrix), and homology dimensions for
 composable pairs of differentials.  Everything is integer arithmetic mod
 p; no floating point and no normal-form machinery.
 
-homology_dim clears ("twist", Chen-Kerber 2011) once d_out o d_in = 0 is
-checked: d_out kills each reduced column of d_in, whose largest row is
-its lead i, so column i of d_out lies in the span of its lower-index
-columns, and d_out is reduced without the columns at d_in's leads.  The
+homology_dim checks d_out o d_in = 0 before it ranks either matrix.  The
 check reads the integer sums of the product column by column (_products,
 which compose also wraps into a matrix) and stops at the first sum that
 is not 0 mod p; it builds no product matrix.
@@ -17,7 +14,7 @@ is not 0 mod p; it builds no product matrix.
 
 from __future__ import annotations
 
-from typing import Container, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 
 def _is_prime(n: int) -> bool:
@@ -47,7 +44,7 @@ class SparseFpMatrix:
     a map F_p^c -> F_p^r.
     """
 
-    __slots__ = ("modulus", "rows", "cols", "_columns", "_leads")
+    __slots__ = ("modulus", "rows", "cols", "_columns", "_rank")
 
     def __init__(self, modulus: int, rows: int, cols: int,
                  columns: Optional[ColumnMap] = None):
@@ -72,7 +69,7 @@ class SparseFpMatrix:
             if kept:
                 data[c] = kept
         self._columns = data
-        self._leads: Optional[frozenset[int]] = None
+        self._rank: Optional[int] = None
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(sorted(((r, c), v) for c, column in self._columns.items()
@@ -106,20 +103,12 @@ class SparseFpMatrix:
             yield c, acc
 
     def rank(self) -> int:
-        """Rank by column echelon form, computed once per matrix."""
-        return len(self._pivot_leads(()))
-
-    def _pivot_leads(self, cleared: Container[int]) -> frozenset[int]:
-        """Leads of the pivots of the columns not in cleared, memoised: each
-        is reduced against a pivot table keyed by leading (largest) row
-        index until it is zero or leads at a new index.  The leads depend
-        only on the column space, so the memo holds if every cleared column
-        lies in the span of the others, as homology_dim checks first."""
-        if self._leads is None:
+        """Rank, memoised: each column is reduced against the pivot table
+        until it is zero or leads at a new index."""
+        if self._rank is None:
             p = self.modulus
             pivots: dict[int, dict[int, int]] = {}  # lead -> column, lead 1
-            todo = (dict(v) for c, v in self._columns.items() if c not in cleared)
-            for col in todo:
+            for col in map(dict, self._columns.values()):
                 while col:
                     lead = max(col)
                     pivot = pivots.get(lead)
@@ -134,8 +123,8 @@ class SparseFpMatrix:
                             col[r] = nv
                         else:
                             del col[r]
-            self._leads = frozenset(pivots)
-        return self._leads
+            self._rank = len(pivots)
+        return self._rank
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparseFpMatrix)
@@ -151,10 +140,10 @@ class SparseFpMatrix:
 def homology_dim(d_in: SparseFpMatrix, d_out: SparseFpMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for C_in --d_in--> C_mid --d_out--> C_out.
 
-    CompositionError unless d_out o d_in = 0, checked before any clearing.
+    CompositionError unless d_out o d_in = 0, checked before either matrix
+    is ranked.
     """
     p = d_out.modulus
     if any(v % p for _, acc in d_out._products(d_in) for v in acc.values()):
         raise CompositionError("d_out o d_in != 0: not a complex")
-    r_in = d_in.rank()
-    return d_out.cols - len(d_out._pivot_leads(d_in._pivot_leads(()))) - r_in
+    return d_out.cols - d_out.rank() - d_in.rank()

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import sub
 from typing import Optional, Sequence
 
@@ -44,7 +44,7 @@ class PoincareSeries:
             raise TypeError(f"truncation {self.truncation!r} is not an int")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        clean = {}
+        clean, top = {}, self.truncation
         for d, c in self.coeffs.items():
             if not (type(d) is int and type(c) is int):
                 raise TypeError(
@@ -53,11 +53,13 @@ class PoincareSeries:
                 raise ValueError("degrees must be nonnegative")
             if c < 0:
                 raise ValueError("coefficients must be nonnegative")
-            if c and d <= self.truncation:
+            if c and d <= top:
                 clean[d] = c
         object.__setattr__(self, "coeffs", clean)
 
     def coefficient(self, degree: int) -> int:
+        if degree < 0:
+            raise ValueError("degrees must be nonnegative")
         if degree > self.truncation:
             raise ValueError(f"degree {degree} beyond truncation {self.truncation}")
         return self.coeffs.get(degree, 0)
@@ -167,17 +169,9 @@ class _Product:
 
     def series(self, basis_note: str = "F_p-dimensions",
                validity: Optional[str] = None) -> PoincareSeries:
-        """The product as a series, built once, unpacked once.  Its int
-        coefficients are nonnegative by construction, so the per-term
-        checks of PoincareSeries.__post_init__ are skipped."""
-        coeffs = self.coeffs()
-        series = object.__new__(PoincareSeries)
-        series.__dict__.update(
-            coeffs=dict(zip(compress(range(len(coeffs)), coeffs),
-                            filter(None, coeffs))),
-            truncation=self.max_degree, basis_note=basis_note,
-            validity=validity)
-        return series
+        """The product as a series, unpacked once."""
+        return PoincareSeries(dict(enumerate(self.coeffs())), self.max_degree,
+                              basis_note, validity)
 
 
 def _height_power(height: int, count: int, length: int) -> list[int]:
@@ -322,10 +316,14 @@ class GroupSpec:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            raise TypeError(f"free rank {self.free_rank!r} is not an int")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         object.__setattr__(self, "torsion", tuple(self.torsion))
         for order in self.torsion:
+            if type(order) is not int:
+                raise TypeError(f"torsion order {order!r} is not an int")
             if order < 2:
                 raise ValueError(f"torsion order {order} must be >= 2")
 

@@ -80,6 +80,10 @@ class WordFamily:
     def __post_init__(self):
         if self.kind not in ("B", "B'", "B''"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        for field in ("m", "base_degree"):
+            v = getattr(self, field)
+            if v is not None and type(v) is not int:
+                raise TypeError(f"{field} {v!r} is not an int")
         if self.kind == "B''":
             if self.m is None or self.m < 2:
                 raise ValueError("family B'' needs a truncation height m >= 2")

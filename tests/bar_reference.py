@@ -9,8 +9,8 @@ separately, and the truncated case splits again by the parity of the
 length; ``reference_pi_product`` sums it over every shuffle of a pair.
 ``reference_differential`` builds a differential d_s from the
 adjacent factors of each basis tensor, with its own sign rule, and
-``reference_homology`` ranks the d_s top-down in s, d_s with the leads
-of d_{s+1} cleared.  ``reference_multiplicativity_witness`` is the full
+``reference_homology`` ranks the d_s top-down in s, each d_s once.
+``reference_multiplicativity_witness`` is the full
 prefix walk of the check that pi is multiplicative, and
 ``reference_chain_map_failures`` the full walk of the check that pi is a
 chain map, neither skipping a stratum.  ``bar.BarChain.__mul__``,
@@ -110,8 +110,7 @@ def reference_differential(cx, s, t, w):
 def reference_homology(cx):
     """Homology of the BarComplex cx by the top-down pass over the
     differentials d_s."""
-    # each d_s is built once, so d_{s+1} keeps the leads its own ranking
-    # found when d_s is cleared by them
+    # each d_s is built once, so its rank is memoised for the next pair
     @cache
     def diffs(s, t, w):
         return reference_differential(cx, s, t, w)

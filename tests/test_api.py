@@ -8,9 +8,10 @@ import pytest
 import hochhom
 from hochhom import (EPS, MU, AlgebraPresentation, Bidegree, BigradedDims,
                      DifferentialCandidate, Generator, GroupSpec,
-                     PoincareSeries, WordFamily, bidegree, enumerate_shapes,
-                     family_b, hh_group_algebra, hh_poly_gens, hh_polynomial,
-                     hh_truncated, hh_truncated_words, is_admissible, rho,
+                     PoincareSeries, WordFamily, bar_homology, bidegree,
+                     enumerate_shapes, exterior, family_b, hh_group_algebra,
+                     hh_poly_gens, hh_polynomial, hh_truncated,
+                     hh_truncated_words, is_admissible, polynomial, rho,
                      thh_fp, truncated, verify_powerwords, verify_quasi_iso)
 from hochhom.bar import BarComplex, _QuasiIsoCase
 from hochhom.fplinear import SparseFpMatrix
@@ -85,6 +86,23 @@ def test_bad_input_raises_its_own_error():
         (lambda: _candidate(Bidegree(2, 2), Bidegree(1, 2)), ValueError,
          "candidate must drop homological degree by > 1"),
         (lambda: verify_powerwords(3, -1), ValueError, "k_max must be >= 0"),
+        # non-int and bool fields are refused where they are set, not read
+        # as a height or degree between two ints, nor failed on far inside
+        (lambda: truncated("x", 2.5, 2), TypeError, "height 2.5 is not an int"),
+        (lambda: bar_homology(AlgebraPresentation(3, (truncated("x", 2.5, 2),)),
+                              2, 8), TypeError, "height 2.5 is not an int"),
+        (lambda: polynomial("x", 2.0), TypeError, "internal 2.0 is not an int"),
+        (lambda: exterior("y", 1, True), TypeError, "weight True is not an int"),
+        (lambda: Generator("g", "polynomial", None, 1.0, 2, 0), TypeError,
+         "hom 1.0 is not an int"),
+        (lambda: AlgebraPresentation(3.0, (truncated("x", 3, 2),)), TypeError,
+         "p 3.0 is not an int"),
+        (lambda: WordFamily("B''", 2.5), TypeError, "m 2.5 is not an int"),
+        (lambda: WordFamily("B", None, 2.0), TypeError,
+         "base_degree 2.0 is not an int"),
+        (lambda: GroupSpec(0, (2.5,)), TypeError,
+         "torsion order 2.5 is not an int"),
+        (lambda: GroupSpec(True), TypeError, "free rank True is not an int"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as caught:

@@ -206,26 +206,26 @@ def test_homology_dim_rejects_noncomplex():
         homology_dim(SparseFpMatrix(3, 2, 2), SparseFpMatrix(5, 2, 2))
 
 
-def test_homology_dim_checks_the_composite_before_clearing():
-    # d_in is ranked already, with its leads kept, as the top-down pass
-    # of a bar complex leaves it; a non-complex must still be refused,
-    # before d_out is reduced with those leads cleared
+def test_homology_dim_checks_the_composite_before_ranking():
+    # d_in is ranked already, as the bottom-up pass of a bar complex
+    # leaves it; a non-complex must still be refused, before d_out is
+    # ranked
     d_in = dense(3, [[1], [0]])
     d_out = dense(3, [[1, 0]])
     assert d_in.rank() == 1
     with pytest.raises(CompositionError):
         homology_dim(d_in, d_out)
-    assert d_out._leads is None  # no rank computed, cleared or not
+    assert d_out._rank is None  # no rank computed
     assert d_out.rank() == 1
 
 
 def test_homology_dim_checks_the_composite_on_every_call():
-    # homology_dim clears only once d_out o d_in = 0 is checked, so no
-    # pair can store a wrong rank, and a stored rank skips no check
+    # homology_dim ranks only once d_out o d_in = 0 is checked, and a
+    # stored rank skips no check
     eye = SparseFpMatrix(3, 2, 2, {0: {0: 1}, 1: {1: 1}})
     with pytest.raises(CompositionError):
         homology_dim(eye, eye)
-    assert eye._leads is None
+    assert eye._rank is None
     assert homology_dim(SparseFpMatrix(3, 2, 4), eye) == 0  # 2 - 2 - 0
     assert eye.rank() == 2
     with pytest.raises(CompositionError):
@@ -233,7 +233,7 @@ def test_homology_dim_checks_the_composite_on_every_call():
     with pytest.raises(ValueError):
         homology_dim(SparseFpMatrix(5, 2, 1), eye)
     assert eye.rank() == 2
-    # [1 1] o (1, 2)^T = 0 mod 3: column 1 is cleared, the rank stays 1
+    # [1 1] o (1, 2)^T = 0 mod 3: both columns of d_out are ranked, 1
     d_out = dense(3, [[1, 1]])
     assert homology_dim(dense(3, [[1], [2]]), d_out) == 0  # 2 - 1 - 1
     assert d_out.rank() == 1 == dense(3, [[1, 1]]).rank()
@@ -269,12 +269,13 @@ def test_homology_dim_raises_exactly_when_the_product_is_nonzero():
             if kind == "nonzero":
                 with pytest.raises(CompositionError):
                     homology_dim(d_in, d_out)
-                assert d_out._leads is None and d_in._leads is None
+                assert d_out._rank is None and d_in._rank is None
             else:
                 r_out = dense_rank_modp(out_rows, p)
                 r_in = dense_rank_modp(in_rows, p)
                 assert homology_dim(d_in, d_out) == inner - r_out - r_in
-                assert d_out.rank() == r_out  # the cleared rank, memoised
+                assert d_out._rank == r_out  # the memoised rank
+                assert d_in._rank == r_in
     assert min(seen.values()) > 10, seen
 
 
@@ -312,7 +313,7 @@ def test_homology_dim_random_complexes():
             kernel_rows = [[0] * mid]
         d_out = dense(p, kernel_rows)
         h = homology_dim(d_in, d_out)
-        # a fresh d_out is ranked with no clearing
+        # a fresh d_out gives the same rank
         assert h == d_out.cols - dense(p, kernel_rows).rank() - d_in.rank()
         assert 0 <= h <= mid
 
@@ -355,9 +356,8 @@ def test_rank_matches_markowitz_reference_on_bar_blocks():
         dims = cx.homology().as_dict()
         chains = {(t, w) for s in range(cx.max_s + 1) for t, w in cx.strata(s)}
         for t, w in sorted(chains):
-            # coboundary() builds a fresh delta^s, reduced with no clearing;
-            # cols - r_s - r_{s-1} from the reference ranks must give the
-            # build's homology, which fixes each of its cleared ranks in turn
+            # coboundary() builds a fresh delta^s; cols - r_s - r_{s-1}
+            # from the reference ranks must give the build's homology
             r_below = 0  # delta^{-1} has no columns
             for s in range(cx.max_s + 1):
                 d = cx.coboundary(s, t, w)

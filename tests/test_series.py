@@ -67,6 +67,9 @@ def test_poincare_series_basics():
     assert 6 not in s.coeffs  # zeros dropped
     with pytest.raises(ValueError):
         s.coefficient(11)
+    # like the constructor, coefficient refuses a negative degree
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        s.coefficient(-1)
     assert str(s) == "1 + t^3"
     assert str(PoincareSeries({}, 4)) == "0"
     t = PoincareSeries({0: 1, 2: 2}, 4)
@@ -93,7 +96,7 @@ def test_poincare_series_refuses_a_non_int_truncation():
 
 
 def test_products_build_what_the_checked_constructor_builds():
-    # _Product.series skips the per-coefficient checks of __post_init__
+    # _Product.series builds through the checked constructor too
     for s in (thh_fp(8, 5, 500), thh_fp(4, 3, 200),
               hh_polynomial(3, 3, 100), family_series(family_b(), 3, 2, 16)):
         again = PoincareSeries(dict(s.coeffs), s.truncation, s.basis_note,
