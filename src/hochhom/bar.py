@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator, Literal, Mapping, Optional
@@ -181,24 +181,11 @@ class AlgebraPresentation:
     def unit(self) -> Monomial:
         return (0,) * len(self.generators)
 
-    # mono_total's and multiply's results: BarChain.boundary asks for the
-    # same ones on every chain of a window
+    # each presentation memoises its own mono_total and multiply:
+    # BarChain.boundary asks for the same ones on every chain of a window
     @cached_property
-    def _mono_totals(self) -> dict[Monomial, int]:
-        return {}
-
-    @cached_property
-    def _products(self) -> dict[tuple[Monomial, Monomial],
-                                Optional[tuple[int, Monomial]]]:
-        return {}
-
-    def mono_total(self, m: Monomial) -> int:
-        try:
-            return self._mono_totals[m]
-        except KeyError:
-            t = self._mono_totals[m] = sum(e * t for e, t in
-                                           zip(m, self._totals))
-            return t
+    def mono_total(self) -> Callable[[Monomial], int]:
+        return cache(lambda m: sum(e * t for e, t in zip(m, self._totals)))
 
     def mono_hom(self, m: Monomial) -> int:
         return sum(e * g.hom for e, g in zip(m, self.generators))
@@ -209,14 +196,11 @@ class AlgebraPresentation:
     def mono_weight(self, m: Monomial) -> int:
         return sum(e * w for e, w in zip(m, self._weights))
 
-    def multiply(self, m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
-        """(sign, product) with the Koszul sign, or None when truncation
-        kills the product."""
-        try:
-            return self._products[m1, m2]
-        except KeyError:
-            res = self._products[m1, m2] = self._multiply(m1, m2)
-            return res
+    @cached_property
+    def multiply(self) -> Callable[..., Optional[tuple[int, Monomial]]]:
+        """multiply(m1, m2) is (sign, product) with the Koszul sign, or
+        None when truncation kills the product."""
+        return cache(self._multiply)
 
     def _multiply(self, m1: Monomial, m2: Monomial) -> Optional[tuple[int, Monomial]]:
         out = []
@@ -253,8 +237,7 @@ class AlgebraPresentation:
         for g in self.generators:
             level = _extend(level, [(e, e * g.total, e * g.weight) for e in
                                     _exponents(g, max_total, max_weight)],
-                            max_total, max_weight,
-                            lambda m, e: m + (e,))
+                            max_total, max_weight)
         return [m for m, _t, _w in level if any(m)]
 
 
@@ -273,11 +256,10 @@ def _exponents(g: Generator, max_total: int,
 
 
 def _extend(level: list, pieces: list, max_total: int,
-            max_weight: Optional[int], combine: Callable) -> list:
+            max_weight: Optional[int]) -> list:
     """Each (sequence, total, weight) of level with each (piece, total,
-    weight) of pieces appended by combine(sequence, piece), kept when the
-    sums stay in the window."""
-    return [(combine(seq, piece), t + dt, w + dw)
+    weight) of pieces appended, kept when the sums stay in the window."""
+    return [(seq + (piece,), t + dt, w + dw)
             for seq, t, w in level for piece, dt, dw in pieces
             if t + dt <= max_total
             and (max_weight is None or w + dw <= max_weight)]
@@ -298,8 +280,7 @@ def _bar_strata(presentation: AlgebraPresentation, top_s: int,
     strata: dict[tuple[int, int, int], list[Tensor]] = {}
     for s in range(top_s + 1):
         if s:
-            level = _extend(level, pieces, max_total, max_weight,
-                            lambda tensor, m: tensor + (m,))
+            level = _extend(level, pieces, max_total, max_weight)
         for tensor, t, w in level:
             strata.setdefault((s, t, w), []).append(tensor)
     return strata
@@ -347,8 +328,11 @@ class BigradedDims:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[tuple[int, int, int], int]):
-        if any(dim < 0 for dim in entries.values()):
-            raise ValueError("dimensions must be nonnegative")
+        for dim in entries.values():
+            if type(dim) is not int:
+                raise TypeError(f"dimension {dim!r} is not an int")
+            if dim < 0:
+                raise ValueError("dimensions must be nonnegative")
         self._entries = {key: dim for key, dim in entries.items() if dim}
 
     def items(self):
@@ -510,28 +494,21 @@ class BarComplex:
         self._basis = _bar_strata(presentation, max_s + 1, max_internal,
                                   max_weight)
 
-        # each (t, w) is one cochain complex in s, walked bottom-up from its
-        # lowest block to its top block at s <= max_s, holding only
-        # delta^{s-1}, whose rank is memoised from the step before, and
-        # delta^s; the first delta^{s-1} and a gap's delta^s have no
-        # columns.  The basis lists its strata by increasing s.
-        walks: dict[tuple[int, int], list[int]] = {}
-        for s, t, w in self._basis:
-            if s <= max_s:
-                walks.setdefault((t, w), [s, s])[1] = s
+        # each (t, w) is one cochain complex in s, read bottom-up through a
+        # one-slot cache: the delta^s held over from one stratum is the next
+        # one's delta^{s-1}, so each is built and ranked once.  A delta^{s-1}
+        # from an empty stratum has no columns.
+        coboundary = lru_cache(maxsize=1)(self.coboundary)
         dims: dict[tuple[int, int, int], int] = {}
-        for (t, w), (low, top) in sorted(walks.items()):
-            d_in = self.coboundary(low - 1, t, w)
-            for s in range(low, top + 1):
-                d_out = self.coboundary(s, t, w)
-                if (s, t, w) in self._basis:
-                    try:
-                        dims[(s, t, w)] = homology_dim(d_in, d_out)
-                    except CompositionError as exc:
-                        raise CompositionError(
-                            f"d o d != 0 from stratum (s={s + 1}, t={t}, "
-                            f"w={w})") from exc
-                d_in = d_out
+        for s, t, w in sorted(self._basis, key=lambda k: (k[1], k[2], k[0])):
+            if s <= max_s:
+                try:
+                    dims[(s, t, w)] = homology_dim(coboundary(s - 1, t, w),
+                                                   coboundary(s, t, w))
+                except CompositionError as exc:
+                    raise CompositionError(
+                        f"d o d != 0 from stratum (s={s + 1}, t={t}, "
+                        f"w={w})") from exc
         self._homology = BigradedDims(dict(sorted(dims.items())))
 
     def basis(self, s: int, internal: int, weight: int = 0) -> list[Tensor]:

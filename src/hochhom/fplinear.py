@@ -48,6 +48,8 @@ class SparseFpMatrix:
 
     def __init__(self, modulus: int, rows: int, cols: int,
                  columns: Optional[ColumnMap] = None):
+        if type(modulus) is not int:
+            raise TypeError(f"modulus {modulus!r} is not an int")
         if not _is_prime(modulus):
             raise ValueError(f"modulus {modulus!r} is not a prime")
         if rows < 0 or cols < 0:
@@ -61,7 +63,7 @@ class SparseFpMatrix:
             for r, v in column.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-                if not isinstance(v, int):
+                if type(v) is not int:
                     raise TypeError(f"entry ({r}, {c}) is {v!r}, not an int")
                 v %= modulus
                 if v:

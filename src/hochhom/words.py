@@ -186,6 +186,8 @@ def enumerate_shapes(n: int, family: WordFamily) -> list[Word]:
 
 @cache  # trial division: about 5 ms at p = 2^31 - 1; a failure is not kept
 def _require_prime(p: int) -> None:
+    if type(p) is not int:
+        raise TypeError(f"p {p!r} is not an int")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -639,7 +641,8 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
     """Check that rho^k eps mu is the only word of length <= 2p+1 and
     total degree 4p^k, for each k <= k_max.  Raises AssertionError with
     the offending words otherwise."""
-    if not (p % 2 == 1 and _is_prime(p)):
+    _require_prime(p)
+    if p == 2:
         raise ValueError("the length-bounded degree count needs an odd prime")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")

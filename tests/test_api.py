@@ -9,10 +9,11 @@ import hochhom
 from hochhom import (EPS, MU, AlgebraPresentation, Bidegree, BigradedDims,
                      DifferentialCandidate, Generator, GroupSpec,
                      PoincareSeries, WordFamily, bar_homology, bidegree,
-                     enumerate_shapes, exterior, family_b, hh_group_algebra,
-                     hh_poly_gens, hh_polynomial, hh_truncated,
-                     hh_truncated_words, is_admissible, polynomial, rho,
-                     thh_fp, truncated, verify_powerwords, verify_quasi_iso)
+                     diff_candidates, enumerate_shapes, exponent_bound,
+                     exterior, family_b, hh_group_algebra, hh_poly_gens,
+                     hh_polynomial, hh_truncated, hh_truncated_words,
+                     is_admissible, polynomial, rho, thh_fp, total_degree,
+                     truncated, verify_powerwords, verify_quasi_iso)
 from hochhom.bar import BarComplex, _QuasiIsoCase
 from hochhom.fplinear import SparseFpMatrix
 
@@ -103,7 +104,23 @@ def test_bad_input_raises_its_own_error():
         (lambda: GroupSpec(0, (2.5,)), TypeError,
          "torsion order 2.5 is not an int"),
         (lambda: GroupSpec(True), TypeError, "free rank True is not an int"),
+        (lambda: exponent_bound(100, 2.5), TypeError, "p 2.5 is not an int"),
+        (lambda: bidegree((rho(1), EPS, MU), 2.5, family_b()), TypeError,
+         "p 2.5 is not an int"),
+        (lambda: total_degree((rho(1), EPS, MU), 3.0, family_b()), TypeError,
+         "p 3.0 is not an int"),
+        (lambda: diff_candidates(5, 3.0, 100, "raw"), TypeError,
+         "p 3.0 is not an int"),
+        (lambda: verify_powerwords(3.0, 1), TypeError, "p 3.0 is not an int"),
+        (lambda: verify_powerwords(9, 1), ValueError,
+         "p must be prime, got 9"),
+        (lambda: verify_powerwords(2, 1), ValueError,
+         "the length-bounded degree count needs an odd prime"),
+        (lambda: exponent_bound(100, True), TypeError, "p True is not an int"),
     ]
+    # the word route's prime gate is memoised: with 3 let through first,
+    # 3.0 (equal to 3, of equal hash) must not hit its entry
+    assert exponent_bound(100, 3) == 4
     for call, error, message in cases:
         with pytest.raises(error) as caught:
             call()

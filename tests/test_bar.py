@@ -256,6 +256,31 @@ def test_cohomology_pass_matches_the_top_down_reference():
             cx.presentation, cx.max_s)
 
 
+def test_bar_complex_builds_each_coboundary_once(monkeypatch):
+    # fresh builds of the grid at p = 3 and of the C5 window at p = 2 read
+    # their strata chain by chain and bottom-up in s, so the delta^s held
+    # over from one stratum is the next one's delta^{s-1}: every stratum's
+    # delta^s is built, none twice, and the homology is the shared build's
+    shared = [*grid_complexes(3), weight_graded_complex(2)]
+    built = []
+    honest = BarComplex.coboundary
+
+    def counting(self, s, internal, weight=0):
+        built.append((s, internal, weight))
+        return honest(self, s, internal, weight)
+
+    monkeypatch.setattr(BarComplex, "coboundary", counting)
+    for cx in shared:
+        built.clear()
+        P = cx.presentation
+        fresh = BarComplex(AlgebraPresentation(P.p, P.generators), cx.max_s,
+                           cx.max_internal, cx.max_weight)
+        assert len(set(built)) == len(built), (P, cx.max_s)
+        assert {(s, t, w) for s in range(cx.max_s + 1)
+                for t, w in cx.strata(s)} <= set(built), (P, cx.max_s)
+        assert fresh.homology() == cx.homology(), (P, cx.max_s)
+
+
 def _pair(p=3):
     # F_3[x]/x^3 (x) Lambda(y), x in degree 0, both of weight 1
     return AlgebraPresentation(p, (truncated("x", 3, 0, weight=1),
@@ -331,7 +356,7 @@ def test_reduced_route_checks_d_squared(monkeypatch):
     # x * m picks up a wrong sign; d o d is checked on each cell whose
     # faces the reduction reads, and y|x|z, an up-partner on the way from
     # the critical z|y|x, is the first to fail
-    honest = AlgebraPresentation.multiply
+    honest = AlgebraPresentation._multiply
 
     def broken(self, m1, m2):
         res = honest(self, m1, m2)
@@ -339,7 +364,7 @@ def test_reduced_route_checks_d_squared(monkeypatch):
             return res
         return -res[0], res[1]
 
-    monkeypatch.setattr(AlgebraPresentation, "multiply", broken)
+    monkeypatch.setattr(AlgebraPresentation, "_multiply", broken)
     with pytest.raises(CompositionError, match=re.escape(
             "d o d != 0 on ((0, 1, 0), (1, 0, 0), (0, 0, 1)) in stratum "
             "(s=3, t=6, w=0)")):
@@ -474,7 +499,7 @@ def test_window_below_weight_zero_is_empty():
 def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
     # x * x^j picks up a wrong sign, so (x x) x = -x^3 but x (x x) = x^3:
     # d o d != 0 on x|x|x must stop the build itself
-    honest = AlgebraPresentation.multiply
+    honest = AlgebraPresentation._multiply
 
     def broken(self, m1, m2):
         res = honest(self, m1, m2)
@@ -482,7 +507,7 @@ def test_bar_complex_raises_at_build_on_nonassociative_products(monkeypatch):
             return res
         return -res[0], res[1]
 
-    monkeypatch.setattr(AlgebraPresentation, "multiply", broken)
+    monkeypatch.setattr(AlgebraPresentation, "_multiply", broken)
     with pytest.raises(CompositionError,
                        match=r"d o d != 0 from stratum \(s=3, t=6, w=0\)"):
         BarComplex(poly_algebra(3), 3, 6)
@@ -1225,6 +1250,19 @@ def test_json_round_trips():
     dims = bar_homology(P, 3, 10, 8)
     blob2 = json.dumps(dims.to_json_dict(), sort_keys=True)
     assert BigradedDims.from_json_dict(json.loads(blob2)) == dims
+
+
+def test_bigraded_dims_refuse_non_int_dimensions():
+    # a float or bool dimension is refused, whether given directly or read
+    # from JSON, so no table holds 2.5 or compares True equal to 1
+    for dim in (2.5, True, 1.0):
+        refused = rf"^dimension {dim!r} is not an int$"
+        with pytest.raises(TypeError, match=refused):
+            BigradedDims({(1, 2, 0): dim})
+        with pytest.raises(TypeError, match=refused):
+            BigradedDims.from_json_dict({"dims": {"0,0,0": 2, "1,2,0": dim}})
+    assert BigradedDims.from_json_dict(
+        {"dims": {"0,0,0": 2, "1,2,0": 0}}).as_dict() == {(0, 0, 0): 2}
 
 
 def test_weight_graded_bar_homology_truncated_degree_zero():

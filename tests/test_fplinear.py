@@ -86,9 +86,17 @@ def test_matrix_construction():
     assert list(m2.items()) == [((0, 1), 1)]
     with pytest.raises(IndexError):
         SparseFpMatrix(3, 2, 2, {0: {2: 1}})
-    # entries are ints; items() reads them back as ints
+    # the modulus and the entries are ints, not floats or bools; items()
+    # reads the entries back as ints
     with pytest.raises(TypeError):
         SparseFpMatrix(3, 2, 2, {0: {0: 1.0}})
+    with pytest.raises(TypeError,
+                       match=r"^entry \(0, 0\) is True, not an int$"):
+        SparseFpMatrix(3, 2, 2, {0: {0: True}})
+    for modulus in (3.0, True):
+        with pytest.raises(TypeError,
+                           match=rf"^modulus {modulus!r} is not an int$"):
+            SparseFpMatrix(modulus, 2, 2, {0: {0: 4}})
     assert type(entries[(1, 1)]) is int and entries[(1, 0)] == 2
 
 
