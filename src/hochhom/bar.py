@@ -328,7 +328,10 @@ class BigradedDims:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[tuple[int, int, int], int]):
-        for dim in entries.values():
+        for key, dim in entries.items():
+            if (type(key) is not tuple or len(key) != 3
+                    or any(type(v) is not int for v in key)):
+                raise TypeError(f"key {key!r} is not a 3-tuple of ints")
             if type(dim) is not int:
                 raise TypeError(f"dimension {dim!r} is not an int")
             if dim < 0:

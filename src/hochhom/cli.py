@@ -3,8 +3,9 @@
 Subcommands: words, diff-search, verify bar|powerwords|oracle-cross and
 series thh-fp|hh-poly|hh-trunc|hh-laurent|group|poly-gens.  Each has its
 own parser with only the options its handler reads, given after the suite
-or target name.  A handler returns its whole report and `_emit` writes it
-as text, json, or csv; reports are byte-identical for identical
+or target name.  A handler returns its configuration and one renderer per
+format, and `_emit` runs only the one of text, json, or csv asked for,
+writing straight to the output; reports are byte-identical for identical
 configurations, so timing goes to stderr.
 Exit codes: 0 ok, 1 failed verification, 2 usage error.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
+import itertools
 import json
 import sys
 import time
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import bar, series, words
 from .fplinear import _is_prime
@@ -30,7 +31,10 @@ _FAMILY_NAMES = {
     "Bdoubleprime": "B''", "B''": "B''",
 }
 
-Report = tuple[list[tuple[str, object]], list[str], dict, list, int]
+# (config, lines, fields, rows, exit code): lines, fields and rows are
+# zero-argument callables, and _emit calls only the one of the format asked
+Report = tuple[list[tuple[str, object]], Callable[[], Iterable[str]],
+               Callable[[], dict], Callable[[], Iterable], int]
 
 
 def _family_from_args(args) -> words.WordFamily:
@@ -45,28 +49,35 @@ def _table(fields: tuple[str, ...], records: list[dict]) -> list:
 
 def _cmd_words(args) -> Report:
     family = _family_from_args(args)
-    records = [{
-        "key": words.render_key(w),
-        "human": words.render_human(w),
-        "hom": bd.hom,
-        "internal": bd.internal,
-        "total": bd.total,
-        "weight": weight,
-        "class": cls,
-    } for w, bd, weight, cls in words.graded_words(args.n, family, args.p,
-                                                   args.max_degree)]
+    graded = words.graded_words(args.n, family, args.p, args.max_degree)
     config = [("command", "words"), ("p", args.p), ("n", args.n),
               ("family", str(family)), ("base_degree", family.base_degree),
               ("max_degree", args.max_degree), ("seed", args.seed),
-              ("count", len(records))]
-    rows = [("key", "word", "bidegree", "total", "weight", "class")]
-    rows += [(r["key"], r["human"], f"({r['hom']},{r['internal']})",
-              str(r["total"]), str(r["weight"]), r["class"]) for r in records]
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
+              ("count", len(graded))]
+
+    def records():
+        return [{
+            "key": words.render_key(w),
+            "human": words.render_human(w),
+            "hom": bd.hom,
+            "internal": bd.internal,
+            "total": bd.total,
+            "weight": weight,
+            "class": cls,
+        } for w, bd, weight, cls in graded]
+
+    def lines():
+        rows = [("key", "word", "bidegree", "total", "weight", "class")]
+        rows += [(words.render_key(w), words.render_human(w), str(bd),
+                  str(bd.total), str(weight), cls)
+                 for w, bd, weight, cls in graded]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)
+                          ).rstrip() for row in rows]
+
     fields = ("key", "human", "hom", "internal", "total", "weight", "class")
-    return config, lines, {"words": records}, _table(fields, records), 0
+    return (config, lines, lambda: {"words": records()},
+            lambda: _table(fields, records()), 0)
 
 
 def _cmd_diff_search(args) -> Report:
@@ -81,30 +92,29 @@ def _cmd_diff_search(args) -> Report:
     # each word is rendered once, however many pairs it stands in
     key = functools.cache(words.render_key)
     human = functools.cache(words.render_human)
-    lines = [line for c in cands
-             for line in (c.key_line(key), f"#   {c.human_line(human)}")]
-    records = [{
-        "source_key": key(c.source),
-        "source_human": human(c.source),
-        "source_hom": c.source_bidegree.hom,
-        "source_internal": c.source_bidegree.internal,
-        "target_key": key(c.target),
-        "target_human": human(c.target),
-        "target_hom": c.target_bidegree.hom,
-        "target_internal": c.target_bidegree.internal,
-        "drop": c.drop,
-    } for c in cands]
+
+    def lines():
+        for c in cands:
+            yield c.key_line(key)
+            yield f"#   {c.human_line(human)}"
+
+    def records():
+        return [c.to_json_dict(key, human) for c in cands]
+
     fields = ("source_key", "source_hom", "source_internal", "target_key",
               "target_hom", "target_internal", "drop")
-    return config, lines, {"candidates": records}, _table(fields, records), 0
+    return (config, lines, lambda: {"candidates": records()},
+            lambda: _table(fields, records()), 0)
 
 
-def _verify_report(args, config, lines: list[str], ok: bool, fields: dict,
-                   checks: list) -> Report:
+def _verify_report(args, config, ok: bool, lines: Callable[[], list[str]],
+                   fields: Callable[[], dict],
+                   checks: Callable[[], list]) -> Report:
     config = [("command", "verify"), ("suite", args.suite), *config]
-    lines = [*lines, f"result: {'ok' if ok else 'FAILED'}"]
-    return (config, lines, {"ok": ok, **fields}, [("check", "ok"), *checks],
-            0 if ok else 1)
+    return (config,
+            lambda: [*lines(), f"result: {'ok' if ok else 'FAILED'}"],
+            lambda: {"ok": ok, **fields()},
+            lambda: [("check", "ok"), *checks()], 0 if ok else 1)
 
 
 def _verify_bar(args) -> Report:
@@ -113,10 +123,11 @@ def _verify_bar(args) -> Report:
     config = [("case", args.case), ("x_degree", args.x_degree), ("p", args.p),
               ("m", args.m), ("max_s", args.max_s),
               ("max_degree", args.max_degree), ("seed", args.seed)]
-    checks = [{"name": n, "ok": ok, "detail": d} for n, ok, d in report.checks]
-    return _verify_report(args, config, report.lines(), report.ok,
-                          {"checks": checks},
-                          [(n, ok) for n, ok, _ in report.checks])
+    return _verify_report(
+        args, config, report.ok, report.lines,
+        lambda: {"checks": [{"name": n, "ok": ok, "detail": d}
+                            for n, ok, d in report.checks]},
+        lambda: [(n, ok) for n, ok, _ in report.checks])
 
 
 def _verify_powerwords(args) -> Report:
@@ -124,13 +135,19 @@ def _verify_powerwords(args) -> Report:
     try:
         report = words.verify_powerwords(args.p, args.k_max)
     except AssertionError as exc:
-        return _verify_report(args, config, [f"FAIL: {exc}"], False,
-                              {"error": str(exc)}, [("verify", False)])
-    found = {str(4 * args.p ** k): [words.render_key(w) for w in ws]
-             for k, ws in report.found}
-    lines = [f"PASS: {line}" for line in report.lines()]
-    return _verify_report(args, config, lines, True, {"found": found},
-                          [("verify", True)])
+        error = str(exc)  # the except clause unbinds exc when it ends
+        return _verify_report(args, config, False, lambda: [f"FAIL: {error}"],
+                              lambda: {"error": error},
+                              lambda: [("verify", False)])
+    def fields():
+        return {"found": {str(4 * args.p ** k): [words.render_key(w)
+                                                 for w in ws]
+                          for k, ws in report.found}}
+
+    return _verify_report(
+        args, config, True,
+        lambda: [f"PASS: {line}" for line in report.lines()], fields,
+        lambda: [("verify", True)])
 
 
 def _verify_oracle_cross(args) -> Report:
@@ -151,14 +168,19 @@ def _verify_oracle_cross(args) -> Report:
              if closed.coeffs.get(d, 0) != oracle.get(d, 0)]
     config = [("family", str(family)), ("n", n), ("p", p), ("max_degree", N),
               ("seed", args.seed)]
-    lines = [f"{'FAIL' if diffs else 'PASS'}: closed-form series matches "
-             f"iterated Tor rewrite through degree {N}"]
-    if diffs:
-        lines.append(f"mismatch at degrees {diffs[:8]}")
-    fields = {"closed": {str(d): c for d, c in sorted(closed.coeffs.items())},
-              "oracle": {str(d): c for d, c in sorted(oracle.items())}}
-    return _verify_report(args, config, lines, not diffs, fields,
-                          [("verify", not diffs)])
+
+    def lines():
+        out = [f"{'FAIL' if diffs else 'PASS'}: closed-form series matches "
+               f"iterated Tor rewrite through degree {N}"]
+        if diffs:
+            out.append(f"mismatch at degrees {diffs[:8]}")
+        return out
+
+    return _verify_report(
+        args, config, not diffs, lines,
+        lambda: {"closed": {str(d): c for d, c in sorted(closed.coeffs.items())},
+                 "oracle": {str(d): c for d, c in sorted(oracle.items())}},
+        lambda: [("verify", not diffs)])
 
 
 def _hh_trunc(args) -> series.PoincareSeries:
@@ -192,34 +214,42 @@ def _cmd_series(args) -> Report:
         value = getattr(args, key, None)
         if value is not None:
             config.append((key, value))
-    lines = [f"# base = {result.basis_note}"]
-    if result.validity is not None:
-        lines.append(f"# validity = {result.validity}")
-    lines += result.text_table()
-    return (config, lines, {"series": result.to_json_dict()},
-            [("degree", "coefficient"), *sorted(result.coeffs.items())], 0)
+
+    def lines():
+        head = [f"# base = {result.basis_note}"]
+        if result.validity is not None:
+            head.append(f"# validity = {result.validity}")
+        return head + result.text_table()
+
+    return (config, lines, lambda: {"series": result.to_json_dict()},
+            lambda: [("degree", "coefficient"), *sorted(result.coeffs.items())],
+            0)
+
+
+def _write(out, fmt: str, report: Report) -> None:
+    """Render the report's one format straight into out: no whole-report
+    string is built beside it, except the one json.dumps returns."""
+    config, lines, fields, rows, _ = report
+    if fmt == "json":
+        payload = {"command": dict(config)["command"], "config": dict(config),
+                   **fields()}
+        out.write(json.dumps(payload, sort_keys=True, indent=2,
+                             ensure_ascii=False))
+        out.write("\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows(rows())
+    else:
+        out.writelines(f"{line}\n" for line in itertools.chain(
+            (f"# {key} = {value}" for key, value in config), lines()))
 
 
 def _emit(args, report: Report) -> None:
-    config, lines, fields, rows, _ = report
-    if args.format == "json":
-        payload = {"command": dict(config)["command"], "config": dict(config),
-                   **fields}
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          ensure_ascii=False) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = "\n".join([f"# {key} = {value}" for key, value in config]
-                         + lines) + "\n"
     if not args.out:
-        sys.stdout.write(text)
+        _write(sys.stdout, args.format, report)
         return
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh, args.format, report)
     except OSError as exc:
         raise ValueError(f"cannot write the report: {exc}") from exc
 

@@ -38,7 +38,9 @@ word of length n: the same step counts the words of each length by
 the totals by leading kind below length n, as one increasing run per
 exponent sum; the search intersects sets of length-n totals, one window
 of totals at a time, and solves only the hits back into words, peeling
-each hit's head letter directly and memoising only the lengths below n.
+each hit's head letter directly and memoising only the lengths below n,
+as branches (letter, rest) in a plain dict that dies with the search;
+only the words of the pairs are spelled out as tuples.
 A scalar recursion for |w| (total_degree) cross-checks the fold.
 """
 
@@ -116,7 +118,7 @@ def family_bdoubleprime(m: int, base_degree: int = 0) -> WordFamily:
     return WordFamily("B''", m, base_degree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bidegree:
     hom: int
     internal: int
@@ -362,7 +364,7 @@ def render_human(word: Word) -> str:
     return "".join(starmap(_human_form, word))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferentialCandidate:
     """A pair of words whose bidegrees allow a spectral-sequence
     differential: total degrees differ by one and the homological drop
@@ -391,6 +393,17 @@ class DifferentialCandidate:
     def human_line(self, render: Callable[[Word], str] = render_human) -> str:
         s, t = self.source_bidegree, self.target_bidegree
         return f"{render(self.source)} {s} ---> {render(self.target)} {t}"
+
+    def to_json_dict(self, key: Callable[[Word], str] = render_key,
+                     human: Callable[[Word], str] = render_human) -> dict:
+        s, t = self.source_bidegree, self.target_bidegree
+        return {"source_key": key(self.source),
+                "source_human": human(self.source),
+                "source_hom": s.hom, "source_internal": s.internal,
+                "target_key": key(self.target),
+                "target_human": human(self.target),
+                "target_hom": t.hom, "target_internal": t.internal,
+                "drop": self.drop}
 
 
 _MAX_WORDS = 20_000_000  # most length-n words diff_candidates searches
@@ -426,7 +439,7 @@ def _word_counts(n: int, family: WordFamily, moves: dict,
     return [sum(map(sum, level.values())) for level in levels]
 
 
-_WINDOW = 1 << 12  # most entries of one source row in a window of totals
+_WINDOW = 1 << 11  # most entries of one source row in a window of totals
 _MAX_Q = 2 ** 64 - 1  # largest total an array("Q") run holds
 
 
@@ -502,6 +515,127 @@ def _total_tables(n: int, family: WordFamily, moves: dict,
                    first + [array("Q") for _ in range(bound)], images, join)
 
 
+def _hits(rows) -> set[int]:
+    """The totals of the source rows (tag 0) that a target row (tag 1,
+    its image already raised by one) also reaches, one window of totals
+    at a time (_windows); each window's target set lives only while the
+    window is read."""
+    hits = set()
+    for window in _windows(rows):
+        aims_at = set()
+        for aim, image in window:
+            if aim:
+                aims_at.update(image)
+            else:
+                hits.update(aims_at.intersection(image))
+    return hits
+
+
+def _spell(branches: list, length: int) -> list[Word]:
+    """The words of this length that a list of branches (letter, rest)
+    spells, rest being the branches of the word after the letter; a word
+    of length 1 is the base letter mu."""
+    if not branches:
+        return []
+    level = [((), branches)]
+    for _ in range(length - 1):
+        level = [(word + (letter,), rest) for word, ahead in level
+                 for letter, rest in ahead]
+    return [word + (MU,) for word, _rest in level]
+
+
+class _Solver:
+    """Solves totals of the tables below length n back into branches;
+    the memo is a plain dict that no closure holds, so no reference
+    cycle keeps it alive after the search."""
+
+    __slots__ = ("tables", "letters", "rights", "memo")
+
+    def __init__(self, tables: list[dict], letters: dict, rights: dict):
+        self.tables, self.letters, self.rights = tables, letters, rights
+        self.memo: dict[tuple, list] = {}
+
+    def peel(self, total: int, budget: int, length: int, kind: str,
+             moves) -> list:
+        """The branches (letter, rest) of the words of this length, total
+        degree total and exponent sum <= budget that lead with a letter
+        of this kind, of moves; rest is the branches of the word after
+        the letter.  A letter (a, b) heads a word of total T only when b
+        divides T - a, the rest having total (T - a)/b, and it is taken
+        only when a run of the tables inside the budget left holds that
+        total, so every branch spells a word."""
+        found = []
+        tables = self.tables[length - 2]
+        for letter, a, b, k in moves:
+            if k > budget or a > total:
+                break
+            rest, off = divmod(total - a, b)
+            if off:  # b does not divide total - a
+                continue
+            for right in self.rights[kind]:
+                if _holds(tables.get(right, ())[:budget - k + 1], rest):
+                    found.append(
+                        (letter, self.solve(rest, right, budget - k,
+                                            length - 1)))
+        return found
+
+    def solve(self, total: int, kind: str, budget: int, length: int) -> list:
+        """peel with every letter of the kind, memoised; a word of length
+        1 has no branches."""
+        if length == 1:
+            return ()
+        key = (total, kind, budget, length)
+        branches = self.memo.get(key)
+        if branches is None:
+            branches = self.memo[key] = self.peel(total, budget, length, kind,
+                                                  self.letters[kind])
+        return branches
+
+
+def _pairs(n: int, mode: str, family: WordFamily, bound: int, moves: dict
+           ) -> list[DifferentialCandidate]:
+    """The unsorted candidates of diff_candidates; the tables, the hit
+    sets and the memo die when it returns."""
+    tables = _total_tables(n - 1, family, moves, bound)
+    # the ladder of each non-base letter kind; the kinds right of it
+    letters = {kind: ladder for right in ("eps", "rho", "phi")
+               for kind, ladder in moves[right]}
+    rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
+                     if kind in _left_kinds(r, family)] for kind in letters}
+    solver = _Solver(tables, letters, rights)
+
+    def spell(total, head):  # the length-n words of this total head leads
+        return _spell(solver.peel(total, bound, n, head[0], (head[1:],)), n)
+
+    # every letter as a head of length-n words: (kind, letter, a, b, k)
+    heads = [(kind, *move) for kind, ladder in letters.items()
+             for move in ladder]
+
+    def rows(group, aim=0):  # the rows (a + aim, b, run, aim) group leads
+        return [(a + aim, b, run, aim) for kind, _l, a, b, k in group
+                for r in rights[kind] if r in tables[-1]
+                for run in tables[-1][r][:bound - k + 1] if run]
+
+    # targets one total below a multiple of p: their heads have k = 0
+    aims = [head for head in heads
+            if head[4] == 0 and (mode == "raw" or head[0] == "eps")]
+    groups: dict[tuple, list] = {}  # source heads by the heads they may hit
+    for head in heads:
+        if head[2] >= 3:
+            groups.setdefault(tuple(v for v in aims if v[2] <= head[2] - 2),
+                              []).append(head)
+    found = []
+    for targets, sources in groups.items():
+        for t in _hits(rows(targets, 1) + rows(sources)):
+            hit = [(v, Bidegree(head[2], t - 1 - head[2]))
+                   for head in targets for v in spell(t - 1, head)]
+            for head in sources if hit else ():
+                source = Bidegree(head[2], t - head[2])
+                found += [DifferentialCandidate(w, source, v, target)
+                          for w in spell(t, head) for v, target in hit]
+    return found
+
+
 def diff_candidates(n: int, p: int, max_degree: int,
                     mode: Literal["raw", "refined"] = "refined"
                     ) -> list[DifferentialCandidate]:
@@ -524,14 +658,14 @@ def diff_candidates(n: int, p: int, max_degree: int,
     lower) reaches a total one lower.  For the source heads that aim at
     the same targets, the hits are the source totals t with t - 1 a
     target total: a set of the targets' totals plus one, intersected
-    with the sources' totals, one window of totals at a time
-    (_windows).  Each side of a hit is solved back to length 1: a
-    letter heads a word of total T only when b divides T - a, the rest
-    having total (T - a)/b, and a peel is taken only when a run of the
-    tables with a sum inside the budget left holds that total, so every
-    branch yields a word.  solve memoises the words below length n; a
-    hit's heads are peeled unmemoised, its sources only if a target
-    solved.  Memory is the tables below length n, one window and the pairs.
+    with the sources' totals, one window of totals at a time (_hits).
+    Each side of a hit is solved back to length 1 (_Solver): a hit's
+    head letter is peeled unmemoised, its sources only if a target
+    solved, and the memo keeps, for the lengths below n, only the
+    branches (letter, rest) of the words, which are spelled at length n
+    alone.  Memory is the tables below length n, one window's target
+    set, the memo and the pairs; the tables, the sets and the memo hold
+    no reference cycle and are freed before the pairs are sorted.
     A search whose length-n level (_word_counts) holds more than
     _MAX_WORDS words raises ValueError with that count before any table
     is built.  The search needs p^E <= max_degree, so max_degree >= 1.
@@ -550,72 +684,7 @@ def diff_candidates(n: int, p: int, max_degree: int,
         raise ValueError(
             f"the search would span {size:,} words of length {n} "
             f"(limit {_MAX_WORDS:,}); lower the length or the degree bound")
-    tables = _total_tables(n - 1, family, moves, bound)
-    # the ladder of each non-base letter kind; the kinds right of it
-    letters = {kind: ladder for right in ("eps", "rho", "phi")
-               for kind, ladder in moves[right]}
-    rights = {kind: [r for r in ("mu", "eps", "rho", "phi")
-                     if kind in _left_kinds(r, family)] for kind in letters}
-
-    def peel(total: int, budget: int, length: int, kind: str,
-             moves) -> list[Word]:
-        """The words of this length, total degree total and exponent sum
-        <= budget that lead with a letter of this kind, of moves."""
-        found = []
-        for letter, a, b, k in moves:
-            if k > budget or a > total:
-                break
-            rest, off = divmod(total - a, b)
-            if off:  # b does not divide total - a
-                continue
-            for right in rights[kind]:
-                runs = tables[length - 2].get(right, ())
-                if _holds(runs[:budget - k + 1], rest):
-                    found += [(letter,) + u for u in
-                              solve(rest, right, budget - k, length - 1)]
-        return found
-
-    @cache
-    def solve(total: int, kind: str, budget: int, length: int) -> list[Word]:
-        """peel with every letter of the kind; memoised, for lengths < n."""
-        return (peel(total, budget, length, kind, letters[kind]) if length > 1
-                else [(family.base_letter,)])
-
-    # every letter as a head of length-n words: (kind, letter, a, b, k)
-    heads = [(kind, *move) for kind, ladder in letters.items()
-             for move in ladder]
-
-    def rows(group, aim=0):  # the rows (a + aim, b, run, aim) group leads
-        return [(a + aim, b, run, aim) for kind, _l, a, b, k in group
-                for r in rights[kind] if r in tables[-1]
-                for run in tables[-1][r][:bound - k + 1] if run]
-
-    # targets one total below a multiple of p: their heads have k = 0
-    aims = [head for head in heads
-            if head[4] == 0 and (mode == "raw" or head[0] == "eps")]
-    groups: dict[tuple, list] = {}  # source heads by the heads they may hit
-    for head in heads:
-        if head[2] >= 3:
-            groups.setdefault(tuple(v for v in aims if v[2] <= head[2] - 2),
-                              []).append(head)
-    found = []
-    for targets, sources in groups.items():
-        hits = set()  # a target of total v aims at v + 1; targets first
-        for window in _windows(rows(targets, 1) + rows(sources)):
-            aims_at = set()
-            for aim, image in window:
-                if aim:
-                    aims_at.update(image)
-                else:
-                    hits.update(aims_at.intersection(image))
-        for t in hits:
-            hit = [(v, a) for kind, letter, a, b, k in targets
-                   for v in peel(t - 1, bound, n, kind, ((letter, a, b, k),))]
-            for kind, letter, a, b, k in sources if hit else ():
-                found += [DifferentialCandidate(
-                    w, Bidegree(a, t - a), v, Bidegree(hv, t - 1 - hv))
-                    for w in peel(t, bound, n, kind, ((letter, a, b, k),))
-                    for v, hv in hit]
+    found = _pairs(n, mode, family, bound, moves)
     order = cache(canonical_key)
     found.sort(key=lambda c: (order(c.source), order(c.target)))
     return found

@@ -48,6 +48,20 @@ def test_bad_input_raises_its_own_error():
          "degrees and weights must be nonnegative"),
         (lambda: BigradedDims({(0, 0, 0): -1}), ValueError,
          "dimensions must be nonnegative"),
+        # a key is read as (hom, internal, weight): total_series would sum
+        # a float or a bool into a degree
+        (lambda: BigradedDims({(0, 2.5, True): 1}), TypeError,
+         "key (0, 2.5, True) is not a 3-tuple of ints"),
+        (lambda: BigradedDims({(0, 2, True): 1}), TypeError,
+         "key (0, 2, True) is not a 3-tuple of ints"),
+        (lambda: BigradedDims({(0, 2): 1}), TypeError,
+         "key (0, 2) is not a 3-tuple of ints"),
+        (lambda: BigradedDims({(0, 2, 0, 0): 1}), TypeError,
+         "key (0, 2, 0, 0) is not a 3-tuple of ints"),
+        (lambda: BigradedDims({"0,2,0": 1}), TypeError,
+         "key '0,2,0' is not a 3-tuple of ints"),
+        (lambda: BigradedDims({0: 1}), TypeError,
+         "key 0 is not a 3-tuple of ints"),
         (lambda: BarComplex(bar_cx.presentation, -1, 6), ValueError,
          "max_s must be >= 0"),
         (lambda: bar_cx.coboundary(3, 6), ValueError,

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -256,28 +257,44 @@ def test_cohomology_pass_matches_the_top_down_reference():
             cx.presentation, cx.max_s)
 
 
+class _TrackedMatrix(SparseFpMatrix):
+    """A matrix that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
 def test_bar_complex_builds_each_coboundary_once(monkeypatch):
     # fresh builds of the grid at p = 3 and of the C5 window at p = 2 read
     # their strata chain by chain and bottom-up in s, so the delta^s held
     # over from one stratum is the next one's delta^{s-1}: every stratum's
-    # delta^s is built, none twice, and the homology is the shared build's
+    # delta^s is built, none twice, and the homology is the shared build's.
+    # The one-slot cache that hands it over keeps no other: at most two
+    # coboundaries (the one held over and the one being built) are alive
+    # at any time, where a cache of every delta would hold a whole build's
     shared = [*grid_complexes(3), weight_graded_complex(2)]
-    built = []
+    built, refs, most_alive = [], [], []
     honest = BarComplex.coboundary
 
     def counting(self, s, internal, weight=0):
         built.append((s, internal, weight))
-        return honest(self, s, internal, weight)
+        m = honest(self, s, internal, weight)
+        tracked = _TrackedMatrix(m.modulus, m.rows, m.cols, m._columns)
+        refs.append(weakref.ref(tracked))
+        most_alive.append(sum(ref() is not None for ref in refs))
+        return tracked
 
     monkeypatch.setattr(BarComplex, "coboundary", counting)
     for cx in shared:
         built.clear()
+        refs.clear()
+        most_alive.clear()
         P = cx.presentation
         fresh = BarComplex(AlgebraPresentation(P.p, P.generators), cx.max_s,
                            cx.max_internal, cx.max_weight)
         assert len(set(built)) == len(built), (P, cx.max_s)
         assert {(s, t, w) for s in range(cx.max_s + 1)
                 for t, w in cx.strata(s)} <= set(built), (P, cx.max_s)
+        assert max(most_alive) <= 2, (P, cx.max_s, max(most_alive))
         assert fresh.homology() == cx.homology(), (P, cx.max_s)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hochhom import bar, cli, words
+from hochhom import bar, cli, series, words
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FORMATS = ("", " --format json", " --format csv")
@@ -186,6 +186,31 @@ def test_reports_match_frozen_digests(capsys, monkeypatch):
     monkeypatch.setattr(bar, "iterated_tor",
                         lambda start, levels, N: tor(start, levels + 1, N))
     assert digests(FROZEN_FAILURES, capsys) == FROZEN_FAILURES
+
+
+def test_each_format_renders_only_itself(capsys, monkeypatch):
+    # a report renders the format asked for and no other: a text run
+    # builds no JSON record or CSV row, a JSON run no text line, and the
+    # bytes stay the frozen ones
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rendered a format that was not asked for")
+
+    series_json = (series.PoincareSeries, "to_json_dict")
+    series_text = (series.PoincareSeries, "text_table")
+    pair_json = (words.DifferentialCandidate, "to_json_dict")
+    pair_text = [(words.DifferentialCandidate, "key_line"),
+                 (words.DifferentialCandidate, "human_line")]
+    refused = {"": [series_json, pair_json],
+               " --format json": [series_text, *pair_text],
+               " --format csv": [series_json, series_text, *pair_text]}
+    argvs = [argv for argv in FROZEN_REPORTS
+             if argv.startswith(("diff-search", "series"))]
+    for i, fmt in enumerate(FORMATS):
+        with monkeypatch.context() as patch:
+            for owner, attr in refused[fmt]:
+                patch.setattr(owner, attr, refuse)
+            assert {argv: digest(argv + fmt, capsys) for argv in argvs} \
+                == {argv: FROZEN_REPORTS[argv][i] for argv in argvs}, fmt
 
 
 def test_words_text_output(capsys):

@@ -1,6 +1,8 @@
 """Admissible words, bidegrees, and the degree-adjacency search."""
 
+import gc
 import random
+import weakref
 from collections import Counter
 from functools import cache
 
@@ -627,6 +629,48 @@ def test_diff_candidates_sorted_deterministically():
     assert a == b
     keys = [(canonical_key(c.source), canonical_key(c.target)) for c in a]
     assert keys == sorted(keys)
+
+
+def test_diff_candidates_leave_no_cyclic_garbage():
+    # the memo, the tables and the hit sets hold no reference cycle, so
+    # they are freed when the search returns, not at the next full
+    # collection, and the pairs alone outlive it
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        found = diff_candidates(13, 3, 170, "raw")
+        assert len(found) == 2826
+        del found
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_diff_candidates_solve_with_only_the_hit_set_alive(monkeypatch):
+    # while hits are solved back into words, no window's target set is
+    # left alive beside the hit set being read.  The search's sets are
+    # made by the name set in its module, so a stand-in there sees them
+    refs = []
+
+    def tracked(*args):
+        made = set(*args)
+        refs.append(weakref.ref(made))
+        return made
+
+    alive = []
+    spell = words._spell
+
+    def counting(branches, length):
+        alive.append(sum(ref() is not None for ref in refs))
+        return spell(branches, length)
+
+    monkeypatch.setattr(words, "set", tracked, raising=False)
+    monkeypatch.setattr(words, "_spell", counting)
+    want = listed(10, 3, 120, "raw")
+    assert diff_candidates(10, 3, 120, "raw") == want and want
+    assert refs and alive and max(alive) == 1
 
 
 def _rewrite_generators(family, p, n, max_degree):
