@@ -245,6 +245,10 @@ def _exponents(g: Generator, max_total: int,
                max_weight: Optional[int]) -> range:
     """The powers e >= 0 of g inside the window (None: unbounded); a
     degree-0 generator with no cap needs a weight bound."""
+    if type(max_total) is not int:
+        raise TypeError(f"max_total {max_total!r} is not an int")
+    if max_weight is not None and type(max_weight) is not int:
+        raise TypeError(f"max_weight {max_weight!r} is not an int")
     if g.total == 0 and g.cap is None and max_weight is None:
         raise ValueError(
             f"generator {g.name} has degree 0: a weight bound is required")
@@ -487,6 +491,8 @@ class BarComplex:
 
     def __init__(self, presentation: AlgebraPresentation, max_s: int,
                  max_internal: int, max_weight: Optional[int] = None):
+        if type(max_s) is not int:
+            raise TypeError(f"max_s {max_s!r} is not an int")
         if max_s < 0:
             raise ValueError("max_s must be >= 0")
         self.presentation = presentation
@@ -740,6 +746,8 @@ def bar_homology(presentation: AlgebraPresentation, max_s: int,
     _critical_counts on each (internal, weight) chain with a cell of
     length <= max_s; a chain whose cells all have length max_s + 1 adds
     nothing at s <= max_s and is not checked."""
+    if type(max_s) is not int:
+        raise TypeError(f"max_s {max_s!r} is not an int")
     if max_s < 0:
         raise ValueError("max_s must be >= 0")
     matching = _AnickMatching(presentation, max_degree, max_weight)
@@ -898,6 +906,8 @@ def tor_presentation(presentation: AlgebraPresentation, max_total: int,
 def iterated_tor_presentation(presentation: AlgebraPresentation,
                               iterations: int, max_total: int
                               ) -> AlgebraPresentation:
+    if type(iterations) is not int:
+        raise TypeError(f"iterations {iterations!r} is not an int")
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     current = presentation

@@ -109,6 +109,8 @@ class _Product:
     the next."""
 
     def __init__(self, max_degree: int):
+        if type(max_degree) is not int:
+            raise TypeError(f"max_degree {max_degree!r} is not an int")
         if max_degree < 0:
             raise ValueError("truncation must be nonnegative")
         self.max_degree = max_degree

@@ -37,10 +37,11 @@ word of length n: the same step counts the words of each length by
 (leading kind, exponent sum), to refuse a search too large, and tables
 the totals by leading kind below length n, as one increasing run per
 exponent sum; the search intersects sets of length-n totals, one window
-of totals at a time, and solves only the hits back into words, peeling
-each hit's head letter directly and memoising only the lengths below n,
-as branches (letter, rest) in a plain dict that dies with the search;
-only the words of the pairs are spelled out as tuples.
+of totals at a time, and solves only the hits back into words by exact
+exponent sum, peeling each hit's head letter directly once per sum and
+memoising only the lengths below n, as branches (letter, rest) under
+(total, leading kind, exponent sum, length) in a plain dict that dies
+with the search; only the words of the pairs are spelled out as tuples.
 A scalar recursion for |w| (total_degree) cross-checks the fold.
 """
 
@@ -157,6 +158,8 @@ def is_admissible(word: Word, family: WordFamily) -> bool:
             k = left[1]  # a bool is no exponent: True == 1
             if k is not None and (type(k) is not int or k < 0):
                 return False
+        elif left != EPS:  # eps carries no exponent
+            return False
     return True
 
 
@@ -198,6 +201,8 @@ def exponent_bound(max_degree: int, p: int) -> int:
     """Largest E with p^E <= max_degree in exact integers, -1 for 0 (no
     letter fits); every listing and count starts here, so p must be prime."""
     _require_prime(p)
+    if type(max_degree) is not int:
+        raise TypeError(f"max_degree {max_degree!r} is not an int")
     if max_degree < 0:
         raise ValueError("degree bound must be >= 0")
     e, q = -1, 1
@@ -406,7 +411,7 @@ class DifferentialCandidate:
                 "drop": self.drop}
 
 
-_MAX_WORDS = 20_000_000  # most length-n words diff_candidates searches
+_MAX_WORDS = 20_000_000  # most length-n words a search spans (counted)
 
 
 def _levels(n: int, family: WordFamily, moves: dict, first, images, join):
@@ -414,6 +419,8 @@ def _levels(n: int, family: WordFamily, moves: dict, first, images, join):
     that prepends letters: the base letter's table is first, and a longer
     kind's table joins the parts images(ladder, table) of every table one
     shorter that moves lets that kind's ladder stand left of."""
+    if type(n) is not int:
+        raise TypeError(f"n {n!r} is not an int")
     if n < 1:
         raise ValueError("word length must be >= 1")
     levels = [{family.base_letter[0]: first}]
@@ -475,13 +482,10 @@ def _windows(rows):
         starts = ends
 
 
-def _holds(runs, total: int) -> bool:
-    """Whether one of the increasing runs holds total."""
-    for run in runs:
-        i = bisect_left(run, total)
-        if i < len(run) and run[i] == total:
-            return True
-    return False
+def _holds(run, total: int) -> bool:
+    """Whether the increasing run holds total."""
+    i = bisect_left(run, total)
+    return i < len(run) and run[i] == total
 
 
 def _total_tables(n: int, family: WordFamily, moves: dict,
@@ -555,39 +559,37 @@ class _Solver:
         self.tables, self.letters, self.rights = tables, letters, rights
         self.memo: dict[tuple, list] = {}
 
-    def peel(self, total: int, budget: int, length: int, kind: str,
-             moves) -> list:
+    def peel(self, total: int, s: int, length: int, kind: str, moves) -> list:
         """The branches (letter, rest) of the words of this length, total
-        degree total and exponent sum <= budget that lead with a letter
+        degree total and exponent sum exactly s that lead with a letter
         of this kind, of moves; rest is the branches of the word after
-        the letter.  A letter (a, b) heads a word of total T only when b
-        divides T - a, the rest having total (T - a)/b, and it is taken
-        only when a run of the tables inside the budget left holds that
-        total, so every branch spells a word."""
+        the letter.  A letter (a, b) of exponent k heads a word of total
+        T only when b divides T - a, the rest having total (T - a)/b, and
+        it is taken only when run s - k of the tables holds that total,
+        so every branch spells a word."""
         found = []
         tables = self.tables[length - 2]
         for letter, a, b, k in moves:
-            if k > budget or a > total:
+            if k > s or a > total:
                 break
             rest, off = divmod(total - a, b)
             if off:  # b does not divide total - a
                 continue
             for right in self.rights[kind]:
-                if _holds(tables.get(right, ())[:budget - k + 1], rest):
+                if right in tables and _holds(tables[right][s - k], rest):
                     found.append(
-                        (letter, self.solve(rest, right, budget - k,
-                                            length - 1)))
+                        (letter, self.solve(rest, right, s - k, length - 1)))
         return found
 
-    def solve(self, total: int, kind: str, budget: int, length: int) -> list:
+    def solve(self, total: int, kind: str, s: int, length: int) -> list:
         """peel with every letter of the kind, memoised; a word of length
         1 has no branches."""
         if length == 1:
             return ()
-        key = (total, kind, budget, length)
+        key = (total, kind, s, length)
         branches = self.memo.get(key)
         if branches is None:
-            branches = self.memo[key] = self.peel(total, budget, length, kind,
+            branches = self.memo[key] = self.peel(total, s, length, kind,
                                                   self.letters[kind])
         return branches
 
@@ -605,7 +607,8 @@ def _pairs(n: int, mode: str, family: WordFamily, bound: int, moves: dict
     solver = _Solver(tables, letters, rights)
 
     def spell(total, head):  # the length-n words of this total head leads
-        return _spell(solver.peel(total, bound, n, head[0], (head[1:],)), n)
+        return _spell([branch for s in range(head[4], bound + 1) for branch
+                       in solver.peel(total, s, n, head[0], (head[1:],))], n)
 
     # every letter as a head of length-n words: (kind, letter, a, b, k)
     heads = [(kind, *move) for kind, ladder in letters.items()
@@ -659,11 +662,13 @@ def diff_candidates(n: int, p: int, max_degree: int,
     the same targets, the hits are the source totals t with t - 1 a
     target total: a set of the targets' totals plus one, intersected
     with the sources' totals, one window of totals at a time (_hits).
-    Each side of a hit is solved back to length 1 (_Solver): a hit's
-    head letter is peeled unmemoised, its sources only if a target
-    solved, and the memo keeps, for the lengths below n, only the
-    branches (letter, rest) of the words, which are spelled at length n
-    alone.  Memory is the tables below length n, one window's target
+    Each side of a hit is solved back to length 1 (_Solver) by exact
+    exponent sum s: a letter of exponent k leaves a rest of sum s - k,
+    found by one bisect in run s - k.  A hit's head letter is peeled
+    unmemoised, once per sum, its sources only if a target solved, and
+    the memo keeps, for the lengths below n, only the branches (letter,
+    rest) of the words, each under one key, which are spelled at length
+    n alone.  Memory is the tables below length n, one window's target
     set, the memo and the pairs; the tables, the sets and the memo hold
     no reference cycle and are freed before the pairs are sorted.
     A search whose length-n level (_word_counts) holds more than
@@ -713,6 +718,8 @@ def verify_powerwords(p: int, k_max: int) -> PowerwordReport:
     _require_prime(p)
     if p == 2:
         raise ValueError("the length-bounded degree count needs an odd prime")
+    if type(k_max) is not int:
+        raise TypeError(f"k_max {k_max!r} is not an int")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     wanted = {4 * p ** k: k for k in range(k_max + 1)}

@@ -9,11 +9,13 @@ import hochhom
 from hochhom import (EPS, MU, AlgebraPresentation, Bidegree, BigradedDims,
                      DifferentialCandidate, Generator, GroupSpec,
                      PoincareSeries, WordFamily, bar_homology, bidegree,
-                     diff_candidates, enumerate_shapes, exponent_bound,
-                     exterior, family_b, hh_group_algebra, hh_poly_gens,
-                     hh_polynomial, hh_truncated, hh_truncated_words,
-                     is_admissible, polynomial, rho, thh_fp, total_degree,
-                     truncated, verify_powerwords, verify_quasi_iso)
+                     diff_candidates, enumerate_shapes, enumerate_words,
+                     exponent_bound, exterior, family_b, hh_group_algebra,
+                     hh_poly_gens, hh_polynomial, hh_truncated,
+                     hh_truncated_words, is_admissible, iterated_tor,
+                     polynomial, presentation_dims, rho, thh_fp,
+                     total_degree, truncated, verify_powerwords,
+                     verify_quasi_iso)
 from hochhom.bar import BarComplex, _QuasiIsoCase
 from hochhom.fplinear import SparseFpMatrix
 
@@ -33,6 +35,7 @@ def _candidate(source_bidegree, target_bidegree):
 
 def test_bad_input_raises_its_own_error():
     bar_cx = BarComplex(AlgebraPresentation(3, (truncated("x", 3, 2),)), 2, 6)
+    alg = AlgebraPresentation(3, (polynomial("x", 2),))
     # a window below |eps x| leaves the small model without generators
     no_gamma = _QuasiIsoCase("truncated", 2, 3, 3, 0, 1)
     gamma_beyond = "gamma index beyond the generators kept"
@@ -96,6 +99,11 @@ def test_bad_input_raises_its_own_error():
          "word length must be >= 1"),
         (lambda: bidegree((rho(None), EPS, MU), 3, family_b()), ValueError,
          "word still has unassigned exponents"),
+        # eps carries no exponent, so a payload makes the word inadmissible
+        (lambda: bidegree((("eps", 3), MU), 3, family_b()), ValueError,
+         "word (('eps', 3), ('mu',)) is not admissible in B"),
+        (lambda: total_degree((("eps", 3), MU), 3, family_b()), ValueError,
+         "word (('eps', 3), ('mu',)) is not admissible in B"),
         (lambda: _candidate(Bidegree(3, 2), Bidegree(1, 2)), ValueError,
          "candidate totals must differ by exactly 1"),
         (lambda: _candidate(Bidegree(2, 2), Bidegree(1, 2)), ValueError,
@@ -131,6 +139,31 @@ def test_bad_input_raises_its_own_error():
         (lambda: verify_powerwords(2, 1), ValueError,
          "the length-bounded degree count needs an odd prime"),
         (lambda: exponent_bound(100, True), TypeError, "p True is not an int"),
+        # a non-int window bound is refused at the gate it enters, by the
+        # gate's name for it
+        (lambda: diff_candidates(5, 3, 100.0), TypeError,
+         "max_degree 100.0 is not an int"),
+        (lambda: enumerate_words(3, family_b(), 3, 10.5), TypeError,
+         "max_degree 10.5 is not an int"),
+        (lambda: thh_fp(3, 3, 10.5), TypeError,
+         "max_degree 10.5 is not an int"),
+        (lambda: thh_fp(True, 3, 10), TypeError, "n True is not an int"),
+        # hh_polynomial reads the words one letter longer than its order n
+        (lambda: hh_polynomial(1.0, 3, 10), TypeError, "n 2.0 is not an int"),
+        (lambda: verify_powerwords(3, 1.0), TypeError,
+         "k_max 1.0 is not an int"),
+        (lambda: bar_homology(alg, 2.0, 10), TypeError,
+         "max_s 2.0 is not an int"),
+        (lambda: bar_homology(alg, 2, 10, 1.5), TypeError,
+         "max_weight 1.5 is not an int"),
+        (lambda: BarComplex(alg, True, 10), TypeError,
+         "max_s True is not an int"),
+        (lambda: iterated_tor(alg, 1, 10.5), TypeError,
+         "max_total 10.5 is not an int"),
+        (lambda: presentation_dims(alg, 10.5), TypeError,
+         "max_total 10.5 is not an int"),
+        (lambda: iterated_tor(alg, 1.5, 10), TypeError,
+         "iterations 1.5 is not an int"),
     ]
     # the word route's prime gate is memoised: with 3 let through first,
     # 3.0 (equal to 3, of equal hash) must not hit its entry

@@ -262,6 +262,9 @@ def test_inadmissible_rejected():
     assert not is_admissible((rho(0), MU), fam)
     assert not is_admissible((EPS, X), fam)
     assert not is_admissible((), fam)
+    # eps carries no exponent
+    assert not is_admissible((("eps", 3), MU), fam)
+    assert not is_admissible((rho(0), ("eps", None), MU), fam)
     with pytest.raises(ValueError):
         bidegree((MU, MU), 3, fam)
     # phi directly on the base letter is only admissible in B''
@@ -671,6 +674,33 @@ def test_diff_candidates_solve_with_only_the_hit_set_alive(monkeypatch):
     want = listed(10, 3, 120, "raw")
     assert diff_candidates(10, 3, 120, "raw") == want and want
     assert refs and alive and max(alive) == 1
+
+
+def test_diff_candidates_solve_each_word_once_under_its_exact_sum(
+        monkeypatch):
+    # a memo key (total, leading kind, exponent sum, length) names exactly
+    # the words its branches spell, so no word is solved under two keys
+    solvers = []
+    init = words._Solver.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        solvers.append(self)
+
+    monkeypatch.setattr(words._Solver, "__init__", capture)
+    diff_candidates(13, 3, 240, "raw")
+    (solver,) = solvers
+    assert len(solver.memo) == 4713
+    spelled = Counter()
+    for key, branches in solver.memo.items():
+        total, kind, s, length = key
+        ws = words._spell(branches, length)
+        assert ws, key
+        for w in ws:
+            assert (total_degree(w, 3, family_b()), w[0][0],
+                    sum(l[1] for l in w if len(l) == 2), len(w)) == key, w
+        spelled.update(ws)
+    assert max(spelled.values()) == 1
 
 
 def _rewrite_generators(family, p, n, max_degree):
